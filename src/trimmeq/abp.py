@@ -30,30 +30,15 @@ def evaldim(f: Blackbox, fixed_vars: list[int], samples: int, rng: Rng) -> int:
     fixed = list(fixed_vars)
     rest = [i for i in range(n) if i not in set(fixed)]
     m = samples
-    if field.kernel is not None:
-        assigns = rng.array(field, (m, len(fixed)))
-        probes = rng.array(field, (m, len(rest)))
-        pts = np.zeros((m * m, n), dtype=np.int64)
-        for c, v in enumerate(fixed):
-            pts[:, v] = np.repeat(assigns[:, c], m)
-        for c, v in enumerate(rest):
-            pts[:, v] = np.tile(probes[:, c], m)
-        vals = f.eval_many(pts).reshape(m, m)
-        return rank_rows(field, vals)
-    rows = []
-    probes = [rng.vector(field, len(rest)) for _ in range(m)]
-    for _ in range(m):
-        assign = rng.vector(field, len(fixed))
-        row = []
-        for pr in probes:
-            point = [0] * n
-            for v, x in zip(fixed, assign):
-                point[v] = x
-            for v, x in zip(rest, pr):
-                point[v] = x
-            row.append(f.eval(point))
-        rows.append(row)
-    return rank_rows(field, rows)
+    assigns = rng.array(field, (m, len(fixed)))
+    probes = rng.array(field, (m, len(rest)))
+    pts = field.kernel.zeros((m * m, n))
+    for c, v in enumerate(fixed):
+        pts[:, v] = np.repeat(assigns[:, c], m)
+    for c, v in enumerate(rest):
+        pts[:, v] = np.tile(probes[:, c], m)
+    vals = f.eval_many(pts).reshape(m, m)
+    return rank_rows(field, vals)
 
 
 class SetMultABP:
@@ -81,13 +66,9 @@ class SetMultABP:
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         kern = self.field.kernel
-        if kern is None:
-            return np.array([self.eval([int(x) for x in r]) for r in pts], dtype=object)
-        B = len(pts)
         cur = _eval_layer_np(kern, self.layers[0], pts)
         for L in self.layers[1:]:
-            nxt = _eval_layer_np(kern, L, pts)
-            cur = _chain_np(kern, cur, nxt)
+            cur = kern.batched_matmul(cur, _eval_layer_np(kern, L, pts))
         return cur[0, 0]
 
     def as_blackbox(self) -> Blackbox:
@@ -106,28 +87,15 @@ class SetMultABP:
 def _eval_layer_np(kern, L: LinMat, pts: np.ndarray):
     """Batched evaluation of a linear matrix: (r, c, B) array."""
     B = len(pts)
-    out = np.zeros((L.nrows, L.ncols, B), dtype=np.int64)
+    out = kern.zeros((L.nrows, L.ncols, B))
     for i in range(L.nrows):
         for j in range(L.ncols):
-            acc = np.full(B, L.const[i][j], dtype=np.int64)
+            acc = np.full(B, L.const[i][j], dtype=kern.dtype)
             for v, cf in enumerate(L.coeffs[i][j]):
                 if cf:
                     acc = kern.add(acc, kern.mul(pts[:, v], cf))
             out[i, j] = acc
     return out
-
-
-def _chain_np(kern, A, B):
-    r, k, nb = A.shape
-    k2, c, _ = B.shape
-    C = np.zeros((r, c, nb), dtype=np.int64)
-    for i in range(r):
-        for j in range(c):
-            acc = C[i, j]
-            for u in range(k):
-                acc = kern.add(acc, kern.mul(A[i, u], B[u, j]))
-            C[i, j] = acc
-    return C
 
 
 def _coeffs_of_linear_restriction(f: Blackbox, template: list[int], block: list[int]):
@@ -136,26 +104,15 @@ def _coeffs_of_linear_restriction(f: Blackbox, template: list[int], block: list[
     f restricted this way is homogeneous linear for set-multilinear f, so
     unit-vector evaluations read the coefficients off directly.
     """
-    field = f.field
-    out = []
-    if field.kernel is not None:
-        B = len(block)
-        pts = np.tile(np.array(template, dtype=np.int64), (B, 1))
-        for t, v in enumerate(block):
-            pts[t, v] = 1
-        # zero out the block except the probed variable
-        for t, v in enumerate(block):
-            for u in block:
-                if u != v:
-                    pts[t, u] = 0
-        return [int(x) for x in f.eval_many(pts)]
-    for v in block:
-        q = list(template)
+    pts = np.tile(f.field.kernel.asarray(template), (len(block), 1))
+    for t, v in enumerate(block):
+        pts[t, v] = 1
+    # zero out the block except the probed variable
+    for t, v in enumerate(block):
         for u in block:
-            q[u] = 0
-        q[v] = 1
-        out.append(f.eval(q))
-    return out
+            if u != v:
+                pts[t, u] = 0
+    return [int(x) for x in f.eval_many(pts)]
 
 
 def reconstruct_abp(

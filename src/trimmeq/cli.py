@@ -17,7 +17,7 @@ import os
 import sys
 import time
 
-from .errors import TrimmeqError
+from .errors import InputError, TrimmeqError
 from .field import DEFAULT_PRIME, Fp, Rng
 from .fmai import AlgebraInput, fmai_solve
 from .linalg import Mat, assemble_block_diagonal
@@ -43,9 +43,19 @@ def _dump(path: str, obj: dict):
         fh.write("\n")
 
 
+class _Document(dict):
+    """A JSON object read from an input file; a missing key is an input error."""
+
+    def __missing__(self, key):
+        raise InputError(f"missing key {key!r}")
+
+
 def _load(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh, object_hook=_Document)
+        except json.JSONDecodeError as e:
+            raise InputError(f"{path} is not valid JSON: {e}") from None
 
 
 def _mat_to_rows(M: Mat):

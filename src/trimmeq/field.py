@@ -1,9 +1,9 @@
 """Exact arithmetic in a prime field F_p and the seeded randomness source.
 
 Field elements are canonical Python ints in [0, p).  The field object
-carries the modulus, checks primality on construction, and exposes an
-optional vectorized kernel (see :mod:`trimmeq.modarith`) used by the
-batched linear algebra and blackbox evaluation paths.
+carries the modulus, checks primality on construction, and exposes the
+vectorized kernel for p (see :mod:`trimmeq.modarith`) that the batched
+linear algebra and blackbox evaluation paths run on.
 """
 
 from __future__ import annotations
@@ -196,9 +196,8 @@ class Rng:
         return [self.vector(field, c) for _ in range(r)]
 
     def array(self, field: Fp, shape) -> np.ndarray:
-        """Bulk uniform residues as an int64 array (fast-lane moduli only)."""
-        gen = np.random.default_rng(self._py.getrandbits(63))
-        return gen.integers(0, field.p, size=shape, dtype=np.int64)
+        """Bulk uniform residues in the dtype of the field's kernel."""
+        return field.kernel.uniform(self._py, shape)
 
 
 def sample_uniform(field: Fp, rng: Rng, count: int) -> list[int]:

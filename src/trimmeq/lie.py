@@ -78,45 +78,22 @@ def _lie_rows_sampled(f: Blackbox, m: int, rng: Rng):
     """
     field = f.field
     n = f.n
-    if field.kernel is not None:
-        pts = rng.array(field, (m, n))
-        grads = f.gradient_many(pts)
-        k = field.kernel
-        rows = k.mul(grads[:, :, None], pts[:, None, :]).reshape(m, n * n)
-        return rows, pts
-    rows = []
-    pts = []
-    for _ in range(m):
-        a = rng.vector(field, n)
-        g = f.gradient(a)
-        p = field.p
-        rows.append([gi * aj % p for gi in g for aj in a])
-        pts.append(a)
+    pts = rng.array(field, (m, n))
+    grads = f.gradient_many(pts)
+    rows = field.kernel.mul(grads[:, :, None], pts[:, None, :]).reshape(m, n * n)
     return rows, pts
 
 
 def _certify_element(f: Blackbox, E: Mat, trials: int, rng: Rng) -> bool:
     """PIT of the Lie polynomial of E against zero at fresh points."""
-    field = f.field
-    n = f.n
-    if field.kernel is not None:
-        pts = rng.array(field, (trials, n))
-        grads = f.gradient_many(pts)
-        k = field.kernel
-        En = E.to_numpy()
-        Ea = k.matmul(pts, En.T)  # rows: E.a
-        acc = np.zeros(trials, dtype=np.int64)
-        for i in range(n):
-            acc = k.add(acc, k.mul(grads[:, i], Ea[:, i]))
-        return not np.any(acc)
-    p = field.p
-    for _ in range(trials):
-        a = rng.vector(field, n)
-        g = f.gradient(a)
-        Ea = E.matvec(a)
-        if sum(gi * yi for gi, yi in zip(g, Ea)) % p != 0:
-            return False
-    return True
+    k = f.field.kernel
+    pts = rng.array(f.field, (trials, f.n))
+    grads = f.gradient_many(pts)
+    Ea = k.matmul(pts, E.to_numpy().T)  # rows: E.a
+    acc = k.zeros(trials)
+    for i in range(f.n):
+        acc = k.add(acc, k.mul(grads[:, i], Ea[:, i]))
+    return not np.any(acc)
 
 
 def lie_algebra_basis(

@@ -1,10 +1,10 @@
 """Dense exact linear algebra over F_p.
 
 Matrices are lists of rows of canonical ints wrapped in :class:`Mat`.
-Elimination-heavy routines dispatch to the vectorized kernel when the
-modulus has a fast lane (the default 2^61 - 1 does); otherwise a plain
-Python Gaussian elimination with first-nonzero pivoting runs -- exact
-arithmetic needs no numerical pivot strategy.
+Elimination-heavy routines (rank, determinant, kernel basis, RREF) run on
+the field's vectorized kernel (:mod:`trimmeq.modarith`), which has a lane
+for every prime; first-nonzero pivoting suffices, since exact arithmetic
+needs no numerical pivot strategy.
 """
 
 from __future__ import annotations
@@ -18,70 +18,12 @@ Vec = list  # vectors over F_p are plain lists of ints
 
 
 # ---------------------------------------------------------------------------
-# pure-Python elimination (reference lane, any modulus)
+# kernel front ends (accept list-rows or ndarray, return Python lists)
 # ---------------------------------------------------------------------------
 
-def _py_forward(p: int, rows: list[list[int]]):
-    """In-place forward elimination; returns pivot column list."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            if f:
-                ri = rows[i]
-                rows[i] = [(x - f * y) % p for x, y in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-    return pivots
+def _as_residues(field: Fp, rows) -> np.ndarray:
+    return rows if isinstance(rows, np.ndarray) else field.kernel.asarray(rows)
 
-
-def _py_rref(p: int, rows: list[list[int]]):
-    rows = [list(r) for r in rows]
-    pivots = _py_forward(p, rows)
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        prow = rows[i]
-        for j in range(i):
-            f = rows[j][c]
-            if f:
-                rj = rows[j]
-                rows[j] = [(x - f * y) % p for x, y in zip(rj, prow)]
-    return rows, pivots
-
-
-def _py_nullspace(p: int, rows: list[list[int]]):
-    if not rows:
-        return []
-    n = len(rows[0])
-    R, pivots = _py_rref(p, rows)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for i, c in enumerate(pivots):
-            v[c] = -R[i][fc] % p
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# lane dispatch helpers (accept list-rows or ndarray, return Python lists)
-# ---------------------------------------------------------------------------
 
 def nullspace_rows(field: Fp, rows) -> list[list[int]]:
     """Kernel basis of the row system ``rows . x = 0``."""
@@ -92,13 +34,7 @@ def nullspace_rows(field: Fp, rows) -> list[list[int]]:
         n = len(rows[0]) if m else 0
     if m == 0:
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    k = field.kernel
-    if k is not None:
-        M = rows if isinstance(rows, np.ndarray) else k.asarray(rows)
-        return [[int(x) for x in v] for v in k.nullspace(M)]
-    if isinstance(rows, np.ndarray):
-        rows = [[int(x) for x in r] for r in rows]
-    return _py_nullspace(field.p, rows)
+    return [[int(x) for x in v] for v in field.kernel.nullspace(_as_residues(field, rows))]
 
 
 def rank_rows(field: Fp, rows) -> int:
@@ -107,35 +43,13 @@ def rank_rows(field: Fp, rows) -> int:
             return 0
     elif not rows:
         return 0
-    k = field.kernel
-    if k is not None:
-        M = rows if isinstance(rows, np.ndarray) else k.asarray(rows)
-        return k.rank(M)
-    if isinstance(rows, np.ndarray):
-        rows = [[int(x) for x in r] for r in rows]
-    rows = [list(r) for r in rows]
-    return len(_py_forward(field.p, rows))
+    return field.kernel.rank(_as_residues(field, rows))
 
 
 def rref_rows(field: Fp, rows):
     """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
-    k = field.kernel
-    if k is not None:
-        M = rows if isinstance(rows, np.ndarray) else k.asarray(rows)
-        R, piv = k.rref(M)
-        return [[int(x) for x in r] for r in R], piv
-    if isinstance(rows, np.ndarray):
-        rows = [[int(x) for x in r] for r in rows]
-    return _py_rref(field.p, rows)
-
-
-def matvec_many(field: Fp, A_rows, points: np.ndarray) -> np.ndarray:
-    """Batched A.x for all rows x of points: returns (B, m) array."""
-    k = field.kernel
-    if k is None:
-        raise RuntimeError("matvec_many requires a fast-lane modulus")
-    A = A_rows if isinstance(A_rows, np.ndarray) else k.asarray(A_rows)
-    return k.matmul(points, A.T)
+    R, piv = field.kernel.rref(_as_residues(field, rows))
+    return [[int(x) for x in r] for r in R], piv
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +69,10 @@ class Mat:
     @staticmethod
     def from_rows(field: Fp, rows) -> "Mat":
         p = field.p
-        return Mat(field, [[int(x) % p for x in r] for r in rows])
+        rows = [[int(x) % p for x in r] for r in rows]
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise ShapeMismatch("ragged matrix rows")
+        return Mat(field, rows)
 
     @staticmethod
     def zeros(field: Fp, r: int, c: int) -> "Mat":
@@ -195,7 +112,7 @@ class Mat:
         return f"Mat({self.nrows}x{self.ncols} mod {self.field.p})"
 
     def to_numpy(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
+        return self.field.kernel.asarray(self.rows)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
@@ -265,10 +182,7 @@ class Mat:
             raise ShapeMismatch("det of non-square matrix")
         if self.nrows == 0:
             return 1
-        k = self.field.kernel
-        if k is not None:
-            return int(k.det(self.to_numpy()))
-        return _py_det(self.field.p, self.rows)
+        return int(self.field.kernel.det(self.to_numpy()))
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -319,7 +233,7 @@ class Mat:
                 for i, row in enumerate(self.rows)
             ])
             vals.append(M.det())
-        return _newton_interp(p, ts, vals)
+        return newton_interp(p, ts, vals)
 
     # -- block structure ----------------------------------------------------
     def block(self, r0: int, c0: int, h: int, w: int) -> "Mat":
@@ -330,31 +244,9 @@ class Mat:
             self.rows[r0 + i][c0 : c0 + len(row)] = row
 
 
-def _py_det(p: int, rows: list[list[int]]) -> int:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    d = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d % p
-        piv = rows[c][c]
-        d = d * piv % p
-        inv = pow(piv, p - 2, p)
-        prow = [x * inv % p for x in rows[c]]
-        rows[c] = prow
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-    return d
-
-
-def _newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
-    """Divided-difference interpolation, coefficients low-to-high."""
+def newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
+    """Divided-difference interpolation through (xs[i], ys[i]) with
+    distinct xs: len(xs) coefficients, low-to-high, untrimmed."""
     n = len(xs)
     coef = [y % p for y in ys]
     for j in range(1, n):
@@ -367,9 +259,6 @@ def _newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
         shifted = [0] + poly[:-1]
         poly = [(s - xs[i] * q) % p for s, q in zip(shifted, poly)]
         poly[0] = (poly[0] + coef[i]) % p
-    # trim leading zeros (keep at least the constant term)
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
     return poly
 
 

@@ -1,17 +1,20 @@
-"""Vectorized arithmetic kernels for prime fields that fit in int64.
+"""Vectorized arithmetic kernels for every prime field.
 
-Two fast lanes are provided:
+Two lanes are provided, and this module alone decides which one runs and
+what dtype residue arrays have:
 
 * ``M61Kernel`` -- the default modulus 2^61 - 1 (Mersenne).  Products are
   computed limb-wise in int64 (31/30-bit splits) and reduced with shifts,
   so a full multiply costs ~25 elementwise numpy ops and never overflows
   a signed 64-bit intermediate.
-* ``SmallKernel`` -- any p < 2^31, where ``a * b`` of canonical residues
-  fits in int64 directly.
+* ``SmallKernel`` -- every other prime, reducing with ``%``.  Residues are
+  ``numpy.int64`` when p < 2^31, where ``a * b`` of canonical residues fits
+  in int64 directly, and numpy ``object`` arrays of Python ints otherwise.
 
-Everything here operates on canonical residues in [0, p) stored as
-``numpy.int64``.  Callers with moduli outside both lanes fall back to the
-pure-Python routines in :mod:`trimmeq.linalg`.
+Everything here operates on canonical residues in [0, p) stored in the
+kernel's ``dtype``; callers allocate residue arrays through ``asarray`` /
+``zeros`` so they never depend on the lane.  Rank, determinant, kernel
+basis and RREF all derive from one forward elimination.
 """
 
 from __future__ import annotations
@@ -28,18 +31,17 @@ class _KernelBase:
     """Shared batched linear algebra built on top of mul/add/sub."""
 
     p: int
+    dtype = np.int64
 
     # -- elementwise ops (implemented by subclasses) --------------------
     def mul(self, a, b):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def add(self, a, b):
-        r = a + b - self.p
-        return r + ((r >> 63) & self.p)
+    def add(self, a, b):  # pragma: no cover - abstract
+        raise NotImplementedError
 
-    def sub(self, a, b):
-        r = a - b
-        return r + ((r >> 63) & self.p)
+    def sub(self, a, b):  # pragma: no cover - abstract
+        raise NotImplementedError
 
     def neg(self, a):
         return np.where(a == 0, a, self.p - a)
@@ -48,7 +50,16 @@ class _KernelBase:
         return pow(a, self.p - 2, self.p)
 
     def asarray(self, rows) -> np.ndarray:
-        return np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=self.dtype)
+
+    def zeros(self, shape) -> np.ndarray:
+        return np.zeros(shape, dtype=self.dtype)
+
+    def uniform(self, py, shape) -> np.ndarray:
+        """Uniform residues of the given shape, seeded from the
+        ``random.Random`` stream ``py``."""
+        gen = np.random.default_rng(py.getrandbits(63))
+        return gen.integers(0, self.p, size=shape, dtype=self.dtype)
 
     # -- batched helpers -------------------------------------------------
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -56,26 +67,43 @@ class _KernelBase:
         m, k = A.shape
         k2, n = B.shape
         assert k == k2
-        C = np.zeros((m, n), dtype=np.int64)
+        C = self.zeros((m, n))
         for t in range(k):
             C = self.add(C, self.mul(A[:, t : t + 1], B[t : t + 1, :]))
         return C
 
-    def rref(self, M: np.ndarray):
-        """Fully reduced row echelon form.  Returns (R, pivot_columns)."""
-        R = M.astype(np.int64, copy=True)
+    def batched_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(r, k, N) x (k, c, N) product of N matrices stacked on the last axis."""
+        r, k, nb = A.shape
+        c = B.shape[1]
+        C = self.zeros((r, c, nb))
+        for i in range(r):
+            for j in range(c):
+                acc = C[i, j]
+                for u in range(k):
+                    acc = self.add(acc, self.mul(A[i, u], B[u, j]))
+                C[i, j] = acc
+        return C
+
+    def _eliminate(self, R: np.ndarray):
+        """Forward elimination of R in place, first-nonzero pivoting.
+
+        Yields (row, column, swapped) for each pivot once it has been swapped
+        into place and before its row is scaled to a unit pivot and cleared
+        below; a caller that stops iterating stops the elimination there.
+        """
         m, n = R.shape
-        pivots = []
         r = 0
         for c in range(n):
             if r == m:
-                break
+                return
             nz = np.nonzero(R[r:, c])[0]
             if nz.size == 0:
                 continue
             pr = r + int(nz[0])
             if pr != r:
                 R[[r, pr]] = R[[pr, r]]
+            yield r, c, pr != r
             inv = self.inv_scalar(int(R[r, c]))
             R[r, c:] = self.mul(R[r, c:], inv)
             if r + 1 < m:
@@ -83,8 +111,16 @@ class _KernelBase:
                 R[r + 1 :, c:] = self.sub(
                     R[r + 1 :, c:], self.mul(f[:, None], R[r, c:][None, :])
                 )
-            pivots.append(c)
             r += 1
+
+    def _echelon(self, M: np.ndarray):
+        """(unit row echelon copy of M, pivot columns)."""
+        R = self.asarray(M)
+        return R, [c for _, c, _ in self._eliminate(R)]
+
+    def rref(self, M: np.ndarray):
+        """Fully reduced row echelon form.  Returns (R, pivot_columns)."""
+        R, pivots = self._echelon(M)
         # eliminate above pivots, bottom-up
         for i in range(len(pivots) - 1, 0, -1):
             c = pivots[i]
@@ -94,34 +130,14 @@ class _KernelBase:
         return R, pivots
 
     def nullspace(self, M: np.ndarray):
-        """Kernel basis vectors (list of int64 arrays of length n).
+        """Kernel basis vectors (list of arrays of length n).
 
         Avoids the full RREF back-pass: after forward elimination only the
         free columns are back-substituted, which is what dominates on the
         (n^2+32) x n^2 systems this package solves.
         """
-        R = M.astype(np.int64, copy=True)
-        m, n = R.shape
-        pivots = []
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(R[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            inv = self.inv_scalar(int(R[r, c]))
-            R[r, c:] = self.mul(R[r, c:], inv)
-            if r + 1 < m:
-                f = R[r + 1 :, c]
-                R[r + 1 :, c:] = self.sub(
-                    R[r + 1 :, c:], self.mul(f[:, None], R[r, c:][None, :])
-                )
-            pivots.append(c)
-            r += 1
+        R, pivots = self._echelon(M)
+        n = R.shape[1]
         rank = len(pivots)
         free = [c for c in range(n) if c not in set(pivots)]
         if not free:
@@ -135,58 +151,27 @@ class _KernelBase:
                 F[:i] = self.sub(F[:i], self.mul(f[:, None], F[i][None, :]))
         basis = []
         for t, fc in enumerate(free):
-            v = np.zeros(n, dtype=np.int64)
+            v = self.zeros(n)
             v[fc] = 1
-            col = F[:, t]
-            v[pivots] = np.where(col == 0, 0, self.p - col)
+            v[pivots] = self.neg(F[:, t])
             basis.append(v)
         return basis
 
     def rank(self, M: np.ndarray) -> int:
-        R = M.astype(np.int64, copy=True)
-        m, n = R.shape
-        r = 0
-        for c in range(n):
-            if r == m:
-                break
-            nz = np.nonzero(R[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            inv = self.inv_scalar(int(R[r, c]))
-            R[r, c:] = self.mul(R[r, c:], inv)
-            if r + 1 < m:
-                f = R[r + 1 :, c]
-                R[r + 1 :, c:] = self.sub(
-                    R[r + 1 :, c:], self.mul(f[:, None], R[r, c:][None, :])
-                )
-            r += 1
-        return r
+        return len(self._echelon(M)[1])
 
     def det(self, M: np.ndarray) -> int:
-        R = M.astype(np.int64, copy=True)
-        n = R.shape[0]
+        R = self.asarray(M)
         d = 1
-        for c in range(n):
-            nz = np.nonzero(R[c:, c])[0]
-            if nz.size == 0:
+        rank = 0
+        for r, c, swapped in self._eliminate(R):
+            if c != r:
                 return 0
-            pr = c + int(nz[0])
-            if pr != c:
-                R[[c, pr]] = R[[pr, c]]
+            if swapped:
                 d = self.p - d
-            piv = int(R[c, c])
-            d = (d * piv) % self.p
-            inv = self.inv_scalar(piv)
-            R[c, c:] = self.mul(R[c, c:], inv)
-            if c + 1 < n:
-                f = R[c + 1 :, c]
-                R[c + 1 :, c:] = self.sub(
-                    R[c + 1 :, c:], self.mul(f[:, None], R[c, c:][None, :])
-                )
-        return d % self.p
+            d = (d * int(R[r, c])) % self.p
+            rank += 1
+        return d if rank == len(R) else 0
 
 
 class M61Kernel(_KernelBase):
@@ -212,26 +197,51 @@ class M61Kernel(_KernelBase):
         t = t - M61
         return t + ((t >> 63) & M61)
 
+    # branchless: an int64 sign bit selects the correction
+    def add(self, a, b):
+        r = a + b - M61
+        return r + ((r >> 63) & M61)
+
+    def sub(self, a, b):
+        r = a - b
+        return r + ((r >> 63) & M61)
+
 
 class SmallKernel(_KernelBase):
-    """Direct int64 multiply for p < 2^31."""
+    """``%``-reduced arithmetic for any prime other than 2^61 - 1.
+
+    int64 residues when p < 2^31 (products of residues fit in int64),
+    numpy object arrays of Python ints otherwise.
+    """
 
     def __init__(self, p: int):
         self.p = p
+        self.dtype = np.int64 if p < (1 << 31) else object
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
+        a = np.asarray(a, dtype=self.dtype)
+        b = np.asarray(b, dtype=self.dtype)
         return (a * b) % self.p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def uniform(self, py, shape) -> np.ndarray:
+        if self.dtype is not object:
+            return super().uniform(py, shape)
+        # Generator.integers stops at 2^63; the Python stream reaches any p
+        vals = [py.randrange(self.p) for _ in range(int(np.prod(shape)))]
+        return self.asarray(vals).reshape(shape)
 
 
 _M61_SINGLETON = M61Kernel()
 
 
-def get_kernel(p: int):
-    """Return a vectorized kernel for p, or None if no fast lane applies."""
+def get_kernel(p: int) -> _KernelBase:
+    """The vectorized kernel for the prime p."""
     if p == M61:
         return _M61_SINGLETON
-    if 2 < p < (1 << 31):
-        return SmallKernel(p)
-    return None
+    return SmallKernel(p)

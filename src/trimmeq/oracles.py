@@ -13,7 +13,7 @@ from __future__ import annotations
 from .field import Fp, Rng
 from .linalg import Mat
 from .poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
-from .trimm import TrimmShape
+from .trimm import TrimmShape, entry_offset
 
 
 def _gram_matrix(g: MPoly) -> Mat | None:
@@ -224,8 +224,7 @@ class PlantedDetOracle:
             X = LinMat(self.field, w, w, w2)
             for i in range(w):
                 for j in range(w):
-                    off = i * w + j if c % 2 == 0 else j * w + i
-                    X.coeffs[i][j] = list(sub[off])
+                    X.coeffs[i][j] = list(sub[entry_offset(w, c, i, j)])
             self.registry.append(X)
 
     def __call__(self, g: MPoly, rng: Rng) -> LinMat | None:

@@ -20,7 +20,7 @@ from .errors import (
     SizeBound,
 )
 from .field import Fp, Rng
-from .linalg import Mat, nullspace_rows
+from .linalg import Mat, newton_interp, nullspace_rows
 
 # ---------------------------------------------------------------------------
 # univariate polynomials: list of coefficients, low to high
@@ -134,19 +134,7 @@ def interpolate_univariate(field: Fp, points: list[tuple[int, int]]) -> list[int
     xs = [t % p for t, _ in points]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("repeated interpolation abscissae")
-    ys = [v % p for _, v in points]
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], p - 2, p) % p
-    poly = []
-    for i in range(n - 1, -1, -1):
-        poly = [0] + poly
-        poly = [(poly[k] - xs[i] * (poly[k + 1] if k + 1 < len(poly) else 0)) % p
-                for k in range(len(poly))]
-        poly[0] = (poly[0] + coef[i]) % p
-    return uni_trim(poly)
+    return uni_trim(newton_interp(p, xs, [v for _, v in points]))
 
 
 def squarefree_test(field: Fp, q: list[int]) -> bool:
@@ -614,7 +602,7 @@ def wth_root(P: MPoly, w: int, trials: int = 20, rng: Rng | None = None) -> MPol
         if g.is_zero():
             continue
         g = g.normalized_grlex()
-        if _verify_power(P, g, w, trials, rng):
+        if matches_power(P.eval, g, w, trials, rng):
             return g
     raise NotAPerfectPower("no verified w-th root")
 
@@ -641,15 +629,20 @@ def _monomials(n: int, varset: list[int], d: int, homogeneous: bool):
     return out
 
 
-def _verify_power(P: MPoly, g: MPoly, w: int, trials: int, rng: Rng) -> bool:
-    """Check P = c * g^w at random points (c fitted at the first one)."""
-    field = P.field
+def matches_power(evaluate, g: MPoly, w: int, trials: int, rng: Rng) -> bool:
+    """Whether evaluate(a) == c * g(a)^w for one constant c at random points.
+
+    c is fitted at the first point where g does not vanish.  Success needs
+    ``trials`` such points, all agreeing, within 4 * trials draws; a point
+    where g vanishes and ``evaluate`` does not is a definite failure.
+    """
+    field = g.field
     c = None
     checked = 0
     for _ in range(trials * 4):
-        a = rng.vector(field, P.n)
+        a = rng.vector(field, g.n)
         gv = pow(g.eval(a), w, field.p)
-        pv = P.eval(a)
+        pv = evaluate(a)
         if gv == 0:
             if pv != 0:
                 return False
@@ -659,9 +652,9 @@ def _verify_power(P: MPoly, g: MPoly, w: int, trials: int, rng: Rng) -> bool:
         elif pv != field.mul(c, gv):
             return False
         checked += 1
-        if checked >= trials:
+        if checked == trials:
             return True
-    return c is not None and checked > 0
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +673,7 @@ class Blackbox:
         raise NotImplementedError
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(len(pts), dtype=np.int64)
-        for i, row in enumerate(pts):
-            out[i] = self.eval([int(x) for x in row])
-        return out
+        return self.field.kernel.asarray([self.eval([int(x) for x in row]) for row in pts])
 
     def _check_arity(self, point):
         if len(point) != self.n:
@@ -700,25 +690,17 @@ class Blackbox:
         B = len(pts)
         lam = _deriv_weights(field, d)
         big = np.repeat(pts, d + 1, axis=0)  # B*(d+1) base copies per variable
-        out = np.empty((B, self.n), dtype=np.int64)
         k = field.kernel
+        out = k.zeros((B, self.n))
         for i in range(self.n):
             work = big.copy()
-            ts = np.tile(np.arange(d + 1, dtype=np.int64), B)
-            if k is not None:
-                work[:, i] = k.add(work[:, i], ts)
-            else:
-                work[:, i] = (work[:, i] + ts) % field.p
+            ts = np.tile(k.asarray(range(d + 1)), B)
+            work[:, i] = k.add(work[:, i], ts)
             vals = self.eval_many(work).reshape(B, d + 1)
-            if k is not None:
-                acc = np.zeros(B, dtype=np.int64)
-                for j, l in enumerate(lam):
-                    acc = k.add(acc, k.mul(vals[:, j], l))
-                out[:, i] = acc
-            else:
-                p = field.p
-                for b in range(B):
-                    out[b, i] = sum(l * int(v) for l, v in zip(lam, vals[b])) % p
+            acc = k.zeros(B)
+            for j, l in enumerate(lam):
+                acc = k.add(acc, k.mul(vals[:, j], l))
+            out[:, i] = acc
         return out
 
 
@@ -755,12 +737,10 @@ class ExplicitBlackbox(Blackbox):
 
     def eval_many(self, pts):
         k = self.field.kernel
-        if k is None:
-            return super().eval_many(pts)
         B = len(pts)
-        acc = np.zeros(B, dtype=np.int64)
+        acc = k.zeros(B)
         for e, c in self.poly.terms.items():
-            t = np.full(B, c % self.field.p, dtype=np.int64)
+            t = np.full(B, c % self.field.p, dtype=k.dtype)
             for i, ei in enumerate(e):
                 for _ in range(ei):
                     t = k.mul(t, pts[:, i])
@@ -776,7 +756,7 @@ class ExplicitBlackbox(Blackbox):
         return [g.eval(point) for g in self._grads()]
 
     def gradient_many(self, pts):
-        out = np.empty((len(pts), self.n), dtype=np.int64)
+        out = self.field.kernel.zeros((len(pts), self.n))
         for i, g in enumerate(self._grads()):
             out[:, i] = ExplicitBlackbox(g).eval_many(pts)
         return out
@@ -801,11 +781,7 @@ class ComposedBlackbox(Blackbox):
         return self.base.eval(self.A.matvec(point))
 
     def eval_many(self, pts):
-        k = self.field.kernel
-        if k is None:
-            return super().eval_many(pts)
-        An = self.A.to_numpy()
-        transformed = k.matmul(pts, An.T)
+        transformed = self.field.kernel.matmul(pts, self.A.to_numpy().T)
         return self.base.eval_many(transformed)
 
     def gradient(self, point):
@@ -814,8 +790,6 @@ class ComposedBlackbox(Blackbox):
 
     def gradient_many(self, pts):
         k = self.field.kernel
-        if k is None:
-            return super().gradient_many(pts)
         An = self.A.to_numpy()
         transformed = k.matmul(pts, An.T)
         inner = self.base.gradient_many(transformed)
@@ -844,7 +818,7 @@ class RestrictionBlackbox(Blackbox):
 
     def eval_many(self, pts):
         B = len(pts)
-        full = np.tile(np.array(self.template, dtype=np.int64), (B, 1))
+        full = np.tile(self.field.kernel.asarray(self.template), (B, 1))
         for c, v in enumerate(self.free_vars):
             full[:, v] = pts[:, c]
         return self.base.eval_many(full)
@@ -877,18 +851,11 @@ def bb_partial_derivative_at(f: Blackbox, i: int, point: list[int]) -> int:
 
 
 def pit_equal(f: Blackbox, g: Blackbox, trials: int, rng: Rng) -> bool:
-    """Randomized identity test.  False is definitive; True holds with
-    failure probability <= trials * degree / p (Schwartz-Zippel)."""
+    """Randomized identity test at ``trials`` independent points.  False is
+    definitive; True holds with failure probability <= (degree / p)^trials
+    (Schwartz-Zippel)."""
     if f.n != g.n:
         raise ArityMismatch("blackboxes of different arity")
-    field = f.field
-    k = field.kernel
-    if k is not None:
-        pts = Rng(rng.randrange(1 << 62)).array(field, (trials, f.n))
-        return bool(np.array_equal(f.eval_many(pts), g.eval_many(pts)))
-    for _ in range(trials):
-        a = rng.vector(field, f.n)
-        if f.eval(a) != g.eval(a):
-            return False
-    return True
+    pts = Rng(rng.randrange(1 << 62)).array(f.field, (trials, f.n))
+    return bool(np.array_equal(f.eval_many(pts), g.eval_many(pts)))
 

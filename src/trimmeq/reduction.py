@@ -32,13 +32,14 @@ from .poly import (
     MPoly,
     det_linear_matrix,
     interpolate_univariate,
+    matches_power,
     pit_equal,
     uni_mul,
     uni_sub,
     wth_root,
 )
 from .report import _fail, _gate
-from .trimm import TrimmShape, trimm_blackbox
+from .trimm import TrimmShape, entry_offset, trimm_blackbox
 
 
 @dataclass
@@ -243,21 +244,7 @@ def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> MPoly | None:
     if g.is_zero():
         return None
     g = g.normalized_grlex()
-    # verify g^w proportional to det(Yloc) at random points
-    c = None
-    for _ in range(25):
-        a = rng.vector(field, nloc)
-        gv = pow(g.eval(a), w, p)
-        dv = detval(a)
-        if gv == 0:
-            if dv != 0:
-                return None
-            continue
-        if c is None:
-            c = field.div(dv, gv)
-        elif dv != field.mul(c, gv):
-            return None
-    return g if c is not None else None
+    return g if matches_power(detval, g, w, 25, rng) else None
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +508,7 @@ def tensor_iso_to_det(
         Bk = Mat.zeros(field, w2, w2)
         for i in range(w):
             for j in range(w):
-                pos = i * w + j if k % 2 == 0 else j * w + i
-                Bk.rows[pos] = [Xhat[k].coeffs[i][j][v] for v in blocks[k]]
+                Bk.rows[entry_offset(w, k, i, j)] = [Xhat[k].coeffs[i][j][v] for v in blocks[k]]
         if not Bk.is_invertible():
             _fail(report, "witness-invertible")
             return None

@@ -16,7 +16,7 @@ from .field import Fp, Rng
 from .linalg import Mat, assemble_block_diagonal, solve_linear
 from .poly import Blackbox, ComposedBlackbox, LinMat, RestrictionBlackbox, pit_equal
 from .report import _fail, _gate
-from .trimm import TrimmShape, trimm_blackbox
+from .trimm import TrimmShape, entry_offset, trimm_blackbox
 
 
 def linmat_from_block_transform(field: Fp, B: Mat, w: int, k_parity: int) -> LinMat:
@@ -28,8 +28,7 @@ def linmat_from_block_transform(field: Fp, B: Mat, w: int, k_parity: int) -> Lin
     X = LinMat(field, w, w, w * w)
     for i in range(w):
         for j in range(w):
-            pos = i * w + j if k_parity % 2 == 0 else j * w + i
-            X.coeffs[i][j] = list(B.rows[pos])
+            X.coeffs[i][j] = list(B.rows[entry_offset(w, k_parity, i, j)])
     return X
 
 
@@ -253,8 +252,7 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
         Bk = Mat.zeros(field, w2, w2)
         for i in range(w):
             for j in range(w):
-                pos = i * w + j if k % 2 == 0 else j * w + i
-                Bk.rows[pos] = list(layer_mats[k].coeffs[i][j])
+                Bk.rows[entry_offset(w, k, i, j)] = list(layer_mats[k].coeffs[i][j])
         if not Bk.is_invertible():
             _fail(report, "witness-invertible")
             return None

@@ -42,41 +42,36 @@ class TrimmShape:
         return list(range(k * w2, (k + 1) * w2))
 
 
-def var_index(shape: TrimmShape, k: int, i: int, j: int) -> int:
-    """Flat index of the (i, j) entry of layer k (i, j are 1-based).
+def entry_offset(w: int, k: int, i: int, j: int) -> int:
+    """Position of entry (i, j) (0-based) of layer k inside its block of
+    w^2 variables: row-major when k is even, column-major when k is odd."""
+    return i * w + j if k % 2 == 0 else j * w + i
 
-    Row-major inside even blocks, column-major inside odd blocks.
-    """
+
+def var_index(shape: TrimmShape, k: int, i: int, j: int) -> int:
+    """Flat index of the (i, j) entry of layer k (i, j are 1-based)."""
     w, d = shape.w, shape.d
     k %= d
     if not (1 <= i <= w and 1 <= j <= w):
         raise InputError(f"entry ({i},{j}) outside [1,{w}]^2")
-    off = (i - 1) * w + (j - 1) if k % 2 == 0 else (j - 1) * w + (i - 1)
-    return k * w * w + off
+    return k * w * w + entry_offset(w, k, i - 1, j - 1)
 
 
 def var_entry(shape: TrimmShape, flat: int) -> tuple[int, int, int]:
     """Inverse of var_index: flat position -> (k, i, j), 1-based i, j."""
     w = shape.w
     k, off = divmod(flat, w * w)
-    if k % 2 == 0:
-        i, j = divmod(off, w)
-        return k, i + 1, j + 1
-    j, i = divmod(off, w)
+    # either layout maps offset a*w + b to entry (a, b) or to entry (b, a),
+    # so applying it to the digits of off yields i*w + j
+    i, j = divmod(entry_offset(w, k, *divmod(off, w)), w)
     return k, i + 1, j + 1
 
 
 def layer_from_point(shape: TrimmShape, k: int, block_vals: list[int], field: Fp) -> Mat:
     """Assemble the w x w layer-k matrix from the block's w^2 values."""
     w = shape.w
-    rows = [[0] * w for _ in range(w)]
-    for off, v in enumerate(block_vals):
-        if k % 2 == 0:
-            i, j = divmod(off, w)
-        else:
-            j, i = divmod(off, w)
-        rows[i][j] = v % field.p
-    return Mat(field, rows)
+    return Mat(field, [[block_vals[entry_offset(w, k, i, j)] % field.p for j in range(w)]
+                       for i in range(w)])
 
 
 class TraceProductBlackbox(Blackbox):
@@ -102,78 +97,52 @@ class TraceProductBlackbox(Blackbox):
         layers = []
         for k in range(shape.d):
             blk = pts[:, k * w2 : (k + 1) * w2]
-            L = np.empty((w, w, len(pts)), dtype=np.int64)
-            for off in range(w2):
-                if k % 2 == 0:
-                    i, j = divmod(off, w)
-                else:
-                    j, i = divmod(off, w)
-                L[i, j] = blk[:, off]
+            L = self.field.kernel.zeros((w, w, len(pts)))
+            for i in range(w):
+                for j in range(w):
+                    L[i, j] = blk[:, entry_offset(w, k, i, j)]
             layers.append(L)
         return layers
 
     def eval_many(self, pts):
         k = self.field.kernel
-        if k is None:
-            return super().eval_many(pts)
         layers = self._layers_np(pts)
         M = layers[0]
-        w = self.shape.w
         for L in layers[1:]:
-            M = _bat_matmul(k, M, L, w)
-        acc = np.zeros(len(pts), dtype=np.int64)
-        for i in range(w):
+            M = k.batched_matmul(M, L)
+        acc = k.zeros(len(pts))
+        for i in range(self.shape.w):
             acc = k.add(acc, M[i, i])
         return acc
 
     def gradient_many(self, pts):
         """d tr(prod)/dQ_k[i,j] = (Q_{k+1} ... Q_{k-1})[j, i], batched."""
         kern = self.field.kernel
-        if kern is None:
-            return super().gradient_many(pts)
         shape = self.shape
         w, w2, d = shape.w, shape.w ** 2, shape.d
         B = len(pts)
         layers = self._layers_np(pts)
-        eye = np.zeros((w, w, B), dtype=np.int64)
+        eye = kern.zeros((w, w, B))
         for i in range(w):
             eye[i, i] = 1
         prefix = [eye]  # prefix[k] = Q_0 ... Q_{k-1}
         for k in range(d - 1):
-            prefix.append(_bat_matmul(kern, prefix[-1], layers[k], w))
+            prefix.append(kern.batched_matmul(prefix[-1], layers[k]))
         suffix = [eye]  # suffix[k] = Q_{k+1} ... Q_{d-1}, built backwards
         for k in range(d - 1, 0, -1):
-            suffix.append(_bat_matmul(kern, layers[k], suffix[-1], w))
+            suffix.append(kern.batched_matmul(layers[k], suffix[-1]))
         suffix.reverse()  # suffix[k] for k in 0..d-1
-        out = np.empty((B, shape.n), dtype=np.int64)
+        out = kern.zeros((B, shape.n))
         for k in range(d):
-            G = _bat_matmul(kern, suffix[k], prefix[k], w)  # (Q_{k+1}..Q_{k-1})
-            for off in range(w2):
-                if k % 2 == 0:
-                    i, j = divmod(off, w)
-                else:
-                    j, i = divmod(off, w)
-                out[:, k * w2 + off] = G[j, i]
+            G = kern.batched_matmul(suffix[k], prefix[k])  # (Q_{k+1}..Q_{k-1})
+            for i in range(w):
+                for j in range(w):
+                    out[:, k * w2 + entry_offset(w, k, i, j)] = G[j, i]
         return out
 
     def gradient(self, point):
-        pts = np.array([point], dtype=np.int64)
-        if self.field.kernel is not None:
-            return [int(x) for x in self.gradient_many(pts)[0]]
-        return super().gradient(point)
-
-
-def _bat_matmul(kern, A, B, w):
-    """(w, w, B) batched matrix product."""
-    nb = A.shape[2]
-    C = np.zeros((w, w, nb), dtype=np.int64)
-    for i in range(w):
-        for j in range(w):
-            acc = C[i, j]
-            for u in range(w):
-                acc = kern.add(acc, kern.mul(A[i, u], B[u, j]))
-            C[i, j] = acc
-    return C
+        pts = self.field.kernel.asarray([point])
+        return [int(x) for x in self.gradient_many(pts)[0]]
 
 
 def trimm_blackbox(field: Fp, shape: TrimmShape) -> TraceProductBlackbox:
@@ -272,11 +241,10 @@ class PlantedInstance:
         self.mode = mode
         self.blocks = blocks  # per-block B_k matrices for block mode
         self.f = ComposedBlackbox(trimm_blackbox(field, shape), A)
-        if field.kernel is not None:
-            pts = Rng(0xC0FFEE).array(field, (3, shape.n))
-            fast = self.f.eval_many(pts)
-            for t in range(3):
-                assert int(fast[t]) == self.f.eval([int(x) for x in pts[t]])
+        pts = Rng(0xC0FFEE).array(field, (3, shape.n))
+        fast = self.f.eval_many(pts)
+        for t in range(3):
+            assert int(fast[t]) == self.f.eval([int(x) for x in pts[t]])
 
 
 def plant_instance(field: Fp, shape: TrimmShape, rng: Rng, mode: str = "full") -> PlantedInstance:

@@ -150,6 +150,40 @@ def test_missing_secret_is_an_error(tmp_path):
                  "--seed", "6"]) == 2
 
 
+def _gen_full_instance(tmp_path):
+    inst = tmp_path / "inst.json"
+    main(["gen", "--w", "2", "--d", "3", "--mode", "full", "--seed", "5", "--out", str(inst)])
+    return inst, _read(inst)
+
+
+def _solve_exit_code(inst, capsys):
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--task", "trace", "--oracle", "w2", "--seed", "6"])
+    assert "error:" in capsys.readouterr().err
+    return rc
+
+
+def test_truncated_instance_is_an_input_error(tmp_path, capsys):
+    inst, _ = _gen_full_instance(tmp_path)
+    text = inst.read_text()
+    inst.write_text(text[: len(text) // 2])
+    assert _solve_exit_code(inst, capsys) == 2
+
+
+def test_instance_missing_width_is_an_input_error(tmp_path, capsys):
+    inst, data = _gen_full_instance(tmp_path)
+    del data["w"]
+    inst.write_text(json.dumps(data))
+    assert _solve_exit_code(inst, capsys) == 2
+
+
+def test_ragged_matrix_row_is_an_input_error(tmp_path, capsys):
+    inst, data = _gen_full_instance(tmp_path)
+    data["payload"]["matrix"][5].pop()
+    inst.write_text(json.dumps(data))
+    assert _solve_exit_code(inst, capsys) == 2
+
+
 def test_selftest_subset(capsys):
     assert main(["selftest", "--only", "10"]) == 0
     out = capsys.readouterr().out

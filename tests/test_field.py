@@ -1,5 +1,6 @@
 """Field arithmetic, square roots, and the seeded sampler."""
 
+import numpy as np
 import pytest
 
 from trimmeq.errors import DivisionByZero, NotPrime
@@ -111,3 +112,15 @@ def test_rng_array_matches_modulus_range():
     f = Fp()
     arr = Rng(4).array(f, (1000,))
     assert int(arr.min()) >= 0 and int(arr.max()) < f.p
+
+
+@pytest.mark.parametrize("p", [7, 10007, 1000003, (1 << 61) - 1, (1 << 89) - 1])
+def test_every_prime_has_a_kernel_and_canonical_arrays(p):
+    f = Fp(p)
+    assert f.kernel is not None and f.kernel.p == p
+    arr = Rng(4).array(f, (40, 3))
+    assert arr.shape == (40, 3) and arr.dtype == f.kernel.dtype
+    vals = [int(x) for x in arr.ravel()]
+    assert all(0 <= x < p for x in vals)
+    assert len(set(vals)) > 3
+    assert np.array_equal(Rng(4).array(f, (40, 3)), arr)

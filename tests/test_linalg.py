@@ -20,7 +20,7 @@ from trimmeq.linalg import (
 
 F = Fp()
 FS = Fp(10007)  # exercises the small-prime kernel lane
-FP = Fp((1 << 89) - 1)  # no fast lane: pure-Python paths
+FP = Fp((1 << 89) - 1)  # exercises the object-dtype (Python int) kernel lane
 
 
 @pytest.fixture(params=[F, FS, FP], ids=["m61", "small", "py"])

@@ -1,15 +1,17 @@
 """The vectorized kernels agree with plain big-int arithmetic."""
 
 import numpy as np
+from elimination_reference import _py_det, _py_forward, _py_nullspace, _py_rref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimmeq.field import Fp
-from trimmeq.linalg import _py_nullspace, _py_rref
 from trimmeq.modarith import M61, get_kernel
 
 K61 = get_kernel(M61)
 K_SMALL = get_kernel(10007)
+P89 = (1 << 89) - 1
+LANES = [M61, 10007, P89]  # limb-split int64, % on int64, % on Python ints
 
 
 @given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=50))
@@ -99,3 +101,42 @@ def test_kernel_det_and_matmul():
     dB = K61.det(B)
     assert K61.det(C.astype(np.int64)) == dA * dB % p
     assert K61.det(np.eye(4, dtype=np.int64)) == 1
+
+
+def _lists(M):
+    return [[int(x) for x in r] for r in M]
+
+
+@given(
+    st.sampled_from(LANES),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=120, deadline=None)
+def test_every_lane_matches_python_reference(p, m, n, inner, rnd):
+    """nullspace, rref, rank, det and matmul of each lane against the
+    pure-Python elimination, on random and rank-deficient (m x inner) .
+    (inner x n) inputs."""
+    kern = get_kernel(p)
+
+    def draw(r, c):
+        return [[rnd.randrange(p) for _ in range(c)] for _ in range(r)]
+
+    if inner:
+        A, B = draw(m, inner), draw(inner, n)
+        rows = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+        assert _lists(kern.matmul(kern.asarray(A), kern.asarray(B))) == rows
+    else:
+        rows = draw(m, n)
+    M = kern.asarray(rows)
+    assert M.dtype == kern.dtype
+
+    R, piv = kern.rref(M)
+    assert (_lists(R), piv) == _py_rref(p, rows)
+    assert [[int(x) for x in v] for v in kern.nullspace(M)] == _py_nullspace(p, rows)
+    assert kern.rank(M) == len(_py_forward(p, [list(r) for r in rows]))
+    sq = [(r * m)[:m] for r in rows]
+    assert kern.det(kern.asarray(sq)) == _py_det(p, sq)
+    assert _lists(M) == rows  # inputs are left untouched

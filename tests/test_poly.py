@@ -17,6 +17,7 @@ from trimmeq.poly import (
     det_linear_matrix,
     factor_univariate,
     interpolate_univariate,
+    matches_power,
     mp_div_exact,
     pit_equal,
     squarefree_test,
@@ -191,6 +192,28 @@ def test_wth_root_rejects_non_power():
     with pytest.raises(NotAPerfectPower):
         wth_root(P, 2)
 
+
+
+class _ScriptedRng:
+    """Hands out fixed points in order, in place of Rng.vector draws."""
+
+    def __init__(self, points):
+        self.points = iter(points)
+
+    def vector(self, field, n):
+        return next(self.points)
+
+
+def test_matches_power_needs_every_trial_point():
+    """x0*x1 agrees with c * x0^2 at a single point where x0 != 0; when every
+    other draw has x0 == 0 (both sides vanish) that one point must not be
+    enough."""
+    g = MPoly.var(F, 2, 0)
+    P = g * MPoly.var(F, 2, 1)
+    points = [[3, 5]] + [[0, t] for t in range(1, 40)]
+    assert not matches_power(P.eval, g, 2, 5, _ScriptedRng(points))
+    square = g * g
+    assert matches_power(square.eval, g, 2, 5, _ScriptedRng(points[:1] + [[t, 1] for t in range(1, 5)]))
 
 # ---------------------------------------------------------------------------
 # blackboxes
