@@ -90,7 +90,7 @@ def _eval_layer_np(kern, L: LinMat, pts: np.ndarray):
     out = kern.zeros((L.nrows, L.ncols, B))
     for i in range(L.nrows):
         for j in range(L.ncols):
-            acc = np.full(B, L.const[i][j], dtype=kern.dtype)
+            acc = kern.zeros(B)
             for v, cf in enumerate(L.coeffs[i][j]):
                 if cf:
                     acc = kern.add(acc, kern.mul(pts[:, v], cf))
@@ -98,21 +98,21 @@ def _eval_layer_np(kern, L: LinMat, pts: np.ndarray):
     return out
 
 
-def _coeffs_of_linear_restriction(f: Blackbox, template: list[int], block: list[int]):
+def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> list[int]:
     """Coefficient vector of the linear form x_block -> f(template with block=x).
 
     f restricted this way is homogeneous linear for set-multilinear f, so
     unit-vector evaluations read the coefficients off directly.
     """
-    pts = np.tile(f.field.kernel.asarray(template), (len(block), 1))
-    for t, v in enumerate(block):
-        pts[t, v] = 1
-    # zero out the block except the probed variable
-    for t, v in enumerate(block):
-        for u in block:
-            if u != v:
-                pts[t, u] = 0
-    return [int(x) for x in f.eval_many(pts)]
+    base = list(template)
+    for v in block:
+        base[v] = 0
+    coeffs = []
+    for v in block:
+        q = list(base)
+        q[v] = 1
+        coeffs.append(f.eval(q))
+    return coeffs
 
 
 def reconstruct_abp(
@@ -163,7 +163,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
     suffix = [_suffix_template(field, n, blocks, 0, rng) for _ in range(W)]
     Y0 = LinMat(field, 1, W, n)
     for j in range(W):
-        coeffs = _coeffs_of_linear_restriction(h, suffix[j], blocks[0])
+        coeffs = linear_form_coeffs(h, suffix[j], blocks[0])
         for v, c in zip(blocks[0], coeffs):
             Y0.coeffs[0][j][v] = c
     layers = [Y0]
@@ -196,7 +196,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
                     for j in range(W):
                         # prefix and suffix assignments have disjoint support
                         t = [(a + b) % field.p for a, b in zip(pre, suffix[j])]
-                        G[i][j] = _coeffs_of_linear_restriction(h, t, blocks[k])
+                        G[i][j] = linear_form_coeffs(h, t, blocks[k])
                 layer = LinMat(field, W, W, n)
                 p = field.p
                 for i in range(W):
@@ -209,7 +209,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
                         for v, c in zip(blocks[k], acc):
                             layer.coeffs[i][j][v] = c
             else:
-                G = [_coeffs_of_linear_restriction(h, pre, blocks[k]) for pre in prefixes]
+                G = [linear_form_coeffs(h, pre, blocks[k]) for pre in prefixes]
                 layer = LinMat(field, W, 1, n)
                 p = field.p
                 for i in range(W):

@@ -332,12 +332,7 @@ def criterion_10(field: Fp | None = None) -> CriterionResult:
 
     def run():
         w = 2
-        X = LinMat.symbolic(field, w)
-        Z = LinMat(field, 4, 4, 4)
-        for a in range(w):
-            for i in range(w):
-                for j in range(w):
-                    Z.coeffs[a * w + i][a * w + j] = list(X.coeffs[i][j])
+        Z = LinMat.symbolic(field, w).identity_kron(w)
         plain = intertwiner_space(Z, Z)
         ok = len(plain) == 4
         for (T, S) in plain:

@@ -18,6 +18,7 @@ from .linalg import Mat, nullspace_rows, rank_rows
 from .poly import ExplicitBlackbox, MPoly
 from .report import _fail, _gate
 from .tensor import degree_d_to_3
+from .trimm import entry_offset
 
 
 class AlgebraInput:
@@ -47,15 +48,6 @@ class AlgebraIso:
     def __init__(self, w: int, images: dict[tuple[int, int], Mat]):
         self.w = w
         self.images = images
-
-    def image_coords(self, coords: list[int], field: Fp) -> Mat:
-        """phi of the element with the given basis coordinates."""
-        w = self.w
-        out = Mat.zeros(field, w, w)
-        for t, c in enumerate(coords):
-            if c:
-                out = out + self.images[divmod(t, w)].scale(c)
-        return out
 
 
 def left_mult_matrices(A: AlgebraInput) -> list[Mat]:
@@ -113,11 +105,6 @@ def _unit(field, s, a, b):
     return M
 
 
-def _swap_pair(t: int, w: int) -> int:
-    a, b = divmod(t, w)
-    return b * w + a
-
-
 def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
     """A nonzero 4-tensor whose Lie algebra contains the conjugated block
     generators encoded by the L's (even interfaces) and N's (odd ones).
@@ -135,35 +122,26 @@ def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
 
     p = field.p
 
-    def build_rows(k: int, Wm: Mat, first_swapped: bool):
-        """Rows of O_first(Wm^T?, k) - O_second(Wm, k+1) = 0.
+    def pos(blk: int, t: int) -> int:
+        # block-local position of the pair t = a*w + b under block blk's layout
+        return entry_offset(w, blk, *divmod(t, w))
 
-        Even k (L case): plain on block k with Wm^T, swap on k+1 with Wm.
-        Odd k (N case): swap on block k with Wm^T, plain on k+1 with Wm.
-        first_swapped selects which side carries the index swap.
+    def build_rows(k: int, Wm: Mat):
+        """Rows of O(Wm^T, k) - O(Wm, k+1) = 0.
+
+        Each side acts through its own block's layout: plain on an even
+        block, with the index pair swapped on an odd one.
         """
         k2 = (k + 1) % 4
         other = [t for t in range(4) if t not in (k, k2)]
         Wt = Wm.transpose()
         out = []
         for beta_k in range(W):
-            if not first_swapped:
-                colsA = [(u, Wt.rows[u][beta_k]) for u in range(W) if Wt.rows[u][beta_k]]
-            else:
-                sb = _swap_pair(beta_k, w)
-                colsA = [
-                    (_swap_pair(u, w), Wt.rows[u][sb]) for u in range(W) if Wt.rows[u][sb]
-                ]
+            sb = pos(k, beta_k)
+            colsA = [(pos(k, u), Wt.rows[u][sb]) for u in range(W) if Wt.rows[u][sb]]
             for beta_k2 in range(W):
-                if not first_swapped:
-                    sb2 = _swap_pair(beta_k2, w)
-                    colsB = [
-                        (_swap_pair(u, w), Wm.rows[u][sb2])
-                        for u in range(W)
-                        if Wm.rows[u][sb2]
-                    ]
-                else:
-                    colsB = [(u, Wm.rows[u][beta_k2]) for u in range(W) if Wm.rows[u][beta_k2]]
+                sb2 = pos(k2, beta_k2)
+                colsB = [(pos(k2, u), Wm.rows[u][sb2]) for u in range(W) if Wm.rows[u][sb2]]
                 base = {}
                 idx = [0, 0, 0, 0]
                 idx[k], idx[k2] = beta_k, beta_k2
@@ -194,11 +172,11 @@ def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
 
     rows = []
     for L in L_list:
-        rows.extend(build_rows(0, L, first_swapped=False))
-        rows.extend(build_rows(2, L, first_swapped=False))
+        rows.extend(build_rows(0, L))
+        rows.extend(build_rows(2, L))
     for N in N_list:
-        rows.extend(build_rows(1, N, first_swapped=True))
-        rows.extend(build_rows(3, N, first_swapped=True))
+        rows.extend(build_rows(1, N))
+        rows.extend(build_rows(3, N))
     kernel = nullspace_rows(field, rows)
     if not kernel:
         raise Degenerate("only the zero tensor satisfies the symmetry system")
@@ -214,8 +192,7 @@ def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
         p_ = t // W ** 3
         exp = [0] * n
         for blk, pair in enumerate((p_, q_, r_, s_)):
-            pos = pair if blk % 2 == 0 else _swap_pair(pair, w)
-            exp[blk * W + pos] = 1
+            exp[blk * W + pos(blk, pair)] = 1
         terms[tuple(exp)] = c
     return MPoly(field, n, terms), len(kernel)
 

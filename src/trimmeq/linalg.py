@@ -48,6 +48,8 @@ def rank_rows(field: Fp, rows) -> int:
 
 def rref_rows(field: Fp, rows):
     """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
+    if len(rows) == 0:
+        return [], []
     R, piv = field.kernel.rref(_as_residues(field, rows))
     return [[int(x) for x in r] for r in R], piv
 
@@ -202,6 +204,8 @@ class Mat:
 
         Unlike solve_linear this skips the kernel computation.
         """
+        if len(b) != self.nrows:
+            raise ShapeMismatch(f"{self.nrows} equations vs right-hand side of {len(b)}")
         aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
         R, piv = rref_rows(self.field, aug)
         n = self.ncols
@@ -286,9 +290,7 @@ def solve_linear(A: Mat, b):
         raise ShapeMismatch("right-hand side length mismatch")
     ncols_b = len(B[0]) if B else 0
     aug = [list(ra) + list(rb) for ra, rb in zip(A.rows, B)]
-    if A.nrows == 0:
-        aug = []
-    R, piv = rref_rows(field, aug) if aug else ([], [])
+    R, piv = rref_rows(field, aug)
     n = A.ncols
     if any(c >= n for c in piv):
         return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .field import Fp, Rng
 from .linalg import Mat
 from .poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
-from .trimm import TrimmShape, entry_offset
+from .trimm import TrimmShape, block_to_layer
 
 
 def _gram_matrix(g: MPoly) -> Mat | None:
@@ -209,7 +209,7 @@ class PlantedDetOracle:
         self.registry = []
         E = self.planted_A * A_prime
         shape = self.shape
-        w, w2, d = shape.w, shape.w ** 2, shape.d
+        w2, d = shape.w ** 2, shape.d
         for k in range(d):
             col_block = [r[k * w2 : (k + 1) * w2] for r in E.rows]
             row_blocks = {
@@ -221,11 +221,7 @@ class PlantedDetOracle:
                 continue  # not block-structured; leave unregistered
             c = row_blocks.pop()
             sub = col_block[c * w2 : (c + 1) * w2]  # w^2 x w^2, rows in block-c order
-            X = LinMat(self.field, w, w, w2)
-            for i in range(w):
-                for j in range(w):
-                    X.coeffs[i][j] = list(sub[entry_offset(w, c, i, j)])
-            self.registry.append(X)
+            self.registry.append(block_to_layer(Mat(self.field, sub), c))
 
     def __call__(self, g: MPoly, rng: Rng) -> LinMat | None:
         field = self.field

@@ -36,13 +36,6 @@ def uni_deg(c: list[int]) -> int:
     return len(c) - 1
 
 
-def uni_add(field: Fp, a, b):
-    p = field.p
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    return uni_trim(out)
-
-
 def uni_sub(field: Fp, a, b):
     p = field.p
     n = max(len(a), len(b))
@@ -67,14 +60,6 @@ def uni_mul(field: Fp, a, b):
             for j, y in enumerate(b):
                 out[i + j] = (out[i + j] + x * y) % p
     return uni_trim(out)
-
-
-def uni_eval(field: Fp, a, t: int) -> int:
-    acc = 0
-    p = field.p
-    for c in reversed(a):
-        acc = (acc * t + c) % p
-    return acc
 
 
 def uni_deriv(field: Fp, a):
@@ -242,7 +227,7 @@ class MPoly:
         return MPoly(field, n)
 
     @staticmethod
-    def const(field: Fp, n: int, c: int) -> "MPoly":
+    def constant(field: Fp, n: int, c: int) -> "MPoly":
         c %= field.p
         return MPoly(field, n, {(0,) * n: c} if c else {})
 
@@ -339,7 +324,7 @@ class MPoly:
                 for i in range(self.n)]
         out = MPoly.zero(self.field, self.n)
         for e, c in self.terms.items():
-            t = MPoly.const(self.field, self.n, c)
+            t = MPoly.constant(self.field, self.n, c)
             for i, ei in enumerate(e):
                 for _ in range(ei):
                     t = t * subs[i]
@@ -389,16 +374,14 @@ def mp_div_exact(num: MPoly, den: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 
 class LinMat:
-    """r x c matrix of linear forms in n variables (optional constant parts).
+    """r x c matrix of homogeneous linear forms in n variables.
 
-    coeffs[i][j] is the length-n coefficient list of entry (i, j); const
-    holds the affine offsets and is zero everywhere for the homogeneous
-    matrices this package manipulates.
+    coeffs[i][j] is the length-n coefficient list of entry (i, j).
     """
 
-    __slots__ = ("field", "nrows", "ncols", "n", "coeffs", "const")
+    __slots__ = ("field", "nrows", "ncols", "n", "coeffs")
 
-    def __init__(self, field: Fp, nrows: int, ncols: int, n: int, coeffs=None, const=None):
+    def __init__(self, field: Fp, nrows: int, ncols: int, n: int, coeffs=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
@@ -406,7 +389,6 @@ class LinMat:
         self.coeffs = coeffs if coeffs is not None else [
             [[0] * n for _ in range(ncols)] for _ in range(nrows)
         ]
-        self.const = const if const is not None else [[0] * ncols for _ in range(nrows)]
 
     @staticmethod
     def symbolic(field: Fp, w: int) -> "LinMat":
@@ -417,31 +399,15 @@ class LinMat:
                 L.coeffs[i][j][w * i + j] = 1
         return L
 
-    def copy(self) -> "LinMat":
-        return LinMat(
-            self.field, self.nrows, self.ncols, self.n,
-            [[list(c) for c in row] for row in self.coeffs],
-            [list(r) for r in self.const],
-        )
-
     def eval(self, point: list[int]) -> Mat:
         p = self.field.p
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(self.ncols):
-                row.append((sum(a * b for a, b in zip(self.coeffs[i][j], point))
-                            + self.const[i][j]) % p)
-            rows.append(row)
-        return Mat(self.field, rows)
+        return Mat(self.field, [
+            [sum(a * b for a, b in zip(c, point)) % p for c in row] for row in self.coeffs
+        ])
 
     def transpose(self) -> "LinMat":
-        out = LinMat(self.field, self.ncols, self.nrows, self.n)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                out.coeffs[j][i] = list(self.coeffs[i][j])
-                out.const[j][i] = self.const[i][j]
-        return out
+        return LinMat(self.field, self.ncols, self.nrows, self.n,
+                      [[list(c) for c in col] for col in zip(*self.coeffs)])
 
     def left_mul(self, M: Mat) -> "LinMat":
         """Numeric M times this linear matrix."""
@@ -450,51 +416,56 @@ class LinMat:
         for i in range(M.nrows):
             for j in range(self.ncols):
                 acc = [0] * self.n
-                k_const = 0
                 for u in range(self.nrows):
                     f = M.rows[i][u]
                     if f:
-                        cu = self.coeffs[u][j]
-                        acc = [(a + f * b) % p for a, b in zip(acc, cu)]
-                        k_const = (k_const + f * self.const[u][j]) % p
+                        acc = [(a + f * b) % p for a, b in zip(acc, self.coeffs[u][j])]
                 out.coeffs[i][j] = acc
-                out.const[i][j] = k_const
         return out
 
     def right_mul(self, M: Mat) -> "LinMat":
+        """This linear matrix times numeric M."""
         p = self.field.p
         out = LinMat(self.field, self.nrows, M.ncols, self.n)
         for i in range(self.nrows):
             for j in range(M.ncols):
                 acc = [0] * self.n
-                k_const = 0
                 for u in range(self.ncols):
                     f = M.rows[u][j]
                     if f:
-                        cu = self.coeffs[i][u]
-                        acc = [(a + f * b) % p for a, b in zip(acc, cu)]
-                        k_const = (k_const + f * self.const[i][u]) % p
+                        acc = [(a + f * b) % p for a, b in zip(acc, self.coeffs[i][u])]
                 out.coeffs[i][j] = acc
-                out.const[i][j] = k_const
         return out
 
     def scale(self, c: int) -> "LinMat":
         p = self.field.p
         c %= p
-        out = self.copy()
-        out.coeffs = [[[x * c % p for x in f] for f in row] for row in self.coeffs]
-        out.const = [[x * c % p for x in r] for r in self.const]
+        return LinMat(self.field, self.nrows, self.ncols, self.n,
+                      [[[x * c % p for x in f] for f in row] for row in self.coeffs])
+
+    def restrict(self, variables: list[int]) -> "LinMat":
+        """The same forms read on the listed variables only, renumbered
+        0.. in list order."""
+        return LinMat(self.field, self.nrows, self.ncols, len(variables),
+                      [[[c[v] for v in variables] for c in row] for row in self.coeffs])
+
+    def block(self, r0: int, c0: int, h: int, w: int) -> "LinMat":
+        """The h x w sub-matrix with top-left entry (r0, c0)."""
+        return LinMat(self.field, h, w, self.n,
+                      [[list(c) for c in row[c0 : c0 + w]] for row in self.coeffs[r0 : r0 + h]])
+
+    def identity_kron(self, w: int) -> "LinMat":
+        """I_w (x) self: w copies of this matrix down the block diagonal."""
+        r, c = self.nrows, self.ncols
+        out = LinMat(self.field, w * r, w * c, self.n)
+        for a in range(w):
+            for i in range(r):
+                out.coeffs[a * r + i][a * c : (a + 1) * c] = [list(f) for f in self.coeffs[i]]
         return out
 
     def coefficient_matrix(self) -> Mat:
-        """(nrows*ncols) x n matrix of the entry coefficient vectors."""
-        rows = [list(self.coeffs[i][j]) for i in range(self.nrows) for j in range(self.ncols)]
-        return Mat(self.field, rows)
-
-    def is_full_rank(self) -> bool:
-        """All entry linear forms jointly linearly independent."""
-        M = self.coefficient_matrix()
-        return M.rank() == self.nrows * self.ncols
+        """(nrows*ncols) x n matrix of the entry coefficient vectors, row-major."""
+        return Mat(self.field, [list(c) for row in self.coeffs for c in row])
 
     def entry_poly(self, i: int, j: int) -> MPoly:
         out = MPoly.zero(self.field, self.n)
@@ -503,16 +474,10 @@ class LinMat:
                 e = [0] * self.n
                 e[t] = 1
                 out.add_term(tuple(e), c)
-        if self.const[i][j]:
-            out.add_term((0,) * self.n, self.const[i][j])
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LinMat)
-            and self.coeffs == other.coeffs
-            and self.const == other.const
-        )
+        return isinstance(other, LinMat) and self.coeffs == other.coeffs
 
 
 def det_linear_matrix(Y: LinMat, size_bound: int = 9) -> MPoly:
@@ -529,7 +494,7 @@ def det_linear_matrix(Y: LinMat, size_bound: int = 9) -> MPoly:
     field = Y.field
     A = [[Y.entry_poly(i, j) for j in range(m)] for i in range(m)]
     sign = 1
-    prev = MPoly.const(field, Y.n, 1)
+    prev = MPoly.constant(field, Y.n, 1)
     for k in range(m - 1):
         pr = next((i for i in range(k, m) if not A[i][k].is_zero()), None)
         if pr is None:

@@ -11,6 +11,11 @@ Three stages:
 * ``trace_equivalence`` -- the composition, returning (w, A) with a final
   randomized identity test, or None for "no such w exists".
 
+Layers are matrices of linear forms (:class:`~trimmeq.poly.LinMat`); the
+witness stores each as a w^2 x w^2 block transform, and :mod:`trimmeq.trimm`
+converts between the two.  ``certify_blocks`` is the final gate shared with
+the degree reduction: every block invertible, then an identity test.
+
 Gate failures return None (optionally recording the gate in a RunReport);
 certified witnesses are the only non-None results.
 """
@@ -39,7 +44,7 @@ from .poly import (
     wth_root,
 )
 from .report import _fail, _gate
-from .trimm import TrimmShape, entry_offset, trimm_blackbox
+from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
 
 @dataclass
@@ -126,15 +131,6 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng, report=None):
 # ---------------------------------------------------------------------------
 # middle-layer determinant roots
 # ---------------------------------------------------------------------------
-
-def _localize(Y: LinMat, block: list[int]) -> LinMat:
-    """Restrict a layer's linear forms to its own block's variables."""
-    out = LinMat(Y.field, Y.nrows, Y.ncols, len(block))
-    for i in range(Y.nrows):
-        for j in range(Y.ncols):
-            out.coeffs[i][j] = [Y.coeffs[i][j][v] for v in block]
-    return out
-
 
 def _monic_wth_root_uni(field: Fp, U: list[int], w: int):
     """Monic u of degree deg(U)/w with u^w == U (U monic), else None."""
@@ -290,17 +286,11 @@ def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng, attempts: int = 3):
     plain = intertwiner_space(Y, Z)
     trans = intertwiner_space(Y, Z.transpose())
     if bool(plain) == bool(trans):
+        # exactly one branch can admit nonzero solutions for a genuine
+        # trace-product layer; both or neither means reject
         return None
     space = plain or trans
-    transposed = not plain
-    pair = _sample_invertible_pair(space, rng, attempts)
-    if pair is None:
-        return None
-    return pair[0], pair[1], transposed
-
-
-def _sample_invertible_pair(space, rng: Rng, attempts: int):
-    field = space[0][0].field
+    field = Y.field
     for _ in range(attempts):
         T = Mat.zeros(field, space[0][0].nrows, space[0][0].ncols)
         S = Mat.zeros(field, space[0][1].nrows, space[0][1].ncols)
@@ -309,7 +299,7 @@ def _sample_invertible_pair(space, rng: Rng, attempts: int):
             T = T + Tb.scale(c)
             S = S + Sb.scale(c)
         if T.is_invertible() and S.is_invertible():
-            return T, S
+            return T, S, not plain
     return None
 
 
@@ -326,11 +316,7 @@ def factor_kron(Yhat: LinMat, w: int):
         raise StructureViolation("expected a w^2 x w^2 layer")
 
     def block(a, b):
-        out = LinMat(field, w, w, Yhat.n)
-        for i in range(w):
-            for j in range(w):
-                out.coeffs[i][j] = list(Yhat.coeffs[a * w + i][b * w + j])
-        return out
+        return Yhat.block(a * w, b * w, w, w)
 
     X = None
     ref = None
@@ -364,36 +350,6 @@ def factor_kron(Yhat: LinMat, w: int):
     if not M.is_invertible():
         raise StructureViolation("Kronecker factor is singular")
     return M, X
-
-
-def _extract_identity_kron(Yhat: LinMat, w: int) -> LinMat | None:
-    """X with Yhat == I_w (x) X, or None."""
-    field = Yhat.field
-    X = LinMat(field, w, w, Yhat.n)
-    for i in range(w):
-        for j in range(w):
-            X.coeffs[i][j] = list(Yhat.coeffs[i][j])
-            X.const[i][j] = Yhat.const[i][j]
-    zero = [0] * Yhat.n
-    for a in range(w):
-        for b in range(w):
-            for i in range(w):
-                for j in range(w):
-                    want = X.coeffs[i][j] if a == b else zero
-                    if Yhat.coeffs[a * w + i][b * w + j] != want:
-                        return None
-    return X
-
-
-def _kron_id(X: LinMat, w: int) -> LinMat:
-    """I_w (x) X as a linear matrix."""
-    W = w * X.nrows
-    out = LinMat(X.field, W, W, X.n)
-    for a in range(w):
-        for i in range(X.nrows):
-            for j in range(X.ncols):
-                out.coeffs[a * X.nrows + i][a * X.ncols + j] = list(X.coeffs[i][j])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +389,10 @@ def tensor_iso_to_det(
     _gate(report, "abp-reconstruction")
     Y = abp.layers
 
-    spaces: dict[int, list] = {}
+    Tp: dict[int, Mat] = {}
+    Sp: dict[int, Mat] = {}
     for k in range(1, d - 1):
-        Yloc = _localize(Y[k], blocks[k])
+        Yloc = Y[k].restrict(blocks[k])
         g_k = _layer_det_root(Yloc, w, rng)
         if g_k is None:
             _fail(report, "layer-det")
@@ -444,30 +401,17 @@ def tensor_iso_to_det(
         if ans is None:
             _fail(report, "det-oracle")
             return None
-        Z = _kron_id(ans, w)
-        plain = intertwiner_space(Yloc, Z)
-        trans = intertwiner_space(Yloc, Z.transpose())
-        if bool(plain) == bool(trans):
-            # exactly one branch can admit nonzero solutions for a genuine
-            # trace-product layer; both or neither means reject
-            _fail(report, "intertwiner")
-            return None
         # A transposed branch is the plain branch for the transposed oracle
         # answer (Z^T = I (x) X'^T and determinants ignore transposition),
         # so it is absorbed layer by layer: the solutions already satisfy
         # T'.Y' = (I (x) X~).S' for the absorbed X~.
-        spaces[k] = plain or trans
+        sol = solve_intertwiner(Yloc, ans.identity_kron(w), rng)
+        if sol is None:
+            _fail(report, "intertwiner")
+            return None
+        Tp[k - 1], Sp[k], _ = sol
     _gate(report, "det-oracle")
     _gate(report, "intertwiner")
-
-    Tp: dict[int, Mat] = {}
-    Sp: dict[int, Mat] = {}
-    for k in range(1, d - 1):
-        pair = _sample_invertible_pair(spaces[k], rng, 3)
-        if pair is None:
-            _fail(report, "intertwiner-sampling")
-            return None
-        Tp[k - 1], Sp[k] = pair
 
     Yhat: dict[int, LinMat] = {}
     Yhat[0] = Y[0].right_mul(Tp[0].inverse())
@@ -476,12 +420,10 @@ def tensor_iso_to_det(
     Yhat[d - 2] = Y[d - 2].left_mul(Tp[d - 3]).right_mul(Sp[d - 2].inverse())
     Yhat[d - 1] = Y[d - 1].left_mul(Sp[d - 2])
 
-    Xhat: dict[int, LinMat] = {}
-    X_mid = _extract_identity_kron(Yhat[d - 2], w)
-    if X_mid is None:
+    Xhat: dict[int, LinMat] = {d - 2: Yhat[d - 2].block(0, 0, w, w)}
+    if Yhat[d - 2] != Xhat[d - 2].identity_kron(w):
         _fail(report, "kron-structure")
         return None
-    Xhat[d - 2] = X_mid
     prod_M = Mat.identity(field, w)
     try:
         for k in range(1, d - 2):
@@ -503,18 +445,28 @@ def tensor_iso_to_det(
     Xhat[0] = X0
     Xhat[d - 1] = Xd
 
-    Bs = []
-    for k in range(d):
-        Bk = Mat.zeros(field, w2, w2)
-        for i in range(w):
-            for j in range(w):
-                Bk.rows[entry_offset(w, k, i, j)] = [Xhat[k].coeffs[i][j][v] for v in blocks[k]]
+    layers = [Xhat[k].restrict(blocks[k]) for k in range(d)]
+    return certify_blocks(h, shape, [], layers, certify_trials, rng, report)
+
+
+def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: list[LinMat],
+                   trials: int, rng: Rng, report=None) -> list[Mat] | None:
+    """Per-block transformations B_0..B_{d-1} certified against f, or None.
+
+    ``known`` are the first blocks, taken as given; the rest are the block
+    transforms of ``layers`` (each over its block's w^2 local variables),
+    each required invertible.  The composed Tr-IMM is identity-tested
+    against f.
+    """
+    Bs = list(known)
+    for X in layers:
+        Bk = layer_to_block(X, len(Bs))
         if not Bk.is_invertible():
             _fail(report, "witness-invertible")
             return None
         Bs.append(Bk)
-    composed = ComposedBlackbox(trimm_blackbox(field, shape), assemble_block_diagonal(Bs))
-    if not pit_equal(h, composed, certify_trials, rng):
+    composed = ComposedBlackbox(trimm_blackbox(f.field, shape), assemble_block_diagonal(Bs))
+    if not pit_equal(f, composed, trials, rng):
         _fail(report, "final-pit")
         return None
     _gate(report, "final-pit")

@@ -2,59 +2,42 @@
 
 A random restriction of the last d-3 blocks turns the input into a
 3-tensor handled by the matrix-multiplication-tensor oracle; the first
-three layer matrices then let unit points be solved (points at which a
-layer evaluates to a matrix unit), and the remaining layers are read off
-entry by entry through structured blackbox queries.  d = 4 needs only the
-direct read-off; d >= 5 reconstructs a width-w suffix ABP first.
+three layer matrices (the oracle's block transforms, read through
+``trimm.block_to_layer``) then let unit points be solved (points at which
+a layer evaluates to a matrix unit), and the remaining layers are read off
+entry by entry with ``abp.linear_form_coeffs``.  d = 4 needs only the
+direct read-off; d >= 5 reconstructs a width-w suffix ABP first.  The
+blocks pass the same final gates as the tensor-to-determinant reduction
+(``reduction.certify_blocks``).
 """
 
 from __future__ import annotations
 
-from .abp import reconstruct_abp
+from .abp import linear_form_coeffs, reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, Singular
-from .field import Fp, Rng
-from .linalg import Mat, assemble_block_diagonal, solve_linear
-from .poly import Blackbox, ComposedBlackbox, LinMat, RestrictionBlackbox, pit_equal
+from .field import Rng
+from .linalg import solve_linear
+from .poly import Blackbox, LinMat, RestrictionBlackbox
+from .reduction import certify_blocks
 from .report import _fail, _gate
-from .trimm import TrimmShape, entry_offset, trimm_blackbox
-
-
-def linmat_from_block_transform(field: Fp, B: Mat, w: int, k_parity: int) -> LinMat:
-    """The w x w linear matrix over w^2 local variables encoded by B.
-
-    Row r of B holds the coefficients of the (i, j) entry sitting at
-    within-block position r (row-major for even layers, column-major for
-    odd ones)."""
-    X = LinMat(field, w, w, w * w)
-    for i in range(w):
-        for j in range(w):
-            X.coeffs[i][j] = list(B.rows[entry_offset(w, k_parity, i, j)])
-    return X
+from .trimm import TrimmShape, block_to_layer
 
 
 def unit_point(Xp: LinMat, i: int, j: int) -> list[int]:
     """b with Xp(b) equal to the (i, j) matrix unit (i, j zero-based).
 
-    Solves the w^2 x w^2 coefficient system; Singular when the entry forms
-    are dependent (a broken upstream invariant)."""
-    w = Xp.nrows
-    C = Mat(Xp.field, [list(Xp.coeffs[u][v]) for u in range(w) for v in range(w)])
-    rhs = [0] * (w * w)
-    rhs[i * w + j] = 1
-    b = C.solve(rhs)
-    if b is None or not C.is_invertible():
-        raise Singular("layer linear forms are dependent")
-    return b
+    Singular when the entry forms are dependent (a broken upstream
+    invariant)."""
+    return _unit_points_all(Xp)[i][j]
 
 
 def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
     """unit[i][j] for all positions, from one matrix inversion."""
     w = Xp.nrows
-    C = Mat(Xp.field, [list(Xp.coeffs[u][v]) for u in range(w) for v in range(w)])
+    C = Xp.coefficient_matrix()
     if not C.is_invertible():
         raise Singular("layer linear forms are dependent")
-    Cinv = C.inverse()
-    cols = Cinv.transpose().rows  # column t of Cinv = solution for unit t
+    cols = C.inverse().transpose().rows  # column t of C^-1 = solution for unit t
     return [[list(cols[i * w + j]) for j in range(w)] for i in range(w)]
 
 
@@ -68,11 +51,7 @@ def _entry_linear_form(f: Blackbox, template: list[int], block: list[int], rng: 
         base[v] = 0
     if f.eval(base) != 0:
         return None
-    coeffs = []
-    for v in block:
-        q = list(base)
-        q[v] = 1
-        coeffs.append(f.eval(q))
+    coeffs = linear_form_coeffs(f, base, block)
     r1 = rng.vector(field, len(block))
     r2 = rng.vector(field, len(block))
     q1, q2, q12 = list(base), list(base), list(base)
@@ -134,9 +113,8 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
         return None
     _gate(report, "mmti-oracle")
     B012 = first
-    Xp = {k: linmat_from_block_transform(field, B012[k], w, k) for k in range(3)}
     try:
-        units = {k: _unit_points_all(Xp[k]) for k in range(3)}
+        units = {k: _unit_points_all(block_to_layer(B012[k], k)) for k in range(3)}
     except Singular:
         _fail(report, "unit-points")
         return None
@@ -179,22 +157,14 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
         units_suffix = {}
         for k in range(4, d - 1):
             # suffix layer k-3 is the w x w layer in f-block k
-            L = suffix.layers[k - 3]
-            Xk = LinMat(field, w, w, w2)
-            for i in range(w):
-                for j in range(w):
-                    Xk.coeffs[i][j] = [L.coeffs[i][j][v] for v in g_blocks[k - 3]]
-            layer_mats[k] = Xk
+            layer_mats[k] = suffix.layers[k - 3].restrict(g_blocks[k - 3])
             try:
-                units_suffix[k] = _unit_points_all(Xk)
+                units_suffix[k] = _unit_points_all(layer_mats[k])
             except Singular:
                 _fail(report, "unit-points")
                 return None
         # last suffix layer: w x 1 column; b_j with Y(b_j) = e_j
-        last = suffix.layers[d - 1 - 3]
-        A_last = Mat(field, [
-            [last.coeffs[u][0][v] for v in g_blocks[d - 1 - 3]] for u in range(w)
-        ])
+        A_last = suffix.layers[d - 4].restrict(g_blocks[d - 4]).coefficient_matrix()
         b_last = []
         for j in range(w):
             rhs = [1 if u == j else 0 for u in range(w)]
@@ -247,19 +217,5 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
                 Xlast.coeffs[i][j] = form
         layer_mats[d - 1] = Xlast
 
-    Bs = list(B012)
-    for k in range(3, d):
-        Bk = Mat.zeros(field, w2, w2)
-        for i in range(w):
-            for j in range(w):
-                Bk.rows[entry_offset(w, k, i, j)] = list(layer_mats[k].coeffs[i][j])
-        if not Bk.is_invertible():
-            _fail(report, "witness-invertible")
-            return None
-        Bs.append(Bk)
-    composed = ComposedBlackbox(trimm_blackbox(field, shape), assemble_block_diagonal(Bs))
-    if not pit_equal(f, composed, final_trials, rng):
-        _fail(report, "final-pit")
-        return None
-    _gate(report, "final-pit")
-    return Bs
+    layers = [layer_mats[k] for k in range(3, d)]
+    return certify_blocks(f, shape, B012, layers, final_trials, rng, report)

@@ -4,17 +4,21 @@ Tr-IMM_{w,d} is the trace of a product of d symbolic w x w matrices.  The
 n = w^2 d variables split into d blocks of w^2; block k is enumerated
 row-major when k is even and column-major when k is odd, and all block
 indices are cyclic mod d.  Everything downstream (Lie generators, layer
-extraction, witness conventions) leans on this ordering.
+extraction, witness conventions) leans on this ordering, and this module
+is the one place that converts between a layer's matrix of linear forms and
+its block transform (``block_to_layer`` / ``layer_to_block``).
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 
 from .errors import InputError
 from .field import Fp, Rng
-from .linalg import Mat, assemble_block_diagonal, random_invertible
-from .poly import Blackbox, ComposedBlackbox, MPoly, pit_equal
+from .linalg import Mat, assemble_block_diagonal, kron, random_invertible
+from .poly import Blackbox, ComposedBlackbox, LinMat, MPoly, pit_equal
 
 
 class TrimmShape:
@@ -72,6 +76,27 @@ def layer_from_point(shape: TrimmShape, k: int, block_vals: list[int], field: Fp
     w = shape.w
     return Mat(field, [[block_vals[entry_offset(w, k, i, j)] % field.p for j in range(w)]
                        for i in range(w)])
+
+
+def block_to_layer(B: Mat, k: int) -> LinMat:
+    """The w x w layer-k matrix of linear forms in the block's w^2 local
+    variables that the block transform B encodes: entry (i, j) reads row
+    entry_offset(w, k, i, j) of B."""
+    w = isqrt(B.nrows)
+    return LinMat(B.field, w, w, B.ncols, [
+        [list(B.rows[entry_offset(w, k, i, j)]) for j in range(w)] for i in range(w)
+    ])
+
+
+def layer_to_block(X: LinMat, k: int) -> Mat:
+    """Inverse of block_to_layer: the w^2 x w^2 block transform of a layer-k
+    matrix of linear forms in w^2 local variables."""
+    w = X.nrows
+    rows = [None] * (w * w)
+    for i in range(w):
+        for j in range(w):
+            rows[entry_offset(w, k, i, j)] = list(X.coeffs[i][j])
+    return Mat(X.field, rows)
 
 
 class TraceProductBlackbox(Blackbox):
@@ -184,19 +209,13 @@ def lie_generator(shape: TrimmShape, k: int, M: Mat) -> Mat:
     k %= d
     kn = (k + 1) % d
     eye = Mat.identity(field, w)
-    upper = _kron(eye, M.transpose()) if k % 2 == 0 else _kron(M.transpose(), eye)
-    lower = _kron(-M, eye) if kn % 2 == 0 else _kron(eye, -M)
+    upper = kron(eye, M.transpose()) if k % 2 == 0 else kron(M.transpose(), eye)
+    lower = kron(-M, eye) if kn % 2 == 0 else kron(eye, -M)
     out = Mat.zeros(field, n, n)
     w2 = w * w
     out.set_block(k * w2, k * w2, upper)
     out.set_block(kn * w2, kn * w2, lower)
     return out
-
-
-def _kron(A: Mat, B: Mat) -> Mat:
-    from .linalg import kron
-
-    return kron(A, B)
 
 
 def lie_generator_basis(field: Fp, shape: TrimmShape) -> list[Mat]:

@@ -1,17 +1,23 @@
 """Evaluation dimension and ABP reconstruction."""
 
-from trimmeq.abp import evaldim, reconstruct_abp
+from trimmeq.abp import evaldim, linear_form_coeffs, reconstruct_abp
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import assemble_block_diagonal, random_invertible
-from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, MPoly, pit_equal
-from trimmeq.reduction import _layer_det_root, _localize
-from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox
+from trimmeq.poly import (
+    ComposedBlackbox,
+    ExplicitBlackbox,
+    MPoly,
+    RestrictionBlackbox,
+    pit_equal,
+)
+from trimmeq.reduction import _layer_det_root
+from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
 
 F = Fp()
 
 
 def test_evaldim_constant_polynomial():
-    c = ExplicitBlackbox(MPoly.const(F, 8, 5))
+    c = ExplicitBlackbox(MPoly.constant(F, 8, 5))
     assert evaldim(c, [0, 1, 2, 3], 10, Rng(1)) == 1
 
 
@@ -78,7 +84,7 @@ def test_reconstructed_middle_dets_nonzero_and_proportional():
     blocks = [sh.block_vars(k) for k in range(4)]
     abp = reconstruct_abp(inst.f, blocks, 4, rng)
     for k in (1, 2):
-        Yloc = _localize(abp.layers[k], blocks[k])
+        Yloc = abp.layers[k].restrict(blocks[k])
         g = _layer_det_root(Yloc, 2, rng)
         assert g is not None
         # planted layer: X_k(x) = Q_k(B_k x); det is a quadratic in 4 vars
@@ -116,3 +122,29 @@ def test_reconstruct_general_width():
     abp = reconstruct_abp(g, blocks, 2, rng)
     assert abp.width == 2
     assert pit_equal(g, abp.as_blackbox(), 100, rng)
+
+
+def test_linear_form_coeffs_match_batched_reads():
+    """The scalar reader agrees with eval_many at the same unit points."""
+    rng = Rng(11)
+    sh3, sh4 = TrimmShape(2, 3), TrimmShape(2, 4)
+    template = [0] * sh4.n
+    for v in sh4.block_vars(3):
+        template[v] = rng.scalar(F)
+    free = sh4.block_vars(0) + sh4.block_vars(1) + sh4.block_vars(2)
+    for f in (
+        trimm_blackbox(F, sh3),
+        RestrictionBlackbox(ExplicitBlackbox(trimm_explicit(F, sh4)), template, free),
+    ):
+        point = rng.vector(F, f.n)
+        for k in range(3):
+            block = sh3.block_vars(k)
+            rows = []
+            for v in block:
+                q = list(point)
+                for u in block:
+                    q[u] = 1 if u == v else 0
+                rows.append(q)
+            want = [int(x) for x in f.eval_many(F.kernel.asarray(rows))]
+            assert linear_form_coeffs(f, point, block) == want
+            assert any(want)

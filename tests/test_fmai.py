@@ -15,7 +15,7 @@ from trimmeq.fmai import (
 from trimmeq.linalg import Mat, kron, random_invertible
 from trimmeq.oracles import QuadraticDetOracle, mmti_oracle
 from trimmeq.report import RunReport
-from trimmeq.trimm import TrimmShape, trimm_explicit
+from trimmeq.trimm import TrimmShape, entry_offset, trimm_explicit
 
 F = Fp()
 
@@ -189,12 +189,13 @@ def test_constrained_tensor_planted_k():
 
 def _operator_matrix(Wm, k, first_swapped):
     """The n x n Lie-algebra element encoded by one symmetry identity."""
-    from trimmeq.fmai import _swap_pair
-
     w, W = 2, 4
     n = 16
     E = Mat.zeros(F, n, n)
     k2 = (k + 1) % 4
+
+    def _swap_pair(t, w):
+        return entry_offset(w, 1, *divmod(t, w))
 
     def pos(blk, pair):
         return blk * W + (pair if blk % 2 == 0 else _swap_pair(pair, w))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from trimmeq.errors import Singular
+from trimmeq.errors import ShapeMismatch, Singular
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import (
     Mat,
@@ -72,6 +72,21 @@ def test_solve_matrix_rhs(field):
     B = Mat.random(field, 4, 2, rng)
     X, hom = solve_linear(A, B)
     assert A * X == B
+
+
+def test_solve_rejects_wrong_rhs_length(field):
+    A = Mat.from_rows(field, [[1, 2], [3, 4]])
+    for b in ([1], [1, 2, 3]):
+        with pytest.raises(ShapeMismatch):
+            A.solve(b)
+
+
+def test_zero_by_zero_matrix(field):
+    E = Mat(field, [])
+    assert E.det() == 1
+    assert E.inverse() == E
+    assert E.solve([]) == []
+    assert solve_linear(E, []) == ([], [])
 
 
 def test_inverse_trivial_and_diag():

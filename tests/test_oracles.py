@@ -4,7 +4,13 @@ from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
 from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle, mmti_oracle
 from trimmeq.poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
-from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, verify_witness
+from trimmeq.trimm import (
+    TrimmShape,
+    block_to_layer,
+    plant_instance,
+    trimm_blackbox,
+    verify_witness,
+)
 
 F = Fp()
 DET2 = det_linear_matrix(LinMat.symbolic(F, 2))  # x0 x3 - x1 x2
@@ -79,6 +85,13 @@ def test_planted_oracle_block_mode_registry():
     ans = oracle(g, rng)
     assert ans is not None
     assert pit_equal(ExplicitBlackbox(det_linear_matrix(ans)), ExplicitBlackbox(g), 50, rng)
+
+
+def test_planted_oracle_registry_is_the_block_layers():
+    for sh in (TrimmShape(2, 4), TrimmShape(3, 3)):
+        inst = plant_instance(F, sh, Rng(sh.w), mode="block")
+        oracle = PlantedDetOracle(F, sh, inst.A)
+        assert oracle.registry == [block_to_layer(B, k) for k, B in enumerate(inst.blocks)]
 
 
 def test_planted_oracle_scalar_absorption():

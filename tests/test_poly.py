@@ -248,7 +248,7 @@ def test_partial_derivative_simple():
     # f = x0 x1: df/dx0 at (5, 3) is 3; constants differentiate to zero
     f = ExplicitBlackbox(MPoly(F, 2, {(1, 1): 1}))
     assert bb_partial_derivative_at(f, 0, [5, 3]) == 3
-    c = ExplicitBlackbox(MPoly.const(F, 2, 9))
+    c = ExplicitBlackbox(MPoly.constant(F, 2, 9))
     assert bb_partial_derivative_at(c, 0, [4, 4]) == 0
 
 

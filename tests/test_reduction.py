@@ -30,16 +30,6 @@ from trimmeq.trimm import (
 F = Fp()
 
 
-def _kron_id_lin(X: LinMat, w: int) -> LinMat:
-    W = w * X.nrows
-    out = LinMat(X.field, W, W, X.n)
-    for a in range(w):
-        for i in range(X.nrows):
-            for j in range(X.ncols):
-                out.coeffs[a * X.nrows + i][a * X.ncols + j] = list(X.coeffs[i][j])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # ordering
 # ---------------------------------------------------------------------------
@@ -100,7 +90,7 @@ def test_order_blocks_d3_identity():
 
 def test_intertwiner_plain_structure():
     X = LinMat.symbolic(F, 2)
-    Z = _kron_id_lin(X, 2)
+    Z = X.identity_kron(2)
     space = intertwiner_space(Z, Z)
     assert len(space) == 4
     for (T, S) in space:
@@ -113,14 +103,14 @@ def test_intertwiner_plain_structure():
 
 def test_intertwiner_mixed_only_zero():
     X = LinMat.symbolic(F, 2)
-    Z = _kron_id_lin(X, 2)
+    Z = X.identity_kron(2)
     assert intertwiner_space(Z, Z.transpose()) == []
 
 
 def test_solve_intertwiner_conjugated_layer():
     rng = Rng(5)
     X = LinMat.symbolic(F, 2)
-    Z = _kron_id_lin(X, 2)
+    Z = X.identity_kron(2)
     T0 = random_invertible(F, 4, rng)
     T1 = random_invertible(F, 4, rng)
     Y = Z.left_mul(T0.inverse()).right_mul(T1)
@@ -135,7 +125,7 @@ def test_solve_intertwiner_conjugated_layer():
 def test_solve_intertwiner_transposed_branch():
     rng = Rng(6)
     X = LinMat.symbolic(F, 2)
-    Z = _kron_id_lin(X, 2)
+    Z = X.identity_kron(2)
     T0 = random_invertible(F, 4, rng)
     T1 = random_invertible(F, 4, rng)
     Y = Z.transpose().left_mul(T0).right_mul(T1)
@@ -151,7 +141,7 @@ def test_solve_intertwiner_transposed_branch():
 
 def test_factor_kron_identity_factor():
     X = LinMat.symbolic(F, 2)
-    Y = _kron_id_lin(X, 2)
+    Y = X.identity_kron(2)
     M, Xf = factor_kron(Y, 2)
     assert M == Mat.identity(F, 2)
     assert Xf == X
@@ -162,15 +152,15 @@ def test_factor_kron_random_factor_remultiplies():
     X = LinMat.symbolic(F, 2)
     for _ in range(10):
         M = random_invertible(F, 2, rng)
-        Y = _kron_id_lin(X, 2).left_mul(kron(M, Mat.identity(F, 2)))
+        Y = X.identity_kron(2).left_mul(kron(M, Mat.identity(F, 2)))
         Mf, Xf = factor_kron(Y, 2)
-        rebuilt = _kron_id_lin(Xf, 2).left_mul(kron(Mf, Mat.identity(F, 2)))
+        rebuilt = Xf.identity_kron(2).left_mul(kron(Mf, Mat.identity(F, 2)))
         assert rebuilt == Y
 
 
 def test_factor_kron_rejects_inconsistent_grid():
     X = LinMat.symbolic(F, 2)
-    Y = _kron_id_lin(X, 2)
+    Y = X.identity_kron(2)
     Y.coeffs[0][2][3] = 7  # break the scalar-multiple structure
     with pytest.raises(StructureViolation):
         factor_kron(Y, 2)
@@ -183,7 +173,7 @@ def test_layer_det_root_w3_line_method():
     X = LinMat.symbolic(F, w)
     B = random_invertible(F, 9, rng)
     # conjugate I (x) X by invertibles to mimic a reconstructed layer
-    Z = _kron_id_lin(X, w)
+    Z = X.identity_kron(w)
     T0 = random_invertible(F, 9, rng)
     T1 = random_invertible(F, 9, rng)
     Y = Z.left_mul(T0).right_mul(T1)

@@ -9,7 +9,10 @@ from trimmeq.linalg import Mat, rank_rows
 from trimmeq.poly import ExplicitBlackbox, pit_equal
 from trimmeq.trimm import (
     TrimmShape,
+    block_to_layer,
     distinct_diagonal_element,
+    layer_from_point,
+    layer_to_block,
     lie_generator,
     lie_generator_basis,
     plant_instance,
@@ -200,3 +203,17 @@ def test_verify_witness_block_list():
     sh = TrimmShape(2, 3)
     inst = plant_instance(F, sh, rng, mode="block")
     assert verify_witness(inst.f, sh, inst.blocks, 50, rng)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_layer_block_round_trip(w, k):
+    rng = Rng(10 * w + k)
+    B = Mat.random(F, w * w, w * w, rng)
+    X = block_to_layer(B, k)
+    assert layer_to_block(X, k) == B
+    assert block_to_layer(layer_to_block(X, k), k) == X
+    # X(x) is the layer-k matrix that the trace product reads at B.x
+    for _ in range(3):
+        x = rng.vector(F, w * w)
+        assert X.eval(x) == layer_from_point(TrimmShape(w, 4), k, B.matvec(x), F)
