@@ -9,8 +9,6 @@ matrix A' with f = Tr-IMM(A'.x) exactly -- witnesses are unique only up to
 the symmetry group -- and is certified by randomized identity testing.
 """
 
-import time
-
 from trimmeq import (
     Fp,
     Rng,
@@ -29,20 +27,17 @@ rng = Rng(7)
 inst = plant_instance(field, shape, rng, mode="full")
 print(f"planted instance: n={shape.n}, secret A is {shape.n}x{shape.n}")
 
-report = RunReport(seed=7)
-t0 = time.monotonic()
-result = trace_equivalence(
-    inst.f,
-    shape.d,
-    lambda w: QuadraticDetOracle(field) if w == 2 else None,
-    rng,
-    report=report,
-)
-elapsed = time.monotonic() - t0
+with RunReport(seed=7) as report:
+    result = trace_equivalence(
+        inst.f,
+        shape.d,
+        lambda w: QuadraticDetOracle(field) if w == 2 else None,
+        rng,
+    )
 
 assert result is not None, f"pipeline failed at gate {report.failed_gate}"
 w, A = result
-print(f"recovered width w={w} in {elapsed:.2f}s")
+print(f"recovered width w={w} in {report.wall_time:.2f}s")
 print("gates passed:", " -> ".join(report.gates_passed))
 print("witness equals the planted secret:", A == inst.A)
 print("witness certified by 200-trial identity test:",

@@ -48,8 +48,8 @@ print(f"input: a {algebra.dim}-dimensional algebra inside M_{algebra.m}")
 
 det = QuadraticDetOracle(field)
 mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
-report = RunReport()
-iso = fmai_solve(algebra, mmti, rng, report=report)
+with RunReport() as report:
+    iso = fmai_solve(algebra, mmti, rng)
 assert iso is not None, f"failed at gate {report.failed_gate}"
 print("gates passed:", " -> ".join(report.gates_passed))
 print(f"\nisomorphism found onto M_{iso.w}; images of the renamed basis:")
@@ -70,6 +70,6 @@ diag = AlgebraInput(field, [
     Mat.from_rows(field, [[1 if r == c == i else 0 for c in range(4)] for r in range(4)])
     for i in range(4)
 ])
-report = RunReport()
-assert fmai_solve(diag, mmti, rng, report=report) is None
+with RunReport() as report:
+    assert fmai_solve(diag, mmti, rng) is None
 print("diagonal commutative algebra rejected at gate:", report.failed_gate)

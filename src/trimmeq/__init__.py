@@ -2,17 +2,12 @@
 iterated matrix multiplication, its reduction to determinant equivalence,
 and full-matrix-algebra isomorphism via tensor isomorphism."""
 
-from .field import DEFAULT_PRIME, Fp, Rng, sample_uniform
+from .field import DEFAULT_PRIME, Fp, Rng
 from .linalg import (
     Mat,
     assemble_block_diagonal,
-    char_poly,
-    extract_block,
-    inverse,
     kron,
     random_invertible,
-    rref_rank_nullspace,
-    solve_linear,
 )
 from .poly import (
     Blackbox,
@@ -21,8 +16,6 @@ from .poly import (
     LinMat,
     MPoly,
     RestrictionBlackbox,
-    bb_eval,
-    bb_partial_derivative_at,
     det_linear_matrix,
     factor_univariate,
     interpolate_univariate,
@@ -43,7 +36,6 @@ from .trimm import (
 from .lie import (
     InvariantSubspace,
     LieBasis,
-    Reject,
     closure,
     irreducible_invariant_subspaces,
     lie_algebra_basis,

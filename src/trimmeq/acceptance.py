@@ -15,7 +15,6 @@ from .abp import evaldim, reconstruct_abp
 from .field import Fp, Rng
 from .fmai import AlgebraInput, build_constrained_tensor, commutant_basis, fmai_solve, left_mult_matrices
 from .lie import (
-    Reject,
     irreducible_invariant_subspaces,
     lie_algebra_basis,
     random_element,
@@ -243,7 +242,7 @@ def criterion_7(field: Fp | None = None) -> CriterionResult:
             rng = Rng(700 + seed)
             inst = plant_instance(field, sh, rng, mode="full")
             spaces = irreducible_invariant_subspaces(inst.f, rng, expected_count=3)
-            if isinstance(spaces, Reject):
+            if spaces is None:
                 continue
             if len(spaces) != 3 or any(s.dim != 4 for s in spaces):
                 continue
@@ -443,8 +442,8 @@ def criterion_12(field: Fp | None = None) -> CriterionResult:
                 E = Mat.zeros(field, 4, 4)
                 E.rows[i][i] = 1
                 basis.append(E)
-            rep = RunReport()
-            res = fmai_solve(AlgebraInput(field, basis), mmti, rng, report=rep)
+            with RunReport() as rep:
+                res = fmai_solve(AlgebraInput(field, basis), mmti, rng)
             if res is None:
                 diag_rejected += 1
                 gates.add(rep.failed_gate)

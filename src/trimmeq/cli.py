@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-import time
 
 from .errors import InputError, TrimmeqError
 from .field import DEFAULT_PRIME, Fp, Rng
@@ -141,67 +140,64 @@ def cmd_solve(args) -> int:
     data = _load(args.instance)
     field = Fp(int(data["prime"]))
     rng = Rng(args.seed)
-    report = RunReport(seed=args.seed)
-    t0 = time.monotonic()
-    cert: dict | None = None
-
-    if args.task == "fmai":
-        payload = data["payload"]
-        basis = [Mat.from_rows(field, b) for b in payload["basis"]]
-        algebra = AlgebraInput(field, basis)
-        det = QuadraticDetOracle(field)
-        mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
-        iso = fmai_solve(algebra, mmti, rng, report=report)
-        if iso is not None:
-            cert = {
-                "format_version": FORMAT_VERSION,
-                "prime": str(field.p),
-                "kind": "algebra-iso",
-                "w": iso.w,
-                "images": {
-                    f"{i+1},{j+1}": _mat_to_rows(iso.images[(i, j)])
-                    for i in range(iso.w)
-                    for j in range(iso.w)
-                },
-            }
-    else:
-        f, shape, _ = _blackbox_from_instance(field, data)
-        if args.oracle == "planted":
-            det = _planted_oracle_from_secret(field, data, shape)
-        else:
+    with RunReport(seed=args.seed) as report:
+        cert: dict | None = None
+        if args.task == "fmai":
+            payload = data["payload"]
+            basis = [Mat.from_rows(field, b) for b in payload["basis"]]
+            algebra = AlgebraInput(field, basis)
             det = QuadraticDetOracle(field)
-        if args.task == "trace":
-            provider = lambda ww: (
-                det
-                if (args.oracle == "planted" and ww == shape.w)
-                or (args.oracle == "w2" and ww == 2)
-                else None
-            )
-            res = trace_equivalence(f, shape.d, provider, rng, report=report)
-            if res is not None:
-                w, A = res
+            mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
+            iso = fmai_solve(algebra, mmti, rng)
+            if iso is not None:
                 cert = {
                     "format_version": FORMAT_VERSION,
                     "prime": str(field.p),
-                    "kind": "witness-full",
-                    "w": w,
-                    "d": shape.d,
-                    "matrix": _mat_to_rows(A),
+                    "kind": "algebra-iso",
+                    "w": iso.w,
+                    "images": {
+                        f"{i+1},{j+1}": _mat_to_rows(iso.images[(i, j)])
+                        for i in range(iso.w)
+                        for j in range(iso.w)
+                    },
                 }
-        elif args.task == "tensor-iso":
-            Bs = tensor_iso_to_det(f, shape.w, shape.d, det, rng, report=report)
-            if Bs is not None:
-                cert = _blocks_cert(field, shape, Bs)
-        elif args.task == "degree-reduce":
-            mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
-            Bs = degree_d_to_3(f, shape.w, shape.d, mmti, rng, report=report)
-            if Bs is not None:
-                cert = _blocks_cert(field, shape, Bs)
         else:
-            print(f"unknown task {args.task}", file=sys.stderr)
-            return 2
+            f, shape, _ = _blackbox_from_instance(field, data)
+            if args.oracle == "planted":
+                det = _planted_oracle_from_secret(field, data, shape)
+            else:
+                det = QuadraticDetOracle(field)
+            if args.task == "trace":
+                provider = lambda ww: (
+                    det
+                    if (args.oracle == "planted" and ww == shape.w)
+                    or (args.oracle == "w2" and ww == 2)
+                    else None
+                )
+                res = trace_equivalence(f, shape.d, provider, rng)
+                if res is not None:
+                    w, A = res
+                    cert = {
+                        "format_version": FORMAT_VERSION,
+                        "prime": str(field.p),
+                        "kind": "witness-full",
+                        "w": w,
+                        "d": shape.d,
+                        "matrix": _mat_to_rows(A),
+                    }
+            elif args.task == "tensor-iso":
+                Bs = tensor_iso_to_det(f, shape.w, shape.d, det, rng)
+                if Bs is not None:
+                    cert = _blocks_cert(field, shape, Bs)
+            elif args.task == "degree-reduce":
+                mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
+                Bs = degree_d_to_3(f, shape.w, shape.d, mmti, rng)
+                if Bs is not None:
+                    cert = _blocks_cert(field, shape, Bs)
+            else:
+                print(f"unknown task {args.task}", file=sys.stderr)
+                return 2
 
-    report.wall_time = time.monotonic() - t0
     verdict = "certified" if cert is not None else "no"
     out = {"verdict": verdict, **report.to_dict()}
     print(json.dumps(out, sort_keys=True))

@@ -79,9 +79,6 @@ class Fp:
             raise NotPrime(f"modulus {self.p} too small: need > (w^2 d)^5 = {bound}")
 
     # -- scalar arithmetic (canonical residues in, canonical out) --------
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -90,9 +87,6 @@ class Fp:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -150,19 +144,6 @@ class Fp:
         return x
 
 
-def scalar_arith(field: Fp, a: int, b: int, op: str) -> int:
-    """Dispatch helper for the four basic field operations."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "div":
-        return field.div(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 class Rng:
     """Seeded randomness source threaded through every randomized routine.
 
@@ -198,8 +179,3 @@ class Rng:
     def array(self, field: Fp, shape) -> np.ndarray:
         """Bulk uniform residues in the dtype of the field's kernel."""
         return field.kernel.uniform(self._py, shape)
-
-
-def sample_uniform(field: Fp, rng: Rng, count: int) -> list[int]:
-    """count independent uniform residues; deterministic given the seed."""
-    return rng.vector(field, count)

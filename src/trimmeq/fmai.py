@@ -16,7 +16,7 @@ from .errors import Degenerate, InputError, NotClosed
 from .field import Fp, Rng
 from .linalg import Mat, nullspace_rows, rank_rows
 from .poly import ExplicitBlackbox, MPoly
-from .report import _fail, _gate
+from .report import passed, reject
 from .tensor import degree_d_to_3
 from .trimm import entry_offset
 
@@ -210,7 +210,7 @@ def extract_conjugated_unit(B: Mat, L: Mat, w: int) -> Mat | None:
     return F
 
 
-def fmai_solve(A: AlgebraInput, mmti, rng: Rng, report=None):
+def fmai_solve(A: AlgebraInput, mmti, rng: Rng):
     """Decide A ~ M_w and produce an isomorphism, or None.
 
     mmti is the 3-tensor oracle callable handed to the degree reduction.
@@ -221,28 +221,24 @@ def fmai_solve(A: AlgebraInput, mmti, rng: Rng, report=None):
     r = A.dim
     w = isqrt(r)
     if w * w != r or w < 1:
-        _fail(report, "dimension-square")
-        return None
-    _gate(report, "dimension-square")
+        return reject("dimension-square")
+    passed("dimension-square")
     try:
         Ls = left_mult_matrices(A)
     except (NotClosed, InputError):
-        _fail(report, "left-multiplication")
-        return None
-    _gate(report, "left-multiplication")
+        return reject("left-multiplication")
+    passed("left-multiplication")
     Ns = commutant_basis([L.transpose() for L in Ls])
     if len(Ns) != w * w:
-        _fail(report, "commutant-dimension")
-        return None
-    _gate(report, "commutant-dimension")
+        return reject("commutant-dimension")
+    passed("commutant-dimension")
     try:
         tensor, _ = build_constrained_tensor(Ls, Ns, w)
     except Degenerate:
-        _fail(report, "tensor-nonzero")
-        return None
-    _gate(report, "tensor-nonzero")
+        return reject("tensor-nonzero")
+    passed("tensor-nonzero")
     f4 = ExplicitBlackbox(tensor)
-    Bs = degree_d_to_3(f4, w, 4, mmti, rng, report=report)
+    Bs = degree_d_to_3(f4, w, 4, mmti, rng)
     if Bs is None:
         return None
     B0, B1 = Bs[0], Bs[1]
@@ -252,18 +248,15 @@ def fmai_solve(A: AlgebraInput, mmti, rng: Rng, report=None):
             L = Ls[i * w + j]
             F = extract_conjugated_unit(B1, L, w)
             if F is None:
-                _fail(report, "extraction")
-                return None
+                return reject("extraction")
             Ft = extract_conjugated_unit(B0, L.transpose(), w)
             if Ft is None or Ft != F.transpose():
-                _fail(report, "extraction")
-                return None
+                return reject("extraction")
             images[(i, j)] = F
     iso = AlgebraIso(w, images)
     if not verify_isomorphism(A, Ls, iso):
-        _fail(report, "multiplicativity")
-        return None
-    _gate(report, "multiplicativity")
+        return reject("multiplicativity")
+    passed("multiplicativity")
     return iso
 
 

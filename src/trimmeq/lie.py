@@ -22,6 +22,7 @@ from .linalg import (
     same_span,
 )
 from .poly import Blackbox, ExplicitBlackbox, factor_univariate, squarefree_test
+from .report import reject
 
 
 class LieBasis:
@@ -191,70 +192,55 @@ def is_invariant(space: InvariantSubspace, L: LieBasis) -> bool:
     )
 
 
-class Reject:
-    """A 'No' answer carrying the failing gate name."""
-
-    def __init__(self, gate: str):
-        self.gate = gate
-
-    def __repr__(self):
-        return f"Reject({self.gate!r})"
-
-
 def irreducible_invariant_subspaces(
     f: Blackbox,
     rng: Rng,
     expected_count: int | None = None,
     retries: int = 3,
 ):
-    """The irreducible invariant subspaces of the Lie algebra of f.
+    """The irreducible invariant subspaces of the Lie algebra of f, or None.
 
     Basis, random element, characteristic polynomial, square-free gate,
     factor, null spaces of the factors at the element, closures of one
     vector each, dedup.  Rejects unless exactly d distinct spaces of equal
     dimension come out (d = expected_count, default the polynomial degree).
-    The whole procedure retries on square-free or certification failures,
-    since its guarantees are only with high probability.
+    Up to the square-free gate the procedure retries on square-free or
+    certification failures, since its guarantees are only with high
+    probability; the structural checks after it reject at once.
     """
     d = expected_count if expected_count is not None else f.degree
-    last = Reject("square-free")
-    for _ in range(retries):
-        out = _invariant_subspaces_once(f, rng, d)
-        if not isinstance(out, Reject):
-            return out
-        last = out
-        if out.gate not in ("square-free", "certification"):
-            return out  # structural rejection, retrying cannot help
-    return last
-
-
-def _invariant_subspaces_once(f: Blackbox, rng: Rng, d: int):
     field = f.field
-    try:
-        L = lie_algebra_basis(f, rng)
-    except CertificationFailed:
-        return Reject("certification")
-    if L.dim == 0:
-        return Reject("empty-basis")
-    R = random_element(L, rng)
-    q = R.charpoly()
-    if not squarefree_test(field, q):
-        return Reject("square-free")
+    gate = "square-free"
+    for _ in range(retries):
+        try:
+            L = lie_algebra_basis(f, rng)
+        except CertificationFailed:
+            gate = "certification"
+            continue
+        if L.dim == 0:
+            return reject("invariant-subspaces:empty-basis")
+        R = random_element(L, rng)
+        q = R.charpoly()
+        if squarefree_test(field, q):
+            break
+        gate = "square-free"
+    else:
+        return reject(f"invariant-subspaces:{gate}")
     factors = factor_univariate(field, q, rng)
     spaces: list[InvariantSubspace] = []
     for p_i, _ in factors:
         N = poly_at_matrix(p_i, R)
         null = N.nullspace()
         if not null:
-            return Reject("factor-nullspace")
+            return reject("invariant-subspaces:factor-nullspace")
         space = closure(null[0], L)
         if not any(space.same_as(s) for s in spaces):
             spaces.append(space)
     if len(spaces) != d:
-        return Reject("subspace-count")
+        return reject("invariant-subspaces:subspace-count")
     dims = {s.dim for s in spaces}
     if len(dims) != 1:
-        return Reject("subspace-dims")
+        return reject("invariant-subspaces:subspace-dims")
     if not all(is_invariant(s, L) for s in spaces):
-        return Reject("invariance")
+        return reject("invariant-subspaces:invariance")
     return spaces

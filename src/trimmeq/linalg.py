@@ -200,10 +200,7 @@ class Mat:
         return Mat(self.field, [r[n:] for r in R])
 
     def solve(self, b: Vec):
-        """A particular solution of self.x = b, or None if inconsistent.
-
-        Unlike solve_linear this skips the kernel computation.
-        """
+        """A particular solution of self.x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ShapeMismatch(f"{self.nrows} equations vs right-hand side of {len(b)}")
         aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
@@ -270,53 +267,12 @@ def newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
 # free-standing operations
 # ---------------------------------------------------------------------------
 
-def rref_rank_nullspace(M: Mat):
-    """(rank, kernel basis) of M.  rank + len(basis) == ncols."""
-    basis = M.nullspace()
-    return M.ncols - len(basis), basis
-
-
-def solve_linear(A: Mat, b):
-    """Solve A.x = b.
-
-    b may be a vector or a Mat (multiple right-hand sides).  Returns
-    (particular, homogeneous_basis) or None when b is outside the column
-    span.  For a Mat right-hand side the particular solution is a Mat.
-    """
-    field = A.field
-    matrix_rhs = isinstance(b, Mat)
-    B = b.rows if matrix_rhs else [[x] for x in b]
-    if len(B) != A.nrows:
-        raise ShapeMismatch("right-hand side length mismatch")
-    ncols_b = len(B[0]) if B else 0
-    aug = [list(ra) + list(rb) for ra, rb in zip(A.rows, B)]
-    R, piv = rref_rows(field, aug)
-    n = A.ncols
-    if any(c >= n for c in piv):
-        return None
-    part = [[0] * ncols_b for _ in range(n)]
-    for i, c in enumerate(piv):
-        part[c] = R[i][n:]
-    kernel = nullspace_rows(field, A.rows)
-    if matrix_rhs:
-        return Mat(field, part), kernel
-    return [row[0] for row in part], kernel
-
-
-def inverse(M: Mat) -> Mat:
-    return M.inverse()
-
-
 def random_invertible(field: Fp, n: int, rng: Rng) -> Mat:
     """Uniform-ish invertible matrix; retries until nonsingular."""
     while True:
         M = Mat.random(field, n, n, rng)
         if M.det() != 0:
             return M
-
-
-def char_poly(M: Mat) -> list[int]:
-    return M.charpoly()
 
 
 def kron(A: Mat, B: Mat) -> Mat:
@@ -327,10 +283,6 @@ def kron(A: Mat, B: Mat) -> Mat:
         for rb in B.rows:
             out.append([a * b % p for a in ra for b in rb])
     return Mat(A.field, out)
-
-
-def extract_block(M: Mat, row_block: int, col_block: int, size: int) -> Mat:
-    return M.block(row_block * size, col_block * size, size, size)
 
 
 def assemble_block_diagonal(blocks: list[Mat]) -> Mat:

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .field import Fp, Rng
 from .linalg import Mat, newton_interp, nullspace_rows
+from .report import add_pit_trials
 
 # ---------------------------------------------------------------------------
 # univariate polynomials: list of coefficients, low to high
@@ -644,10 +645,6 @@ class Blackbox:
         if len(point) != self.n:
             raise ArityMismatch(f"expected {self.n} coordinates, got {len(point)}")
 
-    # exact gradient; subclasses override with closed forms where available
-    def gradient(self, point: list[int]) -> list[int]:
-        return [bb_partial_derivative_at(self, i, point) for i in range(self.n)]
-
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
         """(B, n) matrix of gradients, via batched line interpolation."""
         field = self.field
@@ -717,9 +714,6 @@ class ExplicitBlackbox(Blackbox):
             self._partials = [self.poly.deriv(i) for i in range(self.n)]
         return self._partials
 
-    def gradient(self, point):
-        return [g.eval(point) for g in self._grads()]
-
     def gradient_many(self, pts):
         out = self.field.kernel.zeros((len(pts), self.n))
         for i, g in enumerate(self._grads()):
@@ -739,7 +733,6 @@ class ComposedBlackbox(Blackbox):
         super().__init__(base.field, base.n, base.degree)
         self.base = base
         self.A = A
-        self._At = A.transpose()
 
     def eval(self, point):
         self._check_arity(point)
@@ -748,10 +741,6 @@ class ComposedBlackbox(Blackbox):
     def eval_many(self, pts):
         transformed = self.field.kernel.matmul(pts, self.A.to_numpy().T)
         return self.base.eval_many(transformed)
-
-    def gradient(self, point):
-        inner = self.base.gradient(self.A.matvec(point))
-        return self._At.matvec(inner)
 
     def gradient_many(self, pts):
         k = self.field.kernel
@@ -793,34 +782,13 @@ class RestrictionBlackbox(Blackbox):
 # blackbox operations
 # ---------------------------------------------------------------------------
 
-def bb_eval(f: Blackbox, point: list[int]) -> int:
-    return f.eval(point)
-
-
-def bb_partial_derivative_at(f: Blackbox, i: int, point: list[int]) -> int:
-    """df/dx_i at the point, by interpolating the restriction to an axis line.
-
-    Samples f at d+1 points along point + t*e_i, interpolates the degree-d
-    univariate restriction, and differentiates formally (needs p > d).
-    """
-    f._check_arity(point)
-    field = f.field
-    d = f.degree
-    samples = []
-    for t in range(d + 1):
-        q = list(point)
-        q[i] = (q[i] + t) % field.p
-        samples.append((t, f.eval(q)))
-    poly = interpolate_univariate(field, samples)
-    return poly[1] if len(poly) > 1 else 0
-
-
 def pit_equal(f: Blackbox, g: Blackbox, trials: int, rng: Rng) -> bool:
     """Randomized identity test at ``trials`` independent points.  False is
     definitive; True holds with failure probability <= (degree / p)^trials
-    (Schwartz-Zippel)."""
+    (Schwartz-Zippel).  The trials count toward the active RunReport."""
     if f.n != g.n:
         raise ArityMismatch("blackboxes of different arity")
+    add_pit_trials(trials)
     pts = Rng(rng.randrange(1 << 62)).array(f.field, (trials, f.n))
     return bool(np.array_equal(f.eval_many(pts), g.eval_many(pts)))
 

@@ -16,8 +16,9 @@ witness stores each as a w^2 x w^2 block transform, and :mod:`trimmeq.trimm`
 converts between the two.  ``certify_blocks`` is the final gate shared with
 the degree reduction: every block invertible, then an identity test.
 
-Gate failures return None (optionally recording the gate in a RunReport);
-certified witnesses are the only non-None results.
+A gate failure returns ``report.reject(gate)``: None, with the gate named in
+the active RunReport, if any.  Certified witnesses are the only non-None
+results.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import isqrt
 from .abp import evaldim, reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, NotAPerfectPower, StructureViolation
 from .field import Fp, Rng
-from .lie import Reject, irreducible_invariant_subspaces
+from .lie import irreducible_invariant_subspaces
 from .linalg import Mat, assemble_block_diagonal, kron, nullspace_rows
 from .poly import (
     Blackbox,
@@ -43,7 +44,7 @@ from .poly import (
     uni_sub,
     wth_root,
 )
-from .report import _fail, _gate
+from .report import passed, reject
 from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
 
@@ -85,7 +86,7 @@ def order_blocks(g: Blackbox, shape: TrimmShape, rng: Rng) -> OrderingReport | N
     return OrderingReport(tau, table)
 
 
-def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng, report=None):
+def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
     """Algorithm: invariant subspaces -> V -> block ordering -> A' = V.B.
 
     Returns (A', w) such that f(A'.x) is a d-tensor isomorphic to
@@ -93,32 +94,28 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng, report=None):
     """
     n = f.n
     spaces = irreducible_invariant_subspaces(f, rng, expected_count=d)
-    if isinstance(spaces, Reject):
-        _fail(report, f"invariant-subspaces:{spaces.gate}")
+    if spaces is None:
         return None
-    _gate(report, "invariant-subspaces")
+    passed("invariant-subspaces")
     dim = spaces[0].dim
     w = isqrt(dim)
     if w * w != dim or w < 2 or n != dim * d:
-        _fail(report, "square-dimension")
-        return None
-    _gate(report, "square-dimension")
+        return reject("square-dimension")
+    passed("square-dimension")
     field = f.field
     cols = []
     for s in spaces:
         cols.extend(s.basis)
     V = Mat(field, [list(r) for r in zip(*cols)])
     if not V.is_invertible():
-        _fail(report, "subspace-independence")
-        return None
-    _gate(report, "subspace-independence")
+        return reject("subspace-independence")
+    passed("subspace-independence")
     shape = TrimmShape(w, d)
     h0 = ComposedBlackbox(f, V)
     ordering = order_blocks(h0, shape, rng)
     if ordering is None:
-        _fail(report, "adjacency")
-        return None
-    _gate(report, "adjacency")
+        return reject("adjacency")
+    passed("adjacency")
     w2 = w * w
     B = Mat.zeros(field, n, n)
     for k in range(d):
@@ -362,7 +359,6 @@ def tensor_iso_to_det(
     d: int,
     det_oracle,
     rng: Rng,
-    report=None,
     certify_trials: int = 40,
 ):
     """Per-block transformations B_0..B_{d-1} with
@@ -378,15 +374,13 @@ def tensor_iso_to_det(
     shape = TrimmShape(w, d)
     w2 = w * w
     if h.n != w2 * d:
-        _fail(report, "tensor-arity")
-        return None
+        return reject("tensor-arity")
     blocks = [shape.block_vars(k) for k in range(d)]
     try:
         abp = reconstruct_abp(h, blocks, w2, rng)
     except (AnchorSingular, CertificationFailed):
-        _fail(report, "abp-reconstruction")
-        return None
-    _gate(report, "abp-reconstruction")
+        return reject("abp-reconstruction")
+    passed("abp-reconstruction")
     Y = abp.layers
 
     Tp: dict[int, Mat] = {}
@@ -395,23 +389,20 @@ def tensor_iso_to_det(
         Yloc = Y[k].restrict(blocks[k])
         g_k = _layer_det_root(Yloc, w, rng)
         if g_k is None:
-            _fail(report, "layer-det")
-            return None
+            return reject("layer-det")
         ans = det_oracle(g_k, rng)
         if ans is None:
-            _fail(report, "det-oracle")
-            return None
+            return reject("det-oracle")
         # A transposed branch is the plain branch for the transposed oracle
         # answer (Z^T = I (x) X'^T and determinants ignore transposition),
         # so it is absorbed layer by layer: the solutions already satisfy
         # T'.Y' = (I (x) X~).S' for the absorbed X~.
         sol = solve_intertwiner(Yloc, ans.identity_kron(w), rng)
         if sol is None:
-            _fail(report, "intertwiner")
-            return None
+            return reject("intertwiner")
         Tp[k - 1], Sp[k], _ = sol
-    _gate(report, "det-oracle")
-    _gate(report, "intertwiner")
+    passed("det-oracle")
+    passed("intertwiner")
 
     Yhat: dict[int, LinMat] = {}
     Yhat[0] = Y[0].right_mul(Tp[0].inverse())
@@ -422,8 +413,7 @@ def tensor_iso_to_det(
 
     Xhat: dict[int, LinMat] = {d - 2: Yhat[d - 2].block(0, 0, w, w)}
     if Yhat[d - 2] != Xhat[d - 2].identity_kron(w):
-        _fail(report, "kron-structure")
-        return None
+        return reject("kron-structure")
     prod_M = Mat.identity(field, w)
     try:
         for k in range(1, d - 2):
@@ -431,9 +421,8 @@ def tensor_iso_to_det(
             Xhat[k] = Xk
             prod_M = prod_M * Mk
     except StructureViolation:
-        _fail(report, "kron-structure")
-        return None
-    _gate(report, "kron-structure")
+        return reject("kron-structure")
+    passed("kron-structure")
     Ybar = Yhat[d - 1].left_mul(kron(prod_M, Mat.identity(field, w)))
 
     X0 = LinMat(field, w, w, h.n)
@@ -446,11 +435,11 @@ def tensor_iso_to_det(
     Xhat[d - 1] = Xd
 
     layers = [Xhat[k].restrict(blocks[k]) for k in range(d)]
-    return certify_blocks(h, shape, [], layers, certify_trials, rng, report)
+    return certify_blocks(h, shape, [], layers, certify_trials, rng)
 
 
 def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: list[LinMat],
-                   trials: int, rng: Rng, report=None) -> list[Mat] | None:
+                   trials: int, rng: Rng) -> list[Mat] | None:
     """Per-block transformations B_0..B_{d-1} certified against f, or None.
 
     ``known`` are the first blocks, taken as given; the rest are the block
@@ -462,14 +451,12 @@ def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: lis
     for X in layers:
         Bk = layer_to_block(X, len(Bs))
         if not Bk.is_invertible():
-            _fail(report, "witness-invertible")
-            return None
+            return reject("witness-invertible")
         Bs.append(Bk)
     composed = ComposedBlackbox(trimm_blackbox(f.field, shape), assemble_block_diagonal(Bs))
     if not pit_equal(f, composed, trials, rng):
-        _fail(report, "final-pit")
-        return None
-    _gate(report, "final-pit")
+        return reject("final-pit")
+    passed("final-pit")
     return Bs
 
 
@@ -478,7 +465,6 @@ def trace_equivalence(
     d: int,
     det_provider,
     rng: Rng,
-    report=None,
     final_trials: int = 20,
 ):
     """Full pipeline: blackbox f -> (w, A) with f = Tr-IMM_{w,d}(A.x).
@@ -489,26 +475,24 @@ def trace_equivalence(
     this to derive their registry).  Returns None for "no such w exists".
     """
     field = f.field
-    stage1 = trace_to_tensor_iso(f, d, rng, report=report)
+    stage1 = trace_to_tensor_iso(f, d, rng)
     if stage1 is None:
         return None
     A_prime, w = stage1
     det_oracle = det_provider(w) if callable(det_provider) else det_provider
     if det_oracle is None:
-        _fail(report, "det-oracle-unavailable")
-        return None
+        return reject("det-oracle-unavailable")
     observe = getattr(det_oracle, "observe_tensor_map", None)
     if observe is not None:
         observe(A_prime)
     h = ComposedBlackbox(f, A_prime)
-    Bs = tensor_iso_to_det(h, w, d, det_oracle, rng, report=report)
+    Bs = tensor_iso_to_det(h, w, d, det_oracle, rng)
     if Bs is None:
         return None
     A = assemble_block_diagonal(Bs) * A_prime.inverse()
     shape = TrimmShape(w, d)
     target = ComposedBlackbox(trimm_blackbox(field, shape), A)
     if not pit_equal(f, target, final_trials, rng):
-        _fail(report, "final-pit")
-        return None
-    _gate(report, "certified")
+        return reject("final-pit")
+    passed("certified")
     return w, A

@@ -1,10 +1,24 @@
-"""Run reports: which gates a pipeline passed and where it stopped."""
+"""Run reports: which gates a run passed, where it stopped, and how many
+identity-test trials it spent.
+
+A report records only while it is active: ``with RunReport(seed) as
+report:`` makes it the current report for the block, held in a
+``contextvars.ContextVar``, and restores the previous one on exit.  Library
+code calls ``passed(gate)`` and ``reject(gate)`` at its gates, and
+``poly.pit_equal`` calls ``add_pit_trials``; with no active report all three
+do nothing.
+"""
 
 from __future__ import annotations
 
+import time
+from contextvars import ContextVar
+
+_active: ContextVar[RunReport | None] = ContextVar("trimmeq_run_report", default=None)
+
 
 class RunReport:
-    """Accumulates gate names as a pipeline run progresses."""
+    """Gate names and PIT trials of the runs inside its ``with`` block."""
 
     def __init__(self, seed=None):
         self.seed = seed
@@ -13,11 +27,14 @@ class RunReport:
         self.pit_trials = 0
         self.wall_time = 0.0
 
-    def gate(self, name: str):
-        self.gates_passed.append(name)
+    def __enter__(self) -> "RunReport":
+        self._token = _active.set(self)
+        self._t0 = time.monotonic()
+        return self
 
-    def fail(self, name: str):
-        self.failed_gate = name
+    def __exit__(self, *exc):
+        self.wall_time = time.monotonic() - self._t0
+        _active.reset(self._token)
 
     def to_dict(self):
         return {
@@ -29,11 +46,23 @@ class RunReport:
         }
 
 
-def _gate(report, name: str):
+def passed(gate: str):
+    """Record that the run got through ``gate``; a later gate may still stop it."""
+    report = _active.get()
     if report is not None:
-        report.gate(name)
+        report.gates_passed.append(gate)
+        report.failed_gate = None
 
 
-def _fail(report, name: str):
+def reject(gate: str) -> None:
+    """Record that the run stopped at ``gate``; returns None, the "No" answer."""
+    report = _active.get()
     if report is not None:
-        report.fail(name)
+        report.failed_gate = gate
+
+
+def add_pit_trials(trials: int):
+    """Count an identity test's trials toward the active report."""
+    report = _active.get()
+    if report is not None:
+        report.pit_trials += trials

@@ -16,10 +16,9 @@ from __future__ import annotations
 from .abp import linear_form_coeffs, reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, Singular
 from .field import Rng
-from .linalg import solve_linear
 from .poly import Blackbox, LinMat, RestrictionBlackbox
 from .reduction import certify_blocks
-from .report import _fail, _gate
+from .report import passed, reject
 from .trimm import TrimmShape, block_to_layer
 
 
@@ -73,7 +72,6 @@ def degree_d_to_3(
     d: int,
     mmti,
     rng: Rng,
-    report=None,
     final_trials: int = 40,
 ):
     """B_0..B_{d-1} with f = Tr-IMM_{w,d}(B_0 x_0, ...), via the MMTI oracle.
@@ -84,18 +82,17 @@ def degree_d_to_3(
     field = f.field
     shape = TrimmShape(w, d)
     if f.n != shape.n:
-        _fail(report, "tensor-arity")
-        return None
+        return reject("tensor-arity")
     if d == 3:
         return mmti(f, w, rng)
     for _ in range(2):
-        Bs = _degree_reduce_once(f, w, d, mmti, rng, report, final_trials)
+        Bs = _degree_reduce_once(f, w, d, mmti, rng, final_trials)
         if Bs is not None:
             return Bs
     return None
 
 
-def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
+def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
     field = f.field
     shape = TrimmShape(w, d)
     w2 = w * w
@@ -109,15 +106,13 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
     h.degree = 3
     first = mmti(h, w, rng)
     if first is None:
-        _fail(report, "mmti-oracle")
-        return None
-    _gate(report, "mmti-oracle")
+        return reject("mmti-oracle")
+    passed("mmti-oracle")
     B012 = first
     try:
         units = {k: _unit_points_all(block_to_layer(B012[k], k)) for k in range(3)}
     except Singular:
-        _fail(report, "unit-points")
-        return None
+        return reject("unit-points")
 
     def put(point, k, local_vals):
         for v, x in zip(blocks[k], local_vals):
@@ -133,8 +128,7 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
                 put(t, 2, units[2][0][i])
                 form = _entry_linear_form(f, t, blocks[3], rng)
                 if form is None:
-                    _fail(report, "entry-linearity")
-                    return None
+                    return reject("entry-linearity")
                 X3.coeffs[i][j] = form
         layer_mats = {3: X3}
     else:
@@ -150,9 +144,8 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
         try:
             suffix = reconstruct_abp(g, g_blocks, w, rng)
         except (AnchorSingular, CertificationFailed):
-            _fail(report, "suffix-abp")
-            return None
-        _gate(report, "suffix-abp")
+            return reject("suffix-abp")
+        passed("suffix-abp")
         layer_mats = {}
         units_suffix = {}
         for k in range(4, d - 1):
@@ -161,18 +154,16 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
             try:
                 units_suffix[k] = _unit_points_all(layer_mats[k])
             except Singular:
-                _fail(report, "unit-points")
-                return None
+                return reject("unit-points")
         # last suffix layer: w x 1 column; b_j with Y(b_j) = e_j
         A_last = suffix.layers[d - 4].restrict(g_blocks[d - 4]).coefficient_matrix()
         b_last = []
         for j in range(w):
             rhs = [1 if u == j else 0 for u in range(w)]
-            sol = solve_linear(A_last, rhs)
+            sol = A_last.solve(rhs)
             if sol is None:
-                _fail(report, "unit-points")
-                return None
-            b_last.append(sol[0])
+                return reject("unit-points")
+            b_last.append(sol)
 
         X3 = LinMat(field, w, w, w2)
         for i in range(w):
@@ -186,15 +177,13 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
                 put(t, d - 1, b_last[j])
                 form = _entry_linear_form(f, t, blocks[3], rng)
                 if form is None:
-                    _fail(report, "entry-linearity")
-                    return None
+                    return reject("entry-linearity")
                 X3.coeffs[i][j] = form
         layer_mats[3] = X3
         try:
             units3 = _unit_points_all(X3)
         except Singular:
-            _fail(report, "unit-points")
-            return None
+            return reject("unit-points")
 
         Xlast = LinMat(field, w, w, w2)
         for i in range(w):
@@ -212,10 +201,9 @@ def _degree_reduce_once(f, w, d, mmti, rng, report, final_trials):
                     put(t, d - 2, units3[0][i])
                 form = _entry_linear_form(f, t, blocks[d - 1], rng)
                 if form is None:
-                    _fail(report, "entry-linearity")
-                    return None
+                    return reject("entry-linearity")
                 Xlast.coeffs[i][j] = form
         layer_mats[d - 1] = Xlast
 
     layers = [layer_mats[k] for k in range(3, d)]
-    return certify_blocks(f, shape, B012, layers, final_trials, rng, report)
+    return certify_blocks(f, shape, B012, layers, final_trials, rng)

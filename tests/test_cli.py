@@ -163,6 +163,18 @@ def _solve_exit_code(inst, capsys):
     return rc
 
 
+def test_solve_prints_the_run_report(tmp_path, capsys):
+    inst, _ = _gen_full_instance(tmp_path)
+    capsys.readouterr()
+    assert main(["solve", str(inst), "--task", "trace", "--oracle", "w2", "--seed", "6"]) == 0
+    out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert set(out) == {"verdict", "gates_passed", "failed_gate", "pit_trials", "seed",
+                        "wall_time_s"}
+    assert out["verdict"] == "certified" and out["failed_gate"] is None
+    assert out["gates_passed"][-1] == "certified" and out["seed"] == 6
+    assert out["pit_trials"] > 0
+
+
 def test_truncated_instance_is_an_input_error(tmp_path, capsys):
     inst, _ = _gen_full_instance(tmp_path)
     text = inst.read_text()

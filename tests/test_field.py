@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trimmeq.errors import DivisionByZero, NotPrime
-from trimmeq.field import DEFAULT_PRIME, Fp, Rng, is_probable_prime, sample_uniform, scalar_arith
+from trimmeq.field import DEFAULT_PRIME, Fp, Rng, is_probable_prime
 
 
 def test_default_prime_is_61_bit_prime():
@@ -25,11 +25,11 @@ def test_char_bound_check():
 
 def test_scalar_arith_mod_7():
     f = Fp(7)
-    assert scalar_arith(f, 3, 4, "add") == 0
-    assert scalar_arith(f, 1, 1, "div") == 1
-    assert scalar_arith(f, 2, 5, "sub") == 4
+    assert f.add(3, 4) == 0
+    assert f.div(1, 1) == 1
+    assert f.sub(2, 5) == 4
     with pytest.raises(DivisionByZero):
-        scalar_arith(f, 1, 0, "div")
+        f.div(1, 0)
 
 
 def _egcd(a, b):
@@ -91,14 +91,14 @@ def test_sqrt_tonelli_1_mod_4():
 
 def test_sample_uniform_determinism_and_count():
     f = Fp()
-    assert sample_uniform(f, Rng(9), 10) == sample_uniform(f, Rng(9), 10)
-    assert sample_uniform(f, Rng(9), 0) == []
+    assert Rng(9).vector(f, 10) == Rng(9).vector(f, 10)
+    assert Rng(9).vector(f, 0) == []
 
 
 def test_sample_uniform_chi_square():
     """10^4 draws into 16 buckets: chi-square within 3 sigma of its mean."""
     f = Fp()
-    draws = sample_uniform(f, Rng(77), 10_000)
+    draws = Rng(77).vector(f, 10_000)
     buckets = [0] * 16
     for x in draws:
         buckets[x * 16 // f.p] += 1

@@ -137,9 +137,9 @@ def test_commutant_gate_fires_for_zero_product_algebra():
     Ls = left_mult_matrices(A)
     assert all(L.is_zero() for L in Ls)
     assert len(commutant_basis([L.transpose() for L in Ls])) == 16
-    rep = RunReport()
     rng = Rng(3)
-    assert fmai_solve(A, _mmti(F), rng, report=rep) is None
+    with RunReport() as rep:
+        assert fmai_solve(A, _mmti(F), rng) is None
     assert rep.failed_gate == "commutant-dimension"
 
 
@@ -253,6 +253,6 @@ def test_fmai_rejects_non_square_dimension():
     basis = [Mat.identity(F, 3), Mat.from_rows(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])]
     basis.append(basis[1] * basis[1])
     A = AlgebraInput(F, basis)  # dimension 3 is not a perfect square
-    rep = RunReport()
-    assert fmai_solve(A, _mmti(F), rng, report=rep) is None
+    with RunReport() as rep:
+        assert fmai_solve(A, _mmti(F), rng) is None
     assert rep.failed_gate == "dimension-square"

@@ -3,7 +3,6 @@
 from trimmeq.field import Fp, Rng
 from trimmeq.lie import (
     LieBasis,
-    Reject,
     closure,
     irreducible_invariant_subspaces,
     is_invariant,
@@ -92,7 +91,7 @@ def test_invariant_subspaces_planted():
     sh = TrimmShape(2, 3)
     inst = plant_instance(F, sh, rng, mode="full")
     spaces = irreducible_invariant_subspaces(inst.f, rng, expected_count=3)
-    assert not isinstance(spaces, Reject)
+    assert spaces is not None
     assert len(spaces) == 3 and all(s.dim == 4 for s in spaces)
     for s in spaces:
         blocks = set()
@@ -115,7 +114,7 @@ def test_invariant_subspaces_verified_invariant():
     bb = trimm_blackbox(F, sh)
     L = lie_algebra_basis(bb, rng)
     spaces = irreducible_invariant_subspaces(bb, rng, expected_count=3)
-    assert not isinstance(spaces, Reject)
+    assert spaces is not None
     for s in spaces:
         assert is_invariant(s, L)
 
@@ -147,5 +146,5 @@ def test_random_cubic_rejected():
                     e[k] += 1
                     poly.add_term(tuple(e), r.scalar(F))
         out = irreducible_invariant_subspaces(ExplicitBlackbox(poly), r, expected_count=3)
-        rejects += isinstance(out, Reject)
+        rejects += out is None
     assert rejects >= 9

@@ -216,8 +216,8 @@ def test_trace_to_tensor_iso_planted():
 def test_trace_to_tensor_iso_rejects_wrong_arity():
     rng = Rng(10)
     f = ExplicitBlackbox(MPoly(F, 3, {(1, 1, 1): 1}))  # x0 x1 x2, n = 3
-    rep = RunReport()
-    assert trace_to_tensor_iso(f, 3, rng, report=rep) is None
+    with RunReport() as rep:
+        assert trace_to_tensor_iso(f, 3, rng) is None
     assert rep.failed_gate == "square-dimension"
 
 
