@@ -65,11 +65,10 @@ class SetMultABP:
         return M.rows[0][0]
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        kern = self.field.kernel
-        cur = _eval_layer_np(kern, self.layers[0], pts)
+        cur = self.layers[0].eval_many(pts)
         for L in self.layers[1:]:
-            cur = kern.batched_matmul(cur, _eval_layer_np(kern, L, pts))
-        return cur[0, 0]
+            cur = self.field.kernel.gemm(cur, L.eval_many(pts))
+        return cur[:, 0, 0]
 
     def as_blackbox(self) -> Blackbox:
         abp = self
@@ -82,20 +81,6 @@ class SetMultABP:
                 return abp.eval_many(pts)
 
         return _BB(self.field, self.n, self.d)
-
-
-def _eval_layer_np(kern, L: LinMat, pts: np.ndarray):
-    """Batched evaluation of a linear matrix: (r, c, B) array."""
-    B = len(pts)
-    out = kern.zeros((L.nrows, L.ncols, B))
-    for i in range(L.nrows):
-        for j in range(L.ncols):
-            acc = kern.zeros(B)
-            for v, cf in enumerate(L.coeffs[i][j]):
-                if cf:
-                    acc = kern.add(acc, kern.mul(pts[:, v], cf))
-            out[i, j] = acc
-    return out
 
 
 def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> list[int]:

@@ -57,6 +57,79 @@ def _load(path: str) -> dict:
             raise InputError(f"{path} is not valid JSON: {e}") from None
 
 
+def _need(ok: bool, message: str):
+    if not ok:
+        raise InputError(message)
+
+
+def _is_int(x, lo: int = 0, hi: int | None = None) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and lo <= x and (hi is None or x < hi)
+
+
+def _check_matrices(Ms, p: int, count: int, rows: int, cols: int, what: str):
+    _need(isinstance(Ms, list) and len(Ms) == count and all(
+        isinstance(M, list) and len(M) == rows and all(
+            isinstance(r, list) and len(r) == cols and all(_is_int(x, 0, p) for x in r) for r in M)
+        for M in Ms), f"{what}: expected {count} matrices of {rows} x {cols} integers in [0, p)")
+
+
+def _check_header(doc: dict, keys: tuple[str, ...]) -> int:
+    """format_version, prime and kind, and positive integers at keys; returns p."""
+    _need(_is_int(doc["format_version"]) and doc["format_version"] == FORMAT_VERSION,
+          f"unsupported format_version {doc['format_version']!r}")
+    _need(isinstance(doc["prime"], str) and doc["prime"].isdecimal(), "prime must be a decimal string")
+    _need(all(_is_int(doc[key], 1) for key in keys), f"{'/'.join(keys)} must be positive integers")
+    return int(doc["prime"])
+
+
+def _check_instance(data: dict) -> Fp:
+    """The schema of an instance: key types, format_version, integer
+    residues in [0, p) and matrix shapes against (w, d)."""
+    p = _check_header(data, ("w", "d"))
+    w, d, kind = data["w"], data["d"], data["kind"]
+    secret = [data["secret"]] if data.get("secret") is not None else []
+    for part in [data["payload"]] + secret:
+        _need(isinstance(part, dict), "payload and secret must be JSON objects")
+        if kind == "full":
+            _check_matrices([part["matrix"]], p, 1, w * w * d, w * w * d, "matrix")
+        elif kind in ("block", "tensor"):
+            _check_matrices(part["blocks"], p, d, w * w, w * w, "blocks")
+        elif kind == "algebra":
+            _need(_is_int(part["m"], 1) and _is_int(part["r"], 1), "m/r must be positive integers")
+            _check_matrices(part["basis"], p, part["r"], part["m"], part["m"], "basis")
+        elif kind == "tensor-explicit":
+            _need(isinstance(part["terms"], list), "terms must be a list")
+            for term in part["terms"]:
+                _need(isinstance(term, dict), "each term must be a JSON object")
+                _check_matrices([term["indices"]], w + 1, 1, d, 2, "term indices")
+                c = term["coeff"]
+                _need(min(map(min, term["indices"])) >= 1 and (_is_int(c, 0, p) or (
+                    isinstance(c, str) and c.isdecimal() and int(c) < p)),
+                      "term indices must lie in 1..w and coefficients in [0, p)")
+        else:
+            raise InputError(f"unknown instance kind {kind!r}")
+    return Fp(p)
+
+
+def _check_certificate(cert: dict, data: dict):
+    """The certificate's header and residues, and its shape against the instance."""
+    kind = cert["kind"]
+    p = _check_header(cert, ("w",) if kind == "algebra-iso" else ("w", "d"))
+    _need(cert["prime"] == data["prime"], "certificate/instance modulus mismatch")
+    w = cert["w"]
+    if kind == "algebra-iso":
+        _need(isinstance(cert["images"], dict), "images must be a JSON object")
+        images = [cert["images"][f"{i},{j}"] for i in range(1, w + 1) for j in range(1, w + 1)]
+        return _check_matrices(images, p, w * w, w, w, "images")
+    _need(kind in ("witness-full", "witness-blocks"), f"unknown certificate kind {kind!r}")
+    _need((w, cert["d"]) == (data["w"], data["d"]), "certificate (w, d) does not match the instance")
+    n, d = w * w * data["d"], data["d"]
+    if kind == "witness-full":
+        _check_matrices([cert["matrix"]], p, 1, n, n, "matrix")
+    else:
+        _check_matrices(cert["blocks"], p, d, w * w, w * w, "blocks")
+
+
 def _mat_to_rows(M: Mat):
     return [list(r) for r in M.rows]
 
@@ -88,14 +161,11 @@ def cmd_gen(args) -> int:
             inst = plant_instance(field, shape, rng, mode="full")
             header["payload"] = {"matrix": _mat_to_rows(inst.A)}
             header["secret"] = {"matrix": _mat_to_rows(inst.A)}
-        elif args.mode in ("block", "tensor"):
+        else:  # block or tensor; argparse admits no other mode
             inst = plant_instance(field, shape, rng, mode="block")
             blocks = [_mat_to_rows(B) for B in inst.blocks]
             header["payload"] = {"blocks": blocks}
             header["secret"] = {"blocks": blocks}
-        else:
-            print(f"unknown mode {args.mode}", file=sys.stderr)
-            return 2
     _dump(args.out, header)
     print(f"wrote {args.out}")
     return 0
@@ -138,7 +208,7 @@ def _planted_oracle_from_secret(field: Fp, data: dict, shape: TrimmShape):
 
 def cmd_solve(args) -> int:
     data = _load(args.instance)
-    field = Fp(int(data["prime"]))
+    field = _check_instance(data)
     rng = Rng(args.seed)
     with RunReport(seed=args.seed) as report:
         cert: dict | None = None
@@ -189,14 +259,11 @@ def cmd_solve(args) -> int:
                 Bs = tensor_iso_to_det(f, shape.w, shape.d, det, rng)
                 if Bs is not None:
                     cert = _blocks_cert(field, shape, Bs)
-            elif args.task == "degree-reduce":
+            else:  # degree-reduce; argparse admits no other task
                 mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
                 Bs = degree_d_to_3(f, shape.w, shape.d, mmti, rng)
                 if Bs is not None:
                     cert = _blocks_cert(field, shape, Bs)
-            else:
-                print(f"unknown task {args.task}", file=sys.stderr)
-                return 2
 
     verdict = "certified" if cert is not None else "no"
     out = {"verdict": verdict, **report.to_dict()}
@@ -220,10 +287,8 @@ def _blocks_cert(field, shape, Bs):
 def cmd_verify(args) -> int:
     data = _load(args.instance)
     cert = _load(args.cert)
-    field = Fp(int(data["prime"]))
-    if cert["prime"] != data["prime"]:
-        print("certificate/instance modulus mismatch", file=sys.stderr)
-        return 2
+    field = _check_instance(data)
+    _check_certificate(cert, data)
     rng = Rng(args.seed)
     if cert["kind"] == "algebra-iso":
         basis = [Mat.from_rows(field, b) for b in data["payload"]["basis"]]
@@ -242,12 +307,9 @@ def cmd_verify(args) -> int:
         if cert["kind"] == "witness-full":
             witness = Mat.from_rows(field, cert["matrix"])
             sh = TrimmShape(cert["w"], cert["d"])
-        elif cert["kind"] == "witness-blocks":
+        else:
             witness = [Mat.from_rows(field, b) for b in cert["blocks"]]
             sh = TrimmShape(cert["w"], cert["d"])
-        else:
-            print(f"unknown certificate kind {cert['kind']}", file=sys.stderr)
-            return 2
         try:
             ok = verify_witness(f, sh, witness, args.trials, rng)
         except TrimmeqError:

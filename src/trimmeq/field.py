@@ -91,7 +91,7 @@ class Fp:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise DivisionByZero("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))

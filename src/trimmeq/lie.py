@@ -91,10 +91,7 @@ def _certify_element(f: Blackbox, E: Mat, trials: int, rng: Rng) -> bool:
     pts = rng.array(f.field, (trials, f.n))
     grads = f.gradient_many(pts)
     Ea = k.matmul(pts, E.to_numpy().T)  # rows: E.a
-    acc = k.zeros(trials)
-    for i in range(f.n):
-        acc = k.add(acc, k.mul(grads[:, i], Ea[:, i]))
-    return not np.any(acc)
+    return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
 def lie_algebra_basis(

@@ -182,9 +182,7 @@ class Mat:
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise ShapeMismatch("det of non-square matrix")
-        if self.nrows == 0:
-            return 1
-        return int(self.field.kernel.det(self.to_numpy()))
+        return self.field.kernel.det(self.to_numpy())
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -216,25 +214,17 @@ class Mat:
     def charpoly(self) -> list[int]:
         """Monic characteristic polynomial det(tI - M), coeffs low-to-high.
 
-        Evaluation at n+1 points followed by interpolation; needs p > n,
-        which the modulus policy guarantees.
+        Evaluation at n+1 points (one stack of determinants) followed by
+        interpolation; needs p > n, which the modulus policy guarantees.
         """
         n = self.nrows
         if n != self.ncols:
             raise ShapeMismatch("charpoly of non-square matrix")
-        field = self.field
-        p = field.p
-        if n == 0:
-            return [1]
+        p = self.field.p
         ts = list(range(n + 1))
-        vals = []
-        for t in ts:
-            M = Mat(field, [
-                [(-x) % p if i != j else (t - x) % p for j, x in enumerate(row)]
-                for i, row in enumerate(self.rows)
-            ])
-            vals.append(M.det())
-        return newton_interp(p, ts, vals)
+        stack = [[[((t if i == j else 0) - x) % p for j, x in enumerate(row)]
+                  for i, row in enumerate(self.rows)] for t in ts]
+        return newton_interp(p, ts, self.field.kernel.det_many(stack).tolist())
 
     # -- block structure ----------------------------------------------------
     def block(self, r0: int, c0: int, h: int, w: int) -> "Mat":
@@ -252,7 +242,7 @@ def newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
     coef = [y % p for y in ys]
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], p - 2, p) % p
+            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
     # expand Newton form
     poly = [0] * n
     for i in range(n - 1, -1, -1):

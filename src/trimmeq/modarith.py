@@ -13,11 +13,20 @@ what dtype residue arrays have:
 
 Everything here operates on canonical residues in [0, p) stored in the
 kernel's ``dtype``; callers allocate residue arrays through ``asarray`` /
-``zeros`` so they never depend on the lane.  Rank, determinant, kernel
-basis and RREF all derive from one forward elimination.
+``zeros`` so they never depend on the lane.
+
+Every matrix product is one exact float64 GEMM (``gemm``) on BLAS: residues
+split into 21-bit limbs, and the inner dimension is cut into chunks of 2048
+limb products, each below 2^42, so that every sum stays below 2^53, where
+float64 is exact.  Rank, kernel basis and RREF come from one recursive
+elimination that halves the columns (as LAPACK's ``dgetrf2`` does) down to a
+first-nonzero-pivoting column step; determinants come from that column step
+over a stack of matrices.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 import numpy as np
 
@@ -25,6 +34,14 @@ M61 = (1 << 61) - 1
 _MASK31 = (1 << 31) - 1
 _MASK30 = (1 << 30) - 1
 _MASK61 = (1 << 61) - 1
+
+_LIMB = 21
+_K_CHUNK = 2048  # 2048 * (2^21 - 1)^2 < 2^53, where float64 stops being exact
+_BLOCK_CELLS = 1 << 17  # one float64 temporary of gemm: 1 MB
+# The recursion stops at 16 columns (rows of a triangular solve) or at
+# 2^14 cells, below which numpy's per-call cost outweighs what GEMM saves.
+_BASE_WIDTH = 16
+_BASE_CELLS = 1 << 14
 
 
 class _KernelBase:
@@ -46,8 +63,9 @@ class _KernelBase:
     def neg(self, a):
         return np.where(a == 0, a, self.p - a)
 
-    def inv_scalar(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
+    def inv_many(self, a: np.ndarray) -> np.ndarray:
+        """Inverses of a vector of residues; zeros stay zero."""
+        return self.asarray([pow(x, -1, self.p) if x else 0 for x in a.tolist()])
 
     def asarray(self, rows) -> np.ndarray:
         return np.array(rows, dtype=self.dtype)
@@ -61,117 +79,166 @@ class _KernelBase:
         gen = np.random.default_rng(py.getrandbits(63))
         return gen.integers(0, self.p, size=shape, dtype=self.dtype)
 
-    # -- batched helpers -------------------------------------------------
-    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(m,k) x (k,n) product; accumulates one rank-1 term at a time."""
-        m, k = A.shape
-        k2, n = B.shape
-        assert k == k2
-        C = self.zeros((m, n))
-        for t in range(k):
-            C = self.add(C, self.mul(A[:, t : t + 1], B[t : t + 1, :]))
+    # -- products ----------------------------------------------------------
+    def _limbs(self, A: np.ndarray, count: int) -> list[np.ndarray]:
+        """float64 limbs of the residues A, low to high: A = sum_t L_t 2^(21 t)."""
+        return [((A >> (_LIMB * t)) & ((1 << _LIMB) - 1)).astype(np.float64) for t in range(count)]
+
+    def _from_exact(self, X: np.ndarray) -> np.ndarray:
+        """Residues of X, a float64 array of exact integers in [0, 2^53)."""
+        X = X.astype(np.int64)
+        if self.p < 1 << 53:
+            X %= self.p
+        return X.astype(self.dtype, copy=False)
+
+    def gemm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Exact (..., m, k) x (..., k, n) product mod p, batch axes broadcast.
+
+        With A_s the limbs of A and B_s = 2^(21 s) B mod p, A B is
+        sum_t (sum_s A_s (B_s)_t) 2^(21 t): each inner sum is one BLAS ``@``
+        of the limbs of A side by side, on chunks of k small enough to be
+        exact, reduced mod p and recombined with the lane's ``add``/``mul``.
+        Large products are split in halves to bound the limb temporaries.
+        """
+        limbs = -(-self.p.bit_length() // _LIMB)
+        (m, k), n = A.shape[-2:], B.shape[-1]
+        if limbs * min(k, _K_CHUNK) * max(m, n) > _BLOCK_CELLS and max(m, n) > 1:
+            if m >= n:
+                return np.concatenate([self.gemm(A[..., : m // 2, :], B),
+                                       self.gemm(A[..., m // 2 :, :], B)], axis=-2)
+            return np.concatenate([self.gemm(A, B[..., : n // 2]), self.gemm(A, B[..., n // 2 :])],
+                                  axis=-1)
+        step = _K_CHUNK // limbs
+        Bs = [B] + [self.mul(B, pow(2, _LIMB * s, self.p)) for s in range(1, limbs)]
+        acc = [self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))] * limbs
+        for k0 in range(0, k, step):
+            As = np.concatenate(self._limbs(A[..., k0 : k0 + step], limbs), axis=-1)
+            parts = [self._limbs(Bj[..., k0 : k0 + step, :], limbs) for Bj in Bs]
+            for t in range(limbs):
+                Bt = np.concatenate([part[t] for part in parts], axis=-2)
+                acc[t] = self.add(acc[t], self._from_exact(As @ Bt))
+        C = acc[0]
+        for t in range(1, limbs):
+            C = self.add(C, self.mul(acc[t], pow(2, _LIMB * t, self.p)))
         return C
+
+    def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """(m, k) x (k, n) product."""
+        return self.gemm(A, B)
 
     def batched_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """(r, k, N) x (k, c, N) product of N matrices stacked on the last axis."""
-        r, k, nb = A.shape
-        c = B.shape[1]
-        C = self.zeros((r, c, nb))
-        for i in range(r):
-            for j in range(c):
-                acc = C[i, j]
-                for u in range(k):
-                    acc = self.add(acc, self.mul(A[i, u], B[u, j]))
-                C[i, j] = acc
-        return C
+        return np.moveaxis(self.gemm(np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)), 0, -1)
 
-    def _eliminate(self, R: np.ndarray):
-        """Forward elimination of R in place, first-nonzero pivoting.
-
-        Yields (row, column, swapped) for each pivot once it has been swapped
-        into place and before its row is scaled to a unit pivot and cleared
-        below; a caller that stops iterating stops the elimination there.
-        """
-        m, n = R.shape
-        r = 0
-        for c in range(n):
-            if r == m:
-                return
-            nz = np.nonzero(R[r:, c])[0]
+    # -- elimination -------------------------------------------------------
+    def _column_step(self, R, r, c0, c1, piv) -> int:
+        """Eliminate columns [c0, c1) of R from row r down, one pivot at a time,
+        keeping the multipliers (entry / pivot) below each pivot; returns the
+        number of pivots.  Rows are swapped whole."""
+        r_start = r
+        for c in range(c0, c1):
+            nz = np.flatnonzero(R[r:, c])
             if nz.size == 0:
                 continue
-            pr = r + int(nz[0])
-            if pr != r:
-                R[[r, pr]] = R[[pr, r]]
-            yield r, c, pr != r
-            inv = self.inv_scalar(int(R[r, c]))
-            R[r, c:] = self.mul(R[r, c:], inv)
-            if r + 1 < m:
-                f = R[r + 1 :, c]
-                R[r + 1 :, c:] = self.sub(
-                    R[r + 1 :, c:], self.mul(f[:, None], R[r, c:][None, :])
-                )
+            if nz[0]:
+                R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+            piv.append(c)
+            rows = r + 1 + np.flatnonzero(R[r + 1 :, c])  # rows with a nonzero multiplier
+            R[rows, c] = self.mul(R[rows, c], pow(int(R[r, c]), -1, self.p))
+            R[rows, c + 1 : c1] = self.sub(
+                R[rows, c + 1 : c1], self.mul(R[rows, c, None], R[r, None, c + 1 : c1]))
             r += 1
+            if r == len(R):
+                break
+        return r - r_start
 
-    def _echelon(self, M: np.ndarray):
-        """(unit row echelon copy of M, pivot columns)."""
+    def _factor_columns(self, R, r, c0, c1, piv) -> int:
+        """``_column_step`` by halves, with the same pivots and result: the right
+        half is updated by a triangular solve and one GEMM, then eliminated."""
+        if c1 - c0 <= _BASE_WIDTH or (len(R) - r) * (c1 - c0) <= _BASE_CELLS:
+            return self._column_step(R, r, c0, c1, piv)
+        mid = (c0 + c1) // 2
+        r1 = self._factor_columns(R, r, c0, mid, piv)
+        if r1:
+            left = piv[-r1:]
+            top = R[r : r + r1, mid:c1]
+            L = np.tril(R[r : r + r1, left], -1)  # the unit lower factor
+            self._solve_unit_upper(L[::-1, ::-1], top[::-1])  # forward substitution
+            R[r + r1 :, mid:c1] = self.sub(R[r + r1 :, mid:c1], self.gemm(R[r + r1 :, left], top))
+        return r1 + self._factor_columns(R, r + r1, mid, c1, piv)
+
+    def _solve_unit_upper(self, T: np.ndarray, B: np.ndarray) -> None:
+        """B <- T^-1 B for T upper triangular with unit diagonal (not read)."""
+        n = len(T)
+        if n > _BASE_WIDTH and n * B.shape[1] > _BASE_CELLS:
+            h = n // 2
+            self._solve_unit_upper(T[h:, h:], B[h:])
+            B[:h] = self.sub(B[:h], self.gemm(T[:h, h:], B[h:]))
+            self._solve_unit_upper(T[:h, :h], B[:h])
+            return
+        for i in range(n - 1, 0, -1):
+            if T[:i, i].any():
+                B[:i] = self.sub(B[:i], self.mul(T[:i, i, None], B[i, None]))
+
+    def _factor(self, M: np.ndarray):
+        """(unit upper echelon form of M, pivot columns), found recursively."""
         R = self.asarray(M)
-        return R, [c for _, c, _ in self._eliminate(R)]
+        piv: list[int] = []
+        self._factor_columns(R, 0, 0, R.shape[1], piv)
+        U = R[: len(piv)]
+        for k, c in enumerate(piv):
+            U[k + 1 :, c] = 0  # clear the stored multipliers
+        inv = self.inv_many(U[np.arange(len(piv)), piv])
+        rows = max(1, _BLOCK_CELLS // max(U.shape[1], 1))
+        for i in range(0, len(piv), rows):  # unit pivots, a block of rows at a time
+            U[i : i + rows] = self.mul(U[i : i + rows], inv[i : i + rows, None])
+        return U, piv
 
     def rref(self, M: np.ndarray):
         """Fully reduced row echelon form.  Returns (R, pivot_columns)."""
-        R, pivots = self._echelon(M)
-        # eliminate above pivots, bottom-up
-        for i in range(len(pivots) - 1, 0, -1):
-            c = pivots[i]
-            f = R[:i, c]
-            if np.any(f):
-                R[:i, c:] = self.sub(R[:i, c:], self.mul(f[:, None], R[i, c:][None, :]))
-        return R, pivots
+        U, piv = self._factor(M)
+        self._solve_unit_upper(U[:, piv], U)
+        R = self.zeros(M.shape)
+        R[: len(piv)] = U
+        return R, piv
 
     def nullspace(self, M: np.ndarray):
-        """Kernel basis vectors (list of arrays of length n).
-
-        Avoids the full RREF back-pass: after forward elimination only the
-        free columns are back-substituted, which is what dominates on the
-        (n^2+32) x n^2 systems this package solves.
-        """
-        R, pivots = self._echelon(M)
-        n = R.shape[1]
-        rank = len(pivots)
-        free = [c for c in range(n) if c not in set(pivots)]
-        if not free:
-            return []
-        F = R[:rank, free].copy()  # rank x nfree
-        # back-substitute pivot columns bottom-up; updates touch free cols only
-        for i in range(rank - 1, 0, -1):
-            c = pivots[i]
-            f = R[:i, c]
-            if np.any(f):
-                F[:i] = self.sub(F[:i], self.mul(f[:, None], F[i][None, :]))
-        basis = []
-        for t, fc in enumerate(free):
-            v = self.zeros(n)
-            v[fc] = 1
-            v[pivots] = self.neg(F[:, t])
-            basis.append(v)
-        return basis
+        """Kernel basis vectors (arrays of length n), one per free column of
+        the RREF: the echelon form back-solved on its free columns only."""
+        U, piv = self._factor(M)
+        free = sorted(set(range(U.shape[1])) - set(piv))
+        F = U[:, free]
+        self._solve_unit_upper(U[:, piv], F)
+        basis = self.zeros((len(free), U.shape[1]))
+        basis[np.arange(len(free)), free] = 1
+        basis[:, piv] = self.neg(F).T
+        return list(basis)
 
     def rank(self, M: np.ndarray) -> int:
-        return len(self._echelon(M)[1])
+        piv: list[int] = []
+        self._factor_columns(self.asarray(M), 0, 0, M.shape[1], piv)
+        return len(piv)
 
-    def det(self, M: np.ndarray) -> int:
+    def det_many(self, M) -> np.ndarray:
+        """Determinants of a (B, n, n) stack: the column step over the
+        leading axis, with a first-nonzero pivot search per matrix."""
         R = self.asarray(M)
-        d = 1
-        rank = 0
-        for r, c, swapped in self._eliminate(R):
-            if c != r:
-                return 0
-            if swapped:
-                d = self.p - d
-            d = (d * int(R[r, c])) % self.p
-            rank += 1
-        return d if rank == len(R) else 0
+        nb, n = R.shape[:2]
+        R = R.reshape(nb, n, n)  # a stack of 0 x 0 matrices given as lists arrives as (B, 0)
+        at, swaps = np.arange(nb), np.zeros(nb, dtype=np.int64)
+        for c in range(n - 1):
+            pr = c + (R[:, c:, c] != 0).argmax(axis=1)  # c where the column is zero
+            if (pr != c).any():
+                R[at, c], R[at, pr] = R[at, pr], R[at, c]
+                swaps += pr != c
+            f = self.mul(R[:, c + 1 :, c], self.inv_many(R[:, c, c])[:, None])
+            R[:, c + 1 :, c + 1 :] = self.sub(
+                R[:, c + 1 :, c + 1 :], self.mul(f[:, :, None], R[:, c, None, c + 1 :]))
+        diag = R[:, np.arange(n), np.arange(n)].tolist()  # the pivots, or a zero
+        return self.asarray([(-1) ** s * prod(d) % self.p for s, d in zip(swaps.tolist(), diag)])
+
+    def det(self, M) -> int:
+        return int(self.det_many([M])[0])
 
 
 class M61Kernel(_KernelBase):

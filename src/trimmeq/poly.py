@@ -44,13 +44,6 @@ def uni_sub(field: Fp, a, b):
     return uni_trim(out)
 
 
-def uni_scale(field: Fp, a, c):
-    c %= field.p
-    if c == 0:
-        return []
-    return [x * c % field.p for x in a]
-
-
 def uni_mul(field: Fp, a, b):
     if not a or not b:
         return []
@@ -406,6 +399,12 @@ class LinMat:
             [sum(a * b for a, b in zip(c, point)) % p for c in row] for row in self.coeffs
         ])
 
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """(B, nrows, ncols) residues at the B rows of pts, from one product."""
+        kern = self.field.kernel
+        C = kern.asarray(self.coeffs).reshape(self.nrows * self.ncols, self.n)
+        return kern.gemm(pts, C.T).reshape(len(pts), self.nrows, self.ncols)
+
     def transpose(self) -> "LinMat":
         return LinMat(self.field, self.ncols, self.nrows, self.n,
                       [[list(c) for c in col] for col in zip(*self.coeffs)])
@@ -659,10 +658,7 @@ class Blackbox:
             ts = np.tile(k.asarray(range(d + 1)), B)
             work[:, i] = k.add(work[:, i], ts)
             vals = self.eval_many(work).reshape(B, d + 1)
-            acc = k.zeros(B)
-            for j, l in enumerate(lam):
-                acc = k.add(acc, k.mul(vals[:, j], l))
-            out[:, i] = acc
+            out[:, i] = k.gemm(vals, k.asarray(lam)[:, None])[:, 0]
         return out
 
 

@@ -24,7 +24,7 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 from .abp import evaldim, reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, NotAPerfectPower, StructureViolation
@@ -190,43 +190,26 @@ def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> MPoly | None:
     if b is None:
         return None
 
-    def ghat(a):
-        """g(a)/g(b) from the line restriction det(Y(a + t b))."""
-        samples = []
-        for t in range(W + 1):
-            pt = [(x + t * y) % field.p for x, y in zip(a, b)]
-            samples.append((t, detval(pt)))
-        U = interpolate_univariate(field, samples)
-        if len(U) != W + 1:
-            return None
-        lc = U[-1]
-        Un = [x * field.inv(lc) % field.p for x in U]
-        u = _monic_wth_root_uni(field, Un, w)
-        if u is None:
-            return None
-        return u[0]
-
     from .poly import _monomials
 
     cands = _monomials(nloc, list(range(nloc)), w, homogeneous=True)
     npts = len(cands) + 12
-    rows = []
-    rhs = []
     p = field.p
-    for _ in range(npts):
-        a = rng.vector(field, nloc)
-        v = ghat(a)
-        if v is None:
+    points = [rng.vector(field, nloc) for _ in range(npts)]
+    kern = field.kernel
+    line = kern.asarray([[(x + t * y) % p for x, y in zip(a, b)]
+                         for a in points for t in range(W + 1)])
+    dets = kern.det_many(Yloc.eval_many(line)).reshape(npts, W + 1)
+    rows = []
+    rhs = []  # g(a)/g(b), read off the samples det(Y(a + t b)), t = 0..W
+    for a, samples in zip(points, dets.tolist()):
+        U = interpolate_univariate(field, list(enumerate(samples)))
+        u = (_monic_wth_root_uni(field, [x * field.inv(U[-1]) % p for x in U], w)
+             if len(U) == W + 1 else None)
+        if u is None:
             continue
-        row = []
-        for e in cands:
-            t = 1
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    t = t * a[i] % p
-            row.append(t)
-        rows.append(row)
-        rhs.append(v)
+        rows.append([prod(a[i] ** ei for i, ei in enumerate(e)) % p for e in cands])
+        rhs.append(u[0])
     if len(rows) < len(cands):
         return None
     A = Mat(field, rows)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .field import Fp, Rng
 from .linalg import Mat, assemble_block_diagonal, kron, random_invertible
-from .poly import Blackbox, ComposedBlackbox, LinMat, MPoly, pit_equal
+from .poly import Blackbox, ComposedBlackbox, LinMat, MPoly
 
 
 class TrimmShape:
@@ -59,16 +59,6 @@ def var_index(shape: TrimmShape, k: int, i: int, j: int) -> int:
     if not (1 <= i <= w and 1 <= j <= w):
         raise InputError(f"entry ({i},{j}) outside [1,{w}]^2")
     return k * w * w + entry_offset(w, k, i - 1, j - 1)
-
-
-def var_entry(shape: TrimmShape, flat: int) -> tuple[int, int, int]:
-    """Inverse of var_index: flat position -> (k, i, j), 1-based i, j."""
-    w = shape.w
-    k, off = divmod(flat, w * w)
-    # either layout maps offset a*w + b to entry (a, b) or to entry (b, a),
-    # so applying it to the digits of off yields i*w + j
-    i, j = divmod(entry_offset(w, k, *divmod(off, w)), w)
-    return k, i + 1, j + 1
 
 
 def layer_from_point(shape: TrimmShape, k: int, block_vals: list[int], field: Fp) -> Mat:
@@ -115,19 +105,15 @@ class TraceProductBlackbox(Blackbox):
             M = M * layer_from_point(shape, k, point[k * w2 : (k + 1) * w2], self.field)
         return M.trace()
 
+    def _columns(self, k: int) -> list[int]:
+        """Columns of layer k's entries (i, j), in row-major (i, j) order."""
+        w = self.shape.w
+        return [k * w * w + entry_offset(w, k, i, j) for i in range(w) for j in range(w)]
+
     def _layers_np(self, pts: np.ndarray):
         """Per-layer (w, w, B) arrays respecting the block orderings."""
-        shape = self.shape
-        w, w2 = shape.w, shape.w ** 2
-        layers = []
-        for k in range(shape.d):
-            blk = pts[:, k * w2 : (k + 1) * w2]
-            L = self.field.kernel.zeros((w, w, len(pts)))
-            for i in range(w):
-                for j in range(w):
-                    L[i, j] = blk[:, entry_offset(w, k, i, j)]
-            layers.append(L)
-        return layers
+        w = self.shape.w
+        return [pts[:, self._columns(k)].T.reshape(w, w, len(pts)) for k in range(self.shape.d)]
 
     def eval_many(self, pts):
         k = self.field.kernel
@@ -160,9 +146,7 @@ class TraceProductBlackbox(Blackbox):
         out = kern.zeros((B, shape.n))
         for k in range(d):
             G = kern.batched_matmul(suffix[k], prefix[k])  # (Q_{k+1}..Q_{k-1})
-            for i in range(w):
-                for j in range(w):
-                    out[:, k * w2 + entry_offset(w, k, i, j)] = G[j, i]
+            out[:, self._columns(k)] = G.transpose(1, 0, 2).reshape(w2, B).T  # entry (i, j): G[j, i]
         return out
 
     def gradient(self, point):
@@ -218,34 +202,6 @@ def lie_generator(shape: TrimmShape, k: int, M: Mat) -> Mat:
     return out
 
 
-def lie_generator_basis(field: Fp, shape: TrimmShape) -> list[Mat]:
-    """All d*w^2 generators lie_generator(k, E_uv)."""
-    out = []
-    w = shape.w
-    for k in range(shape.d):
-        for u in range(w):
-            for v in range(w):
-                E = Mat.zeros(field, w, w)
-                E.rows[u][v] = 1
-                out.append(lie_generator(shape, k, E))
-    return out
-
-
-def distinct_diagonal_element(field: Fp, shape: TrimmShape, rng: Rng) -> Mat:
-    """A diagonal Lie-algebra element with (w.h.p.) n distinct entries.
-
-    Built as sum_k lie_generator(k, D_k) for random diagonal D_k: the entry
-    indexed by layer-k position (i, j) comes out as D_k[j] - D_{k-1}[i].
-    """
-    total = Mat.zeros(field, shape.n, shape.n)
-    for k in range(shape.d):
-        D = Mat.zeros(field, shape.w, shape.w)
-        for i in range(shape.w):
-            D.rows[i][i] = rng.scalar(field)
-        total = total + lie_generator(shape, k, D)
-    return total
-
-
 class PlantedInstance:
     """A secret transformation A and blackbox access to Tr-IMM(A.x).
 
@@ -289,21 +245,14 @@ def compose_witness(field: Fp, shape: TrimmShape, witness) -> Mat:
 
 
 def verify_witness(f: Blackbox, shape: TrimmShape, witness, trials: int, rng: Rng) -> bool:
-    """PIT of f against Tr-IMM composed with the claimed witness."""
+    """PIT of f against Tr-IMM composed with the claimed witness.
+
+    The points are drawn as ``pit_equal`` draws them, but both sides are
+    evaluated on the scalar Python-int path, so the batched kernel that
+    produced a witness is not the one that vouches for it."""
     A = compose_witness(f.field, shape, witness)
     if not A.is_invertible():
         return False
     g = ComposedBlackbox(trimm_blackbox(f.field, shape), A)
-    return pit_equal(f, g, trials, rng)
-
-
-def rotation_symmetry(field: Fp, shape: TrimmShape, ell: int) -> Mat:
-    """Variable permutation P with Tr-IMM(P.x) = Tr-IMM(x): layer k of the
-    result reads layer ell+k of the input, entrywise."""
-    n = shape.n
-    P = Mat.zeros(field, n, n)
-    for k in range(shape.d):
-        for i in range(1, shape.w + 1):
-            for j in range(1, shape.w + 1):
-                P.rows[var_index(shape, k, i, j)][var_index(shape, k + ell, i, j)] = 1
-    return P
+    pts = Rng(rng.randrange(1 << 62)).array(f.field, (trials, f.n)).tolist()
+    return all(f.eval(pt) == g.eval(pt) for pt in pts)

@@ -6,6 +6,7 @@ benchmark runs.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import trimmeq
@@ -36,3 +37,20 @@ def test_every_spec_entry_resolves():
         elif not callable(getattr(module, attr, None)):
             missing.append(f"{modname}.{attr}")
     assert not missing, f"hooked but not defined: {missing}"
+
+
+def _positional(fn):
+    params = inspect.signature(fn).parameters.values()
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    return [p.name for p in params]
+
+
+def test_hooked_kernel_signatures_match_the_tracer():
+    """The tracer's counters unpack the kernel's arguments by position:
+    ``_, A, B = args`` for ``matmul`` and ``args[1].shape`` for the four
+    eliminations, so those signatures must stay (self, A, B) and (self, M)."""
+    from trimmeq.modarith import _KernelBase
+
+    assert _positional(_KernelBase.matmul) == ["self", "A", "B"]
+    for name in ("nullspace", "rref", "rank", "det"):
+        assert _positional(getattr(_KernelBase, name)) == ["self", "M"], name

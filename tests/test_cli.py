@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from trimmeq.cli import main
 
 PRIME = str((1 << 61) - 1)
@@ -99,7 +101,8 @@ def test_corrupted_certificate_fails_verification(tmp_path):
 def test_tensor_explicit_instance(tmp_path):
     """Hand-written explicit tensors are accepted as instances."""
     from trimmeq.field import Fp
-    from trimmeq.trimm import TrimmShape, trimm_explicit, var_entry
+    from trimm_helpers import var_entry
+    from trimmeq.trimm import TrimmShape, trimm_explicit
 
     field = Fp()
     sh = TrimmShape(2, 3)
@@ -200,3 +203,43 @@ def test_selftest_subset(capsys):
     assert main(["selftest", "--only", "10"]) == 0
     out = capsys.readouterr().out
     assert "criterion 10" in out and "PASS" in out
+
+
+def _set_residue(value):
+    def mutate(data):
+        data["payload"]["matrix"][0][0] = value
+    return mutate
+
+
+# Each of these was accepted (and certified) or crashed with exit 1 before
+# the instance file had a schema check.
+MALFORMED = {
+    "width-as-string": lambda data: data.update(w="2"),
+    "prime-not-decimal": lambda data: data.update(prime="abc"),
+    "payload-not-object": lambda data: data.update(payload=[1, 2]),
+    "unknown-format-version": lambda data: data.update(format_version=99),
+    "fractional-residue": _set_residue(1.5),
+    "negative-residue": _set_residue(-1),
+    "residue-not-below-p": _set_residue(int(PRIME)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_instance_is_an_input_error(tmp_path, capsys, name):
+    inst, data = _gen_full_instance(tmp_path)
+    MALFORMED[name](data)
+    inst.write_text(json.dumps(data))
+    assert _solve_exit_code(inst, capsys) == 2
+
+
+def test_certificate_of_another_format_version_is_an_input_error(tmp_path, capsys):
+    inst, _ = _gen_full_instance(tmp_path)
+    cert = tmp_path / "cert.json"
+    assert main(["solve", str(inst), "--task", "trace", "--oracle", "w2", "--seed", "6",
+                 "--cert", str(cert)]) == 0
+    data = _read(cert)
+    data["format_version"] = 99
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(cert), "--trials", "20"]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -90,7 +90,8 @@ def test_random_invertible_many_seeds(field):
 def _charpoly_cofactor(field, M):
     """Brute-force characteristic polynomial via cofactor determinants of
     the polynomial matrix tI - M (coefficients as univariate lists)."""
-    from trimmeq.poly import uni_mul, uni_scale, uni_sub, uni_trim
+    from trimm_helpers import uni_scale
+    from trimmeq.poly import uni_mul, uni_sub, uni_trim
 
     n = M.nrows
 

@@ -1,7 +1,14 @@
 """Variable ordering, the trace blackbox, Lie generators, planted instances."""
 
+import numpy as np
 import pytest
 
+from trimm_helpers import (
+    distinct_diagonal_element,
+    lie_generator_basis,
+    rotation_symmetry,
+    var_entry,
+)
 from trimmeq.errors import InputError
 from trimmeq.field import Fp, Rng
 from trimmeq.lie import _certify_element, lie_algebra_basis
@@ -10,16 +17,12 @@ from trimmeq.poly import ExplicitBlackbox, pit_equal
 from trimmeq.trimm import (
     TrimmShape,
     block_to_layer,
-    distinct_diagonal_element,
     layer_from_point,
     layer_to_block,
     lie_generator,
-    lie_generator_basis,
     plant_instance,
-    rotation_symmetry,
     trimm_blackbox,
     trimm_explicit,
-    var_entry,
     var_index,
     verify_witness,
 )
@@ -183,6 +186,26 @@ def test_verify_witness_accepts_plant_and_rejects_perturbation():
     rng = Rng(7)
     sh = TrimmShape(2, 3)
     inst = plant_instance(F, sh, rng, mode="full")
+    assert verify_witness(inst.f, sh, inst.A, 50, rng)
+    bad = inst.A.copy()
+    bad.rows[3][7] = (bad.rows[3][7] + 1) % F.p
+    assert not verify_witness(inst.f, sh, bad, 50, rng)
+
+
+def test_verify_witness_does_not_use_the_kernel_product(monkeypatch):
+    """A broken GEMM cannot vouch for a witness: verify evaluates on the
+    scalar path, so it still tells the plant from a perturbation."""
+    from trimmeq.modarith import _KernelBase
+
+    rng = Rng(7)
+    sh = TrimmShape(2, 3)
+    inst = plant_instance(F, sh, rng, mode="full")
+
+    def garbage(self, A, B):
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+        return self.zeros(shape) + 1
+
+    monkeypatch.setattr(_KernelBase, "gemm", garbage)
     assert verify_witness(inst.f, sh, inst.A, 50, rng)
     bad = inst.A.copy()
     bad.rows[3][7] = (bad.rows[3][7] + 1) % F.p
