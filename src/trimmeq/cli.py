@@ -135,7 +135,7 @@ def _mat_to_rows(M: Mat):
 
 
 def cmd_gen(args) -> int:
-    field = Fp(int(args.prime))
+    field = Fp(args.prime)
     rng = Rng(args.seed)
     header = {
         "format_version": FORMAT_VERSION,
@@ -321,7 +321,7 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     from .acceptance import run_all
 
-    field = Fp(int(args.prime))
+    field = Fp(args.prime)
     numbers = set(args.only) if args.only else None
     results = run_all(field, numbers=numbers, jobs=args.jobs)
     for r in results:
@@ -338,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    default_prime = int(os.environ.get("TRIMMEQ_PRIME", DEFAULT_PRIME))
+    # a string default goes through type=int too, so a bad TRIMMEQ_PRIME exits 2
+    default_prime = os.environ.get("TRIMMEQ_PRIME", str(DEFAULT_PRIME))
 
     g = sub.add_parser("gen", help="generate a planted instance file")
     g.add_argument("--w", type=int, required=True)
     g.add_argument("--d", type=int, default=3)
-    g.add_argument("--prime", type=str, default=str(default_prime))
+    g.add_argument("--prime", type=int, default=default_prime)
     g.add_argument("--mode", choices=["full", "block", "tensor", "algebra"], required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", type=str, required=True)
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("selftest", help="run the acceptance suite")
-    t.add_argument("--prime", type=str, default=str(default_prime))
+    t.add_argument("--prime", type=int, default=default_prime)
     t.add_argument("--only", type=int, nargs="*", default=None, help="criterion numbers")
     t.add_argument("--jobs", type=int, default=1)
     t.set_defaults(fn=cmd_selftest)

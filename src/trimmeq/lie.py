@@ -5,7 +5,9 @@ sum_{i,j} E[i][j] * x_j * df/dx_i == 0.  A basis is found either by
 sampling that identity at random points (blackbox access) or by exact
 coefficient matching (explicit polynomials).  On top of it sit random
 elements, vector closures, and the invariant-subspace search that drives
-the reduction to tensor isomorphism.
+the reduction to tensor isomorphism.  Closures and invariance checks run on
+the field's kernel: one GEMM maps a set of vectors through the stacked
+basis, and one elimination keeps the images that grow the span.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class LieBasis:
         vecs = [B.flatten() for B in self.basis]
         return in_span(self.field, vecs, M.flatten())
 
+    def stack(self) -> np.ndarray:
+        """The basis as one (a, n, n) residue array."""
+        return self.field.kernel.asarray([F.rows for F in self.basis]).reshape(-1, self.n, self.n)
+
     def same_span_as(self, other: "LieBasis") -> bool:
         return same_span(
             self.field,
@@ -63,9 +69,6 @@ class InvariantSubspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains(self, v: list[int]) -> bool:
-        return in_span(self.field, self.basis, v)
 
     def same_as(self, other: "InvariantSubspace") -> bool:
         return same_span(self.field, self.basis, other.basis)
@@ -160,33 +163,34 @@ def random_element(L: LieBasis, rng: Rng) -> Mat:
     return out
 
 
-def closure(v: list[int], L: LieBasis) -> InvariantSubspace:
-    """Smallest L-invariant subspace containing v (span-growth to fixpoint)."""
-    from .linalg import SpanAccumulator
+def _images(k, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """F_j v_i for every row v_i of V and every F_j of the (a, n, n) stack S,
+    as rows ordered by i, then j: one GEMM."""
+    return k.gemm(S, V.T).transpose(2, 0, 1).reshape(-1, S.shape[-1])
 
-    field = L.field
-    acc = SpanAccumulator(field, L.n)
-    acc.add(v)
-    basis = [list(v)]
-    frontier = [list(v)]
-    while frontier:
-        new_frontier = []
-        for u in frontier:
-            for F in L.basis:
-                cand = F.matvec(u)
-                if acc.add(cand):
-                    basis.append(cand)
-                    new_frontier.append(cand)
-        frontier = new_frontier
-    return InvariantSubspace(field, basis)
+
+def closure(v: list[int], L: LieBasis) -> InvariantSubspace:
+    """Smallest L-invariant subspace containing v.  Each round maps the whole
+    frontier through the basis at once and keeps, in order, the images that
+    grow the span: the pivot columns past the current basis."""
+    k = L.field.kernel
+    S = L.stack()
+    basis = k.asarray([[x % L.field.p for x in v]])
+    frontier = basis
+    while len(frontier):
+        cand = _images(k, S, frontier)
+        r = len(basis)
+        piv = k.pivots(np.concatenate([basis, cand]).T)
+        frontier = cand[[c - r for c in piv if c >= r]]
+        basis = np.concatenate([basis, frontier])
+    return InvariantSubspace(L.field, basis.tolist())
 
 
 def is_invariant(space: InvariantSubspace, L: LieBasis) -> bool:
-    return all(
-        in_span(space.field, space.basis, F.matvec(b))
-        for F in L.basis
-        for b in space.basis
-    )
+    """The images of the basis under L stay in its span: rank([B; images]) == rank(B)."""
+    k = L.field.kernel
+    B = k.asarray(space.basis).reshape(-1, L.n)
+    return k.rank(np.concatenate([B, _images(k, L.stack(), B)])) == k.rank(B)
 
 
 def irreducible_invariant_subspaces(

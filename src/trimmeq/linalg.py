@@ -4,7 +4,9 @@ Matrices are lists of rows of canonical ints wrapped in :class:`Mat`.
 Elimination-heavy routines (rank, determinant, kernel basis, RREF) run on
 the field's vectorized kernel (:mod:`trimmeq.modarith`), which has a lane
 for every prime; first-nonzero pivoting suffices, since exact arithmetic
-needs no numerical pivot strategy.
+needs no numerical pivot strategy.  Span membership and span equality are
+rank comparisons, and ``poly_at_matrix`` runs Horner's rule through the
+kernel's GEMM.
 """
 
 from __future__ import annotations
@@ -289,75 +291,27 @@ def assemble_block_diagonal(blocks: list[Mat]) -> Mat:
 
 
 def poly_at_matrix(coeffs: list[int], M: Mat) -> Mat:
-    """Evaluate a univariate polynomial (coeffs low-to-high) at a matrix."""
-    field = M.field
-    n = M.nrows
-    acc = Mat.zeros(field, n, n)
+    """Evaluate a univariate polynomial (coeffs low-to-high) at a matrix by
+    Horner's rule, one GEMM per coefficient."""
+    k = M.field.kernel
+    A = M.to_numpy()
+    acc = k.zeros(A.shape)
+    diag = np.arange(M.nrows)
     for c in reversed(coeffs):
-        acc = acc * M
-        for i in range(n):
-            acc.rows[i][i] = (acc.rows[i][i] + c) % field.p
-    return acc
-
-
-
-class SpanAccumulator:
-    """Incrementally maintained reduced row basis of a growing span."""
-
-    __slots__ = ("field", "n", "rows", "pivots")
-
-    def __init__(self, field: Fp, n: int):
-        self.field = field
-        self.n = n
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, v: Vec) -> Vec:
-        p = self.field.p
-        v = [x % p for x in v]
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            if f:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        return v
-
-    def contains(self, v: Vec) -> bool:
-        return not any(self._reduce(v))
-
-    def add(self, v: Vec) -> bool:
-        """Insert v; returns True iff the span grew."""
-        p = self.field.p
-        r = self._reduce(v)
-        c = next((i for i, x in enumerate(r) if x), None)
-        if c is None:
-            return False
-        inv = pow(r[c], p - 2, p)
-        r = [x * inv % p for x in r]
-        # keep stored rows fully reduced against the new pivot
-        for t, row in enumerate(self.rows):
-            f = row[c]
-            if f:
-                self.rows[t] = [(x - f * y) % p for x, y in zip(row, r)]
-        self.rows.append(r)
-        self.pivots.append(c)
-        return True
+        acc = k.gemm(acc, A)
+        acc[diag, diag] = k.add(acc[diag, diag], c % M.field.p)
+    return Mat(M.field, acc.tolist())
 
 
 def in_span(field: Fp, basis: list[Vec], v: Vec) -> bool:
-    """Exact membership of v in span(basis) via a linear solve."""
-    if not basis:
-        return all(x % field.p == 0 for x in v)
-    A = Mat(field, [list(r) for r in zip(*basis)])
-    return A.solve([x % field.p for x in v]) is not None
+    """Exact membership of v in span(basis): adding v keeps the rank."""
+    return rank_rows(field, [*basis, [x % field.p for x in v]]) == rank_rows(field, basis)
 
 
 def same_span(field: Fp, basis_a: list[Vec], basis_b: list[Vec]) -> bool:
+    """Equal-length spanning sets of one span: rank(A) == rank(A u B) == rank(B),
+    tested in that order, so that a union that grows stops after two ranks."""
     if len(basis_a) != len(basis_b):
         return False
-    return all(in_span(field, basis_a, v) for v in basis_b) and all(
-        in_span(field, basis_b, v) for v in basis_a
-    )
+    r = rank_rows(field, basis_a)
+    return r == rank_rows(field, [*basis_a, *basis_b]) == rank_rows(field, basis_b)

@@ -20,8 +20,9 @@ split into 21-bit limbs, and the inner dimension is cut into chunks of 2048
 limb products, each below 2^42, so that every sum stays below 2^53, where
 float64 is exact.  Rank, kernel basis and RREF come from one recursive
 elimination that halves the columns (as LAPACK's ``dgetrf2`` does) down to a
-first-nonzero-pivoting column step; determinants come from that column step
-over a stack of matrices.
+first-nonzero-pivoting column step, whose pivot columns (``pivots``) are the
+columns outside the span of those before them; determinants come from that
+column step over a stack of matrices.
 """
 
 from __future__ import annotations
@@ -214,10 +215,15 @@ class _KernelBase:
         basis[:, piv] = self.neg(F).T
         return list(basis)
 
-    def rank(self, M: np.ndarray) -> int:
+    def pivots(self, M: np.ndarray) -> list[int]:
+        """Pivot columns of M, in order: the columns outside the span of the
+        columns before them."""
         piv: list[int] = []
         self._factor_columns(self.asarray(M), 0, 0, M.shape[1], piv)
-        return len(piv)
+        return piv
+
+    def rank(self, M: np.ndarray) -> int:
+        return len(self.pivots(M))
 
     def det_many(self, M) -> np.ndarray:
         """Determinants of a (B, n, n) stack: the column step over the

@@ -205,6 +205,30 @@ def test_selftest_subset(capsys):
     assert "criterion 10" in out and "PASS" in out
 
 
+def _prime_command(name, tmp_path):
+    if name == "gen":
+        return ["gen", "--w", "2", "--d", "3", "--mode", "full", "--out", str(tmp_path / "i.json")]
+    return ["selftest", "--only", "10"]
+
+
+def _exit_code(argv, capsys) -> int:
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert "--prime" in capsys.readouterr().err
+    return stop.value.code
+
+
+@pytest.mark.parametrize("name", ["gen", "selftest"])
+def test_malformed_prime_flag_is_an_input_error(tmp_path, capsys, name):
+    assert _exit_code([*_prime_command(name, tmp_path), "--prime", "abc"], capsys) == 2
+
+
+@pytest.mark.parametrize("name", ["gen", "selftest"])
+def test_malformed_prime_environment_is_an_input_error(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv("TRIMMEQ_PRIME", "abc")
+    assert _exit_code(_prime_command(name, tmp_path), capsys) == 2
+
+
 def _set_residue(value):
     def mutate(data):
         data["payload"]["matrix"][0][0] = value

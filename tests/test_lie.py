@@ -1,7 +1,11 @@
 """Lie algebra bases, closures, random elements, invariant subspaces."""
 
+import pytest
+from closure_reference import closure_reference
+
 from trimmeq.field import Fp, Rng
 from trimmeq.lie import (
+    InvariantSubspace,
     LieBasis,
     closure,
     irreducible_invariant_subspaces,
@@ -71,6 +75,61 @@ def test_closure_trivial_cases():
     nil = LieBasis(F, 2, [Mat.from_rows(F, [[0, 1], [0, 0]])])
     c = closure([0, 1], nil)
     assert c.dim == 2  # M.(0,1) = e_1, so the closure is all of F^2
+
+
+LANES = [F, Fp(10007), Fp((1 << 89) - 1)]
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_closure_matches_per_vector_reference(w, mode):
+    """The same basis, vector for vector, as the per-vector span-growth loop,
+    from random, coordinate and block-aligned start vectors."""
+    rng = Rng(20 + w)
+    sh = TrimmShape(w, 3)
+    f = ExplicitBlackbox(trimm_explicit(F, sh)) if mode == "exact" else trimm_blackbox(F, sh)
+    L = lie_algebra_basis(f, rng, mode=mode)
+    n = L.n
+    starts = [rng.vector(F, n), [1] + [0] * (n - 1), [0] * (n - 1) + [7]]
+    starts.append([x if t // (w * w) == 1 else 0 for t, x in enumerate(rng.vector(F, n))])
+    for v in starts:
+        assert closure(v, L).basis == closure_reference(v, L).basis
+
+
+@pytest.mark.parametrize("field", LANES, ids=["m61", "small", "py"])
+def test_closure_matches_reference_on_degenerate_bases(field):
+    z = Mat.zeros(field, 3, 3)
+    nil = Mat.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    rot = Mat.from_rows(field, [[0, 1, 0], [1, 0, 0], [0, 0, 2]])
+    cases = [
+        (LieBasis(field, 3, [z, rot]), [1, 2, 0]),  # a zero basis element
+        (LieBasis(field, 3, [nil]), [0, 0, 1]),  # nilpotent: climbs to F^3
+        (LieBasis(field, 3, [nil, nil.scale(3)]), [0, 4, 5]),  # dependent elements
+        (LieBasis(field, 3, [nil, rot]), [5, 0, 0]),
+        (LieBasis(field, 3, [z, nil]), [2, 0, 0]),  # already invariant
+        (LieBasis(field, 3, [rot]), [0, 0, 1]),  # an eigenvector
+        (LieBasis(field, 3, [z]), [0, 0, 0]),
+    ]
+    for L, v in cases:
+        got = closure(v, L)
+        assert got.basis == closure_reference(v, L).basis
+        assert is_invariant(got, L)
+    assert closure([2, 0, 0], LieBasis(field, 3, [z, nil])).basis == [[2, 0, 0]]
+    assert closure([0, 0, 1], LieBasis(field, 3, [rot])).basis == [[0, 0, 1]]
+
+
+def test_is_invariant_rejects_a_subspace_that_is_not():
+    nil = LieBasis(F, 2, [Mat.from_rows(F, [[0, 1], [0, 0]])])
+    assert not is_invariant(InvariantSubspace(F, [[0, 1]]), nil)
+    assert is_invariant(InvariantSubspace(F, [[1, 0]]), nil)
+    sh = TrimmShape(2, 3)
+    L = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(F, sh)), Rng(24), mode="exact")
+    block = closure([1] + [0] * 11, L)
+    assert is_invariant(block, L)
+    assert not is_invariant(InvariantSubspace(F, block.basis[:2]), L)
+    spill = [0] * 12
+    spill[4] = 1  # a vector of the second block
+    assert not is_invariant(InvariantSubspace(F, block.basis + [spill]), L)
 
 
 def test_closure_of_block_vector_is_coordinate_block():

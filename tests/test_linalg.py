@@ -6,10 +6,10 @@ from trimmeq.errors import ShapeMismatch, Singular
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import (
     Mat,
-    SpanAccumulator,
     assemble_block_diagonal,
     in_span,
     kron,
+    poly_at_matrix,
     random_invertible,
     same_span,
 )
@@ -174,16 +174,12 @@ def test_rank_plus_nullity(field):
 def test_span_accumulator_matches_in_span():
     rng = Rng(40)
     vecs = [rng.vector(F, 6) for _ in range(4)]
-    acc = SpanAccumulator(F, 6)
-    for v in vecs:
-        acc.add(v)
     for _ in range(10):
         c = [rng.scalar(F) for _ in range(4)]
         comb = [sum(ci * vi[t] for ci, vi in zip(c, vecs)) % F.p for t in range(6)]
-        assert acc.contains(comb)
         assert in_span(F, vecs, comb)
     w = rng.vector(F, 6)
-    assert acc.contains(w) == in_span(F, vecs, w)
+    assert not in_span(F, vecs, w)
 
 
 def test_same_span_permuted_basis():
@@ -195,3 +191,33 @@ def test_same_span_permuted_basis():
     ]
     assert same_span(F, vecs, mixed)
     assert not same_span(F, vecs, [rng.vector(F, 5) for _ in range(3)])
+
+
+def test_span_tests_on_dependent_and_empty_sets(field):
+    """Equal-length spanning sets of different rank differ; an empty basis
+    spans only zero."""
+    rng = Rng(42)
+    v, u = rng.vector(field, 5), rng.vector(field, 5)
+    two_v = [2 * x % field.p for x in v]
+    assert not same_span(field, [v, two_v], [v, u])
+    assert not same_span(field, [v, u], [v, two_v])
+    assert same_span(field, [v, two_v], [two_v, v])
+    assert in_span(field, [v, two_v], [3 * x % field.p for x in v])
+    assert not in_span(field, [v, two_v], u)
+    assert same_span(field, [], [])
+    assert not same_span(field, [], [v])
+    assert in_span(field, [], [0] * 5)
+    assert not in_span(field, [], v)
+
+
+def test_poly_at_matrix_matches_powers(field):
+    rng = Rng(43)
+    M = Mat.random(field, 4, 4, rng)
+    coeffs = [rng.scalar(field) for _ in range(4)]
+    want = Mat.zeros(field, 4, 4)
+    power = Mat.identity(field, 4)
+    for c in coeffs:
+        want = want + power.scale(c)
+        power = power * M
+    assert poly_at_matrix(coeffs, M) == want
+    assert poly_at_matrix([], M) == Mat.zeros(field, 4, 4)

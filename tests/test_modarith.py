@@ -235,7 +235,7 @@ def test_recursive_elimination_matches_reference(monkeypatch, p, n, layout):
     pivots = _py_forward(p, forward)
     U, piv = kern._factor(M)
     assert (_lists(U), piv) == (forward[: len(pivots)], pivots)
-    assert kern.rank(M) == len(pivots)
+    assert kern.rank(M) == len(pivots) and kern.pivots(M) == pivots
     R, piv = kern.rref(M)
     assert (_lists(R), piv) == _py_rref(p, rows)
     assert [[int(x) for x in v] for v in kern.nullspace(M)] == _py_nullspace(p, rows)
