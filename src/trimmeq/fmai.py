@@ -6,15 +6,22 @@ isomorphism.  The route: left-multiplication matrices, their transpose
 commutant, a 4-tensor forced to admit both families of infinitesimal
 symmetries, the degree-4 -> degree-3 tensor reduction, and an extraction
 step that conjugates the left-multiplication action into I (x) F form.
+
+The 4-tensor is solved pair by pair: by Schur's lemma the identities of two
+adjacent modes leave a w^2-dimensional pair kernel K, the tensor is a
+combination of K (x) K in w^4 unknowns, and it is normalised to the RREF
+kernel basis of the whole w^8-unknown system.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
+import numpy as np
+
 from .errors import Degenerate, InputError, NotClosed
 from .field import Fp, Rng
-from .linalg import Mat, nullspace_rows, rank_rows
+from .linalg import Mat, nullspace_rows, rank_rows, rref_rows
 from .poly import ExplicitBlackbox, MPoly
 from .report import passed, reject
 from .tensor import degree_d_to_3
@@ -105,96 +112,79 @@ def _unit(field, s, a, b):
     return M
 
 
+def _pair_rows(mats: list[Mat], k: int, w: int) -> np.ndarray:
+    """Nonzero rows of O(M^T, k) - O(M, k+1) = 0 for every M in mats, over the
+    W^2 unknowns T[i_k, i_{k+1}] of the two modes, row-major.
+
+    Each side acts through its own block's layout, plain on an even block and
+    with the index pair swapped on an odd one, so with A and B the matrix M
+    permuted to the layouts of blocks k and k+1 the rows are the Sylvester
+    operators A (x) I - I (x) B^T.
+    """
+    kern = mats[0].field.kernel
+    W = w * w
+    Ms = kern.asarray([M.rows for M in mats])
+
+    def laid_out(blk):
+        perm = [entry_offset(w, blk, *divmod(t, w)) for t in range(W)]
+        return Ms[:, perm][:, :, perm]
+
+    A, B = laid_out(k), laid_out(k + 1)
+    I = np.eye(W, dtype=np.int64)
+    rows = kern.sub(A[:, :, None, :, None] * I[:, None, :],
+                    I[:, None, :, None] * B.transpose(0, 2, 1)[:, None, :, None, :])
+    rows = rows.reshape(-1, W * W)
+    return rows[rows.any(axis=1)]
+
+
 def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
     """A nonzero 4-tensor whose Lie algebra contains the conjugated block
     generators encoded by the L's (even interfaces) and N's (odd ones).
 
-    Unknowns are the w^8 set-multilinear coefficients; each symmetry
-    identity is linear in them.  Returns (tensor as MPoly, kernel dim);
-    raises Degenerate when only the zero tensor satisfies the system.
+    The identities of pair (k, k+1) admit exactly K_{k,k+1} (x) (the two free
+    modes), K_{k,k+1} being the kernel of the pair's rows in W^2 unknowns
+    (dimension w^2 by Schur's lemma).  Blocks k and k+2 share a layout, so
+    K = K_01 = K_23 (from the L's) and one row basis Q serves (1,2) and (3,0)
+    (from the N's): T = sum_ab x_ab K_a (x) K_b, where x_ab has coefficient
+    (K_a Q_beta K_b)[i0, i3], resp. (K_b Q_beta K_a)[i2, i1], a system in w^4
+    unknowns.  The kernel basis is normalised to the RREF one of the system
+    in all W^4 coefficients, which depends only on the space.  Returns
+    (tensor as MPoly, kernel dim), the tensor being the basis vector of the
+    first free column; raises Degenerate when only the zero tensor satisfies
+    the system.
     """
     field = L_list[0].field
+    kern = field.kernel
     W = w * w
-    ncoef = W ** 4
-
-    def cidx(p_, q_, r_, s_):
-        return ((p_ * W + q_) * W + r_) * W + s_
-
-    p = field.p
-
-    def pos(blk: int, t: int) -> int:
-        # block-local position of the pair t = a*w + b under block blk's layout
-        return entry_offset(w, blk, *divmod(t, w))
-
-    def build_rows(k: int, Wm: Mat):
-        """Rows of O(Wm^T, k) - O(Wm, k+1) = 0.
-
-        Each side acts through its own block's layout: plain on an even
-        block, with the index pair swapped on an odd one.
-        """
-        k2 = (k + 1) % 4
-        other = [t for t in range(4) if t not in (k, k2)]
-        Wt = Wm.transpose()
-        out = []
-        for beta_k in range(W):
-            sb = pos(k, beta_k)
-            colsA = [(pos(k, u), Wt.rows[u][sb]) for u in range(W) if Wt.rows[u][sb]]
-            for beta_k2 in range(W):
-                sb2 = pos(k2, beta_k2)
-                colsB = [(pos(k2, u), Wm.rows[u][sb2]) for u in range(W) if Wm.rows[u][sb2]]
-                base = {}
-                idx = [0, 0, 0, 0]
-                idx[k], idx[k2] = beta_k, beta_k2
-                for u, cval in colsA:
-                    iu = list(idx)
-                    iu[k] = u
-                    base[(iu[0], iu[1], iu[2], iu[3])] = cval % p
-                for u, cval in colsB:
-                    iu = list(idx)
-                    iu[k2] = u
-                    key = (iu[0], iu[1], iu[2], iu[3])
-                    base[key] = (base.get(key, 0) - cval) % p
-                if not base:
-                    continue
-                for o1 in range(W):
-                    for o2 in range(W):
-                        row = [0] * ncoef
-                        nz = False
-                        for (a0, a1, a2, a3), cval in base.items():
-                            full = [a0, a1, a2, a3]
-                            full[other[0]], full[other[1]] = o1, o2
-                            if cval:
-                                row[cidx(*full)] = cval
-                                nz = True
-                        if nz:
-                            out.append(row)
-        return out
-
-    rows = []
-    for L in L_list:
-        rows.extend(build_rows(0, L))
-        rows.extend(build_rows(2, L))
-    for N in N_list:
-        rows.extend(build_rows(1, N))
-        rows.extend(build_rows(3, N))
-    kernel = nullspace_rows(field, rows)
-    if not kernel:
+    # a row list, whose width is lost when it is empty: at w = 1, where every
+    # pair row vanishes, M_1 gets no kernel vector, as in the dense solve
+    K = nullspace_rows(field, list(_pair_rows(L_list, 0, w)))
+    if not K:
         raise Degenerate("only the zero tensor satisfies the symmetry system")
-    vec = kernel[0]
+    K, k = kern.asarray(K), len(K)
+    Q, piv = rref_rows(field, _pair_rows(N_list, 1, w))
+    Q = kern.asarray(Q[: len(piv)]).reshape(-1, W, W)
+    Ks = K.reshape(k, W, W)
+    G = kern.gemm(kern.gemm(Ks[:, None], Q[None])[:, :, None], Ks[None, None])  # K_a Q_beta K_b
+    # rows (beta, i0, i3) of pair (1,2) and (beta, i2, i1) of (3,0); columns (a, b)
+    eqs = np.concatenate([G.transpose(1, 3, 4, 0, 2), G.transpose(1, 3, 4, 2, 0)])
+    X = nullspace_rows(field, eqs.reshape(-1, k * k))
+    if not X:
+        raise Degenerate("only the zero tensor satisfies the symmetry system")
+    T = kern.gemm(kern.gemm(K.T, kern.asarray(X).reshape(-1, k, k)), K)  # sum_ab x_ab K_a (x) K_b
+    R, _ = rref_rows(field, T.reshape(len(X), W ** 4)[:, ::-1])
+    vec = R[-1][::-1]  # the reversed RREF's last row: the first free column's vector
     n = 4 * W
     terms = {}
     for t, c in enumerate(vec):
         if not c:
             continue
-        s_ = t % W
-        r_ = (t // W) % W
-        q_ = (t // W ** 2) % W
-        p_ = t // W ** 3
         exp = [0] * n
-        for blk, pair in enumerate((p_, q_, r_, s_)):
-            exp[blk * W + pos(blk, pair)] = 1
+        for blk in range(4):
+            pair = t // W ** (3 - blk) % W
+            exp[blk * W + entry_offset(w, blk, *divmod(pair, w))] = 1
         terms[tuple(exp)] = c
-    return MPoly(field, n, terms), len(kernel)
+    return MPoly(field, n, terms), len(X)
 
 
 def extract_conjugated_unit(B: Mat, L: Mat, w: int) -> Mat | None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, Singular
+from .errors import InputError, ShapeMismatch, Singular
 from .field import Fp, Rng
 
 Vec = list  # vectors over F_p are plain lists of ints
@@ -72,7 +72,12 @@ class Mat:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rows(field: Fp, rows) -> "Mat":
+        """Integer entries, reduced mod p; any other entry raises InputError."""
         p = field.p
+        rows = [list(r) for r in rows]
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   for r in rows for x in r):
+            raise InputError("matrix entries must be integers")
         rows = [[int(x) % p for x in r] for r in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("ragged matrix rows")

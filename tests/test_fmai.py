@@ -1,9 +1,11 @@
 """Matrix algebra isomorphism: left multiplication, commutants, the
 constrained tensor, and the full solver."""
 
+import numpy as np
 import pytest
+from fmai_reference import build_constrained_tensor_reference
 
-from trimmeq.errors import InputError, NotClosed
+from trimmeq.errors import Degenerate, InputError, NotClosed
 from trimmeq.field import Fp, Rng
 from trimmeq.fmai import (
     AlgebraInput,
@@ -14,8 +16,9 @@ from trimmeq.fmai import (
 )
 from trimmeq.linalg import Mat, kron, random_invertible
 from trimmeq.oracles import QuadraticDetOracle, mmti_oracle
+from trimmeq.poly import ExplicitBlackbox
 from trimmeq.report import RunReport
-from trimmeq.trimm import TrimmShape, entry_offset, trimm_explicit
+from trimmeq.trimm import TrimmShape, trimm_explicit
 
 F = Fp()
 
@@ -35,24 +38,58 @@ def _canonical_m2():
     return AlgebraInput(F, basis)
 
 
-def _conjugated_algebra(rng):
-    K = random_invertible(F, 4, rng)
+def _conjugated_algebra(rng, w=2):
+    """A randomized basis of K^{-1} (I_w (x) M_w) K inside M_{w^2}."""
+    W = w * w
+    K = random_invertible(F, W, rng)
     Kinv = K.inverse()
     emb = []
-    for a in range(2):
-        for b in range(2):
-            E = Mat.zeros(F, 2, 2)
+    for a in range(w):
+        for b in range(w):
+            E = Mat.zeros(F, w, w)
             E.rows[a][b] = 1
-            emb.append(Kinv * kron(Mat.identity(F, 2), E) * K)
-    R = random_invertible(F, 4, rng)
+            emb.append(Kinv * kron(Mat.identity(F, w), E) * K)
+    R = random_invertible(F, W, rng)
     basis = []
-    for i in range(4):
-        M = Mat.zeros(F, 4, 4)
-        for j in range(4):
+    for i in range(W):
+        M = Mat.zeros(F, W, W)
+        for j in range(W):
             if R.rows[i][j]:
                 M = M + emb[j].scale(R.rows[i][j])
         basis.append(M)
     return AlgebraInput(F, basis), K
+
+
+def _identity_named(w):
+    """M_w with basis element (i, j) named by the matrix unit E_ji."""
+    basis = []
+    for i in range(w):
+        for j in range(w):
+            E = Mat.zeros(F, w, w)
+            E.rows[j][i] = 1
+            basis.append(E)
+    return AlgebraInput(F, basis)
+
+
+def _diagonal_algebra(rng):
+    """Randomly scaled diagonal matrix units: commutative, dimension 4."""
+    basis = []
+    for i in range(4):
+        E = Mat.zeros(F, 4, 4)
+        E.rows[i][i] = rng.nonzero_scalar(F)
+        basis.append(E)
+    return AlgebraInput(F, basis)
+
+
+def _generators(A):
+    Ls = left_mult_matrices(A)
+    return Ls, commutant_basis([L.transpose() for L in Ls])
+
+
+def _assert_proportional(tensor, target):
+    e0 = next(iter(target.terms))
+    c = F.div(tensor.terms[e0], target.terms[e0])
+    assert tensor.terms == {e: F.mul(c, v) for e, v in target.terms.items()}
 
 
 def test_algebra_input_rejects_dependent_basis():
@@ -143,84 +180,87 @@ def test_commutant_gate_fires_for_zero_product_algebra():
     assert rep.failed_gate == "commutant-dimension"
 
 
+def _tensor_or_degenerate(solve, Ls, Ns, w):
+    try:
+        tensor, dim = solve(Ls, Ns, w)
+    except Degenerate:
+        return "Degenerate"
+    return tensor.terms, dim
+
+
+def _random_families(seed):
+    rng = Rng(seed)
+    return ([random_invertible(F, 4, rng) for _ in range(4)],
+            [random_invertible(F, 4, rng) for _ in range(4)], 2)
+
+
+@pytest.mark.parametrize("case, dim", [
+    *[pytest.param(lambda s=s: (*_generators(_conjugated_algebra(Rng(s))[0]), 2), 1,
+                   id=f"planted-{s}") for s in (11, 12, 13)],
+    pytest.param(lambda: (*_generators(_identity_named(2)), 2), 1, id="identity-named-m2"),
+    *[pytest.param(lambda s=s: (*_generators(_diagonal_algebra(Rng(s))), 2), 4,
+                   id=f"diagonal-{s}") for s in (21, 22)],
+    *[pytest.param(lambda s=s: _random_families(s), None, id=f"random-{s}") for s in (31, 32)],
+    pytest.param(lambda: (*_generators(_identity_named(1)), 1), None, id="m1"),
+])
+def test_constrained_tensor_matches_dense_reference(case, dim):
+    """The structured solve returns the dense solve's tensor and kernel
+    dimension (dim), or raises Degenerate where it does (dim None)."""
+    Ls, Ns, w = case()
+    got = _tensor_or_degenerate(build_constrained_tensor, Ls, Ns, w)
+    assert got == _tensor_or_degenerate(build_constrained_tensor_reference, Ls, Ns, w)
+    assert got == "Degenerate" if dim is None else got[1] == dim
+
+
+def test_trivial_algebra_stops_at_tensor_gate():
+    """At w = 1 every symmetry row vanishes, and the empty row list leaves no
+    kernel vector: M_1 is rejected at the tensor gate."""
+    with RunReport() as rep:
+        assert fmai_solve(_identity_named(1), _mmti(F), Rng(8)) is None
+    assert rep.failed_gate == "tensor-nonzero"
+
+
 def test_constrained_tensor_identity_naming_is_trimm():
-    basis = []
-    for i in range(2):
-        for j in range(2):
-            E = Mat.zeros(F, 2, 2)
-            E.rows[j][i] = 1
-            basis.append(E)
-    A = AlgebraInput(F, basis)
-    Ls = left_mult_matrices(A)
-    Ns = commutant_basis([L.transpose() for L in Ls])
-    tensor, dim = build_constrained_tensor(Ls, Ns, 2)
-    assert dim == 1
-    target = trimm_explicit(F, TrimmShape(2, 4))
-    e0 = next(iter(target.terms))
-    c = F.div(tensor.terms[e0], target.terms[e0])
-    assert tensor.terms == {e: F.mul(c, v) for e, v in target.terms.items()}
+    for w in (2, 3):
+        tensor, dim = build_constrained_tensor(*_generators(_identity_named(w)), w)
+        assert dim == 1
+        _assert_proportional(tensor, trimm_explicit(F, TrimmShape(w, 4)))
 
 
 def test_constrained_tensor_planted_k():
     """For a conjugated algebra the solution is the K-composed trace tensor."""
-    rng = Rng(4)
-    A, K = _conjugated_algebra(rng)
-    Ls = left_mult_matrices(A)
-    Ns = commutant_basis([L.transpose() for L in Ls])
-    tensor, dim = build_constrained_tensor(Ls, Ns, 2)
+    for w, seed in ((2, 4), (3, 9)):
+        _check_planted_k(w, Rng(seed))
+
+
+def _check_planted_k(w, rng):
+    A, K = _conjugated_algebra(rng, w)
+    Ls, Ns = _generators(A)
+    tensor, dim = build_constrained_tensor(Ls, Ns, w)
     assert dim == 1
     # expected: alpha * Tr-IMM((K^T)^{-1} x0, K x1, (K^T)^{-1} x2, K x3)
     # up to the basis renaming absorbed in K; verify by the Lie property:
-    # every generator encoded by the L and N families annihilates it.
-    from trimmeq.lie import _certify_element
-    from trimmeq.poly import ExplicitBlackbox
-
+    # every generator encoded by the L and N families annihilates it, i.e.
+    # grad f(a) . E a = 0 at random points a (the gradients taken once).
+    kern = F.kernel
     f4 = ExplicitBlackbox(tensor)
-    n = 16
-    for idx, L in enumerate(Ls):
-        for (k, first_swapped) in [(0, False), (2, False)]:
-            E = _operator_matrix(L, k, first_swapped)
-            assert _certify_element(f4, E, 10, rng), (idx, k)
-    for idx, N in enumerate(Ns):
-        for (k, first_swapped) in [(1, True), (3, True)]:
-            E = _operator_matrix(N, k, first_swapped)
-            assert _certify_element(f4, E, 10, rng), (idx, k)
+    pts = rng.array(F, (10, f4.n))
+    grads = f4.gradient_many(pts)
+    for fam, blocks in ((Ls, (0, 2)), (Ns, (1, 3))):
+        for idx, M in enumerate(fam):
+            for k in blocks:
+                Ea = kern.matmul(pts, _operator_matrix(M, k).to_numpy().T)
+                assert not np.any(kern.gemm(grads[:, None, :], Ea[:, :, None])), (idx, k)
 
 
-def _operator_matrix(Wm, k, first_swapped):
-    """The n x n Lie-algebra element encoded by one symmetry identity."""
-    w, W = 2, 4
-    n = 16
-    E = Mat.zeros(F, n, n)
-    k2 = (k + 1) % 4
-
-    def _swap_pair(t, w):
-        return entry_offset(w, 1, *divmod(t, w))
-
-    def pos(blk, pair):
-        return blk * W + (pair if blk % 2 == 0 else _swap_pair(pair, w))
-
-    Wt = Wm.transpose()
-    for u in range(W):
-        for v in range(W):
-            if not first_swapped:
-                if Wt.rows[u][v]:
-                    E.rows[pos(k, u)][pos(k, v)] = (
-                        E.rows[pos(k, u)][pos(k, v)] + Wt.rows[u][v]
-                    ) % F.p
-                if Wm.rows[u][v]:
-                    E.rows[pos(k2, _swap_pair(u, w))][pos(k2, _swap_pair(v, w))] = (
-                        E.rows[pos(k2, _swap_pair(u, w))][pos(k2, _swap_pair(v, w))] - Wm.rows[u][v]
-                    ) % F.p
-            else:
-                if Wt.rows[u][v]:
-                    E.rows[pos(k, _swap_pair(u, w))][pos(k, _swap_pair(v, w))] = (
-                        E.rows[pos(k, _swap_pair(u, w))][pos(k, _swap_pair(v, w))] + Wt.rows[u][v]
-                    ) % F.p
-                if Wm.rows[u][v]:
-                    E.rows[pos(k2, u)][pos(k2, v)] = (
-                        E.rows[pos(k2, u)][pos(k2, v)] - Wm.rows[u][v]
-                    ) % F.p
+def _operator_matrix(Wm, k):
+    """The n x n Lie-algebra element encoded by one symmetry identity: Wm^T
+    on block k and -Wm on block k+1.  (Both blocks' layouts act on the index
+    pairs of the identity and on the variables alike, so they cancel.)"""
+    W = Wm.nrows
+    E = Mat.zeros(F, 4 * W, 4 * W)
+    E.set_block(k * W, k * W, Wm.transpose())
+    E.set_block((k + 1) % 4 * W, (k + 1) % 4 * W, -Wm)
     return E
 
 

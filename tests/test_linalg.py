@@ -1,8 +1,9 @@
 """Dense exact linear algebra: elimination, charpoly, Kronecker products."""
 
+import numpy as np
 import pytest
 
-from trimmeq.errors import ShapeMismatch, Singular
+from trimmeq.errors import InputError, ShapeMismatch, Singular
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import (
     Mat,
@@ -63,6 +64,18 @@ def test_solve_rejects_wrong_rhs_length(field):
     for b in ([1], [1, 2, 3]):
         with pytest.raises(ShapeMismatch):
             A.solve(b)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, True, np.float64(4)])
+def test_from_rows_rejects_non_integer_entries(field, bad):
+    with pytest.raises(InputError):
+        Mat.from_rows(field, [[1, 2], [bad, 4]])
+
+
+def test_from_rows_reduces_integers(field):
+    p = field.p
+    M = Mat.from_rows(field, [[-1, p], [np.int64(-2), 2 * p - 3]])
+    assert M.rows == [[p - 1, 0], [p - 2, p - 3]]
 
 
 def test_zero_by_zero_matrix(field):
