@@ -29,7 +29,7 @@ det2 = det_linear_matrix(LinMat.symbolic(field, 2))
 print("the target form x0 x3 - x1 x2 answered with the identity labeling:")
 X = oracle(det2, rng)
 for i in range(2):
-    print("   ", [X.coeffs[i][j] for j in range(2)])
+    print("   ", X.coeffs[i].tolist())
 
 print("\nhidden composition round trip:")
 B = random_invertible(field, 4, rng)

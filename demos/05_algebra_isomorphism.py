@@ -55,7 +55,7 @@ print("gates passed:", " -> ".join(report.gates_passed))
 print(f"\nisomorphism found onto M_{iso.w}; images of the renamed basis:")
 for i in range(2):
     for j in range(2):
-        print(f"   phi(E_{i+1}{j+1}) = {iso.images[(i, j)].rows}")
+        print(f"   phi(E_{i+1}{j+1}) = {iso.images[(i, j)].rows.tolist()}")
 
 # multiplicativity spot check: phi(x y) = phi(x) phi(y) on a random pair
 x, y = basis[1], basis[2]

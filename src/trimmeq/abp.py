@@ -62,7 +62,7 @@ class SetMultABP:
         M = self.layers[0].eval(point)
         for L in self.layers[1:]:
             M = M * L.eval(point)
-        return M.rows[0][0]
+        return int(M.rows[0, 0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         cur = self.layers[0].eval_many(pts)
@@ -141,6 +141,7 @@ def _suffix_template(field: Fp, n: int, blocks, k: int, rng: Rng) -> list[int]:
 
 def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
     field = h.field
+    kern = field.kernel
     d = len(blocks)
     n = h.n
 
@@ -148,9 +149,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
     suffix = [_suffix_template(field, n, blocks, 0, rng) for _ in range(W)]
     Y0 = LinMat(field, 1, W, n)
     for j in range(W):
-        coeffs = linear_form_coeffs(h, suffix[j], blocks[0])
-        for v, c in zip(blocks[0], coeffs):
-            Y0.coeffs[0][j][v] = c
+        Y0.coeffs[0, j, blocks[0]] = linear_form_coeffs(h, suffix[j], blocks[0])
     layers = [Y0]
 
     for k in range(1, d):
@@ -176,35 +175,16 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
             Ainv = A.inverse()
             if k < d - 1:
                 suffix = [_suffix_template(field, n, blocks, k, rng) for _ in range(W)]
-                G = [[None] * W for _ in range(W)]
-                for i, pre in enumerate(prefixes):
-                    for j in range(W):
-                        # prefix and suffix assignments have disjoint support
-                        t = [(a + b) % field.p for a, b in zip(pre, suffix[j])]
-                        G[i][j] = linear_form_coeffs(h, t, blocks[k])
-                layer = LinMat(field, W, W, n)
-                p = field.p
-                for i in range(W):
-                    for j in range(W):
-                        acc = [0] * len(blocks[k])
-                        for u in range(W):
-                            f = Ainv.rows[i][u]
-                            if f:
-                                acc = [(a + f * b) % p for a, b in zip(acc, G[u][j])]
-                        for v, c in zip(blocks[k], acc):
-                            layer.coeffs[i][j][v] = c
+                # prefix and suffix assignments have disjoint support
+                anchors = [[[(a + b) % field.p for a, b in zip(pre, suf)] for suf in suffix]
+                           for pre in prefixes]
             else:
-                G = [linear_form_coeffs(h, pre, blocks[k]) for pre in prefixes]
-                layer = LinMat(field, W, 1, n)
-                p = field.p
-                for i in range(W):
-                    acc = [0] * len(blocks[k])
-                    for u in range(W):
-                        f = Ainv.rows[i][u]
-                        if f:
-                            acc = [(a + f * b) % p for a, b in zip(acc, G[u])]
-                    for v, c in zip(blocks[k], acc):
-                        layer.coeffs[i][0][v] = c
+                anchors = [[pre] for pre in prefixes]
+            G = kern.asarray([[linear_form_coeffs(h, t, blocks[k]) for t in row] for row in anchors])
+            # row i of the layer is row i of A^-1 applied to the anchored forms
+            layer = LinMat(field, W, G.shape[1], n)
+            coeffs = kern.gemm(Ainv.rows, G.reshape(W, -1))
+            layer.coeffs[:, :, blocks[k]] = coeffs.reshape(G.shape)
             break
         if layer is None:
             raise AnchorSingular(f"anchor matrix singular at layer {k}")

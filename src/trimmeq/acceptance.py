@@ -11,6 +11,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .abp import evaldim, reconstruct_abp
 from .field import Fp, Rng
 from .fmai import AlgebraInput, build_constrained_tensor, commutant_basis, fmai_solve, left_mult_matrices
@@ -198,14 +200,11 @@ def criterion_5(field: Fp | None = None) -> CriterionResult:
             for u in range(2):
                 for v in range(2):
                     E = Mat.zeros(field, 2, 2)
-                    E.rows[u][v] = 1
+                    E.rows[u, v] = 1
                     ok = ok and sampled.contains(lie_generator(sh, k, E))
-        w2 = 4
-        for B in sampled.basis:
-            for i in range(12):
-                for j in range(12):
-                    if B.rows[i][j] and i // w2 != j // w2:
-                        ok = False
+        block = np.arange(12) // 4
+        off_diagonal = block[:, None] != block[None, :]
+        ok = ok and not sampled.stack()[:, off_diagonal].any()
         return ok, f"dim sampled={sampled.dim} exact={exact.dim}, generators contained, block-diagonal"
 
     return _timed(5, "Lie algebra structure", run)
@@ -340,7 +339,7 @@ def criterion_10(field: Fp | None = None) -> CriterionResult:
             for a in range(w):
                 for b in range(w):
                     blk = T.block(a * w, b * w, w, w)
-                    m = blk.rows[0][0]
+                    m = blk.rows[0, 0]
                     want = Mat.identity(field, w).scale(m)
                     if blk != want:
                         ok = False
@@ -398,15 +397,15 @@ def _planted_full_algebra(field: Fp, w: int, rng: Rng):
     for a in range(w):
         for b in range(w):
             E = Mat.zeros(field, w, w)
-            E.rows[a][b] = 1
+            E.rows[a, b] = 1
             emb.append(Kinv * kron(Mat.identity(field, w), E) * K)
     R = random_invertible(field, w * w, rng)
     basis = []
     for i in range(w * w):
         M = Mat.zeros(field, w * w, w * w)
         for j in range(w * w):
-            if R.rows[i][j]:
-                M = M + emb[j].scale(R.rows[i][j])
+            if R.rows[i, j]:
+                M = M + emb[j].scale(R.rows[i, j])
         basis.append(M)
     return AlgebraInput(field, basis)
 
@@ -440,7 +439,7 @@ def criterion_12(field: Fp | None = None) -> CriterionResult:
             basis = []
             for i in range(4):
                 E = Mat.zeros(field, 4, 4)
-                E.rows[i][i] = 1
+                E.rows[i, i] = 1
                 basis.append(E)
             with RunReport() as rep:
                 res = fmai_solve(AlgebraInput(field, basis), mmti, rng)
@@ -464,7 +463,7 @@ def criterion_13(field: Fp | None = None) -> CriterionResult:
         for i in range(2):
             for j in range(2):
                 E = Mat.zeros(field, 2, 2)
-                E.rows[j][i] = 1  # element named (i,j) is the (j,i) unit
+                E.rows[j, i] = 1  # element named (i,j) is the (j,i) unit
                 basis.append(E)
         A = AlgebraInput(field, basis)
         Ls = left_mult_matrices(A)

@@ -131,7 +131,7 @@ def _check_certificate(cert: dict, data: dict):
 
 
 def _mat_to_rows(M: Mat):
-    return [list(r) for r in M.rows]
+    return M.rows.tolist()
 
 
 def cmd_gen(args) -> int:

@@ -21,11 +21,11 @@ import numpy as np
 
 from .errors import Degenerate, InputError, NotClosed
 from .field import Fp, Rng
-from .linalg import Mat, nullspace_rows, rank_rows, rref_rows
+from .linalg import Mat, kron, nullspace_rows, rank_rows, rref_rows, sylvester_rows
 from .poly import ExplicitBlackbox, MPoly
 from .report import passed, reject
 from .tensor import degree_d_to_3
-from .trimm import entry_offset
+from .trimm import layout
 
 
 class AlgebraInput:
@@ -40,8 +40,7 @@ class AlgebraInput:
             if E.nrows != self.m or E.ncols != self.m:
                 raise InputError("basis matrices must share one square size")
         self.basis = basis
-        flat = [E.flatten() for E in basis]
-        if rank_rows(field, flat) != len(basis):
+        if rank_rows(field, _flat(basis)) != len(basis):
             raise InputError("basis is not linearly independent")
 
     @property
@@ -57,59 +56,41 @@ class AlgebraIso:
         self.images = images
 
 
+def _flat(mats: list[Mat]) -> np.ndarray:
+    """The matrices, flattened row-major, as the rows of one array."""
+    return np.array([M.flatten() for M in mats])
+
+
 def left_mult_matrices(A: AlgebraInput) -> list[Mat]:
     """L_(i,j): the matrix of left multiplication by basis element (i, j).
 
     Basis elements are renamed (1,1)..(w,w) in row-major order; rows and
-    columns of each L are indexed the same way.  Raises NotClosed when a
-    product leaves the basis span.
+    columns of each L are indexed the same way.  The coordinates of all r^2
+    products come from one elimination of [basis | products], whose first r
+    columns are independent; raises NotClosed when a product leaves the
+    basis span.
     """
     field = A.field
     r = A.dim
     w = isqrt(r)
     if w * w != r:
         raise InputError("basis size is not a perfect square")
-    # coordinates: solve  sum_t x_t basis[t] = target  for each product
-    cols = Mat(field, [list(v) for v in zip(*[E.flatten() for E in A.basis])])
-    Ls = []
-    for t1 in range(r):
-        L = Mat.zeros(field, r, r)
-        for t2 in range(r):
-            prod = (A.basis[t1] * A.basis[t2]).flatten()
-            coords = cols.solve(prod)
-            if coords is None:
-                raise NotClosed("a basis product leaves the span")
-            for t, c in enumerate(coords):
-                L.rows[t][t2] = c
-        Ls.append(L)
-    return Ls
+    S = field.kernel.asarray([E.rows for E in A.basis])
+    prods = field.kernel.gemm(S[:, None], S[None]).reshape(r * r, -1)  # row t1*r + t2
+    R, piv = rref_rows(field, np.concatenate([_flat(A.basis), prods]).T)
+    if len(piv) > r:
+        raise NotClosed("a basis product leaves the span")
+    coords = R[:r, r:]  # column t1*r + t2: the coordinates of basis[t1] * basis[t2]
+    return [Mat(field, coords[:, t1 * r : (t1 + 1) * r]) for t1 in range(r)]
 
 
 def commutant_basis(mats: list[Mat]) -> list[Mat]:
     """Basis of the matrices commuting with every matrix in the list."""
     field = mats[0].field
     s = mats[0].nrows
-    rows = []
-    for M in mats:
-        for i in range(s):
-            for j in range(s):
-                row = [0] * (s * s)
-                for b in range(s):
-                    row[i * s + b] = (row[i * s + b] + M.rows[b][j]) % field.p
-                for a in range(s):
-                    row[a * s + j] = (row[a * s + j] - M.rows[i][a]) % field.p
-                if any(row):
-                    rows.append(row)
-    if not rows:
-        return [_unit(field, s, a, b) for a in range(s) for b in range(s)]
-    kernel = nullspace_rows(field, rows)
-    return [Mat(field, [[v[a * s + b] for b in range(s)] for a in range(s)]) for v in kernel]
-
-
-def _unit(field, s, a, b):
-    M = Mat.zeros(field, s, s)
-    M.rows[a][b] = 1
-    return M
+    Ms = field.kernel.asarray([M.rows for M in mats])
+    rows = sylvester_rows(field, Ms, Ms).reshape(-1, s * s)  # M X - X M = 0
+    return [Mat(field, v.reshape(s, s)) for v in nullspace_rows(field, rows)]
 
 
 def _pair_rows(mats: list[Mat], k: int, w: int) -> np.ndarray:
@@ -121,19 +102,10 @@ def _pair_rows(mats: list[Mat], k: int, w: int) -> np.ndarray:
     permuted to the layouts of blocks k and k+1 the rows are the Sylvester
     operators A (x) I - I (x) B^T.
     """
-    kern = mats[0].field.kernel
-    W = w * w
-    Ms = kern.asarray([M.rows for M in mats])
-
-    def laid_out(blk):
-        perm = [entry_offset(w, blk, *divmod(t, w)) for t in range(W)]
-        return Ms[:, perm][:, :, perm]
-
-    A, B = laid_out(k), laid_out(k + 1)
-    I = np.eye(W, dtype=np.int64)
-    rows = kern.sub(A[:, :, None, :, None] * I[:, None, :],
-                    I[:, None, :, None] * B.transpose(0, 2, 1)[:, None, :, None, :])
-    rows = rows.reshape(-1, W * W)
+    field = mats[0].field
+    Ms = field.kernel.asarray([M.rows for M in mats])
+    A, B = (Ms[:, layout(w, blk)][:, :, layout(w, blk)] for blk in (k, k + 1))
+    rows = sylvester_rows(field, A, B).reshape(-1, w ** 4)
     return rows[rows.any(axis=1)]
 
 
@@ -156,34 +128,31 @@ def build_constrained_tensor(L_list: list[Mat], N_list: list[Mat], w: int):
     field = L_list[0].field
     kern = field.kernel
     W = w * w
-    # a row list, whose width is lost when it is empty: at w = 1, where every
-    # pair row vanishes, M_1 gets no kernel vector, as in the dense solve
-    K = nullspace_rows(field, list(_pair_rows(L_list, 0, w)))
-    if not K:
+    rows = _pair_rows(L_list, 0, w)
+    if not len(rows):  # w = 1: no identity constrains M_1, which is given no tensor
         raise Degenerate("only the zero tensor satisfies the symmetry system")
-    K, k = kern.asarray(K), len(K)
+    K = nullspace_rows(field, rows)
+    k = len(K)
     Q, piv = rref_rows(field, _pair_rows(N_list, 1, w))
-    Q = kern.asarray(Q[: len(piv)]).reshape(-1, W, W)
+    Q = Q[: len(piv)].reshape(-1, W, W)
     Ks = K.reshape(k, W, W)
     G = kern.gemm(kern.gemm(Ks[:, None], Q[None])[:, :, None], Ks[None, None])  # K_a Q_beta K_b
     # rows (beta, i0, i3) of pair (1,2) and (beta, i2, i1) of (3,0); columns (a, b)
     eqs = np.concatenate([G.transpose(1, 3, 4, 0, 2), G.transpose(1, 3, 4, 2, 0)])
     X = nullspace_rows(field, eqs.reshape(-1, k * k))
-    if not X:
+    if not len(X):
         raise Degenerate("only the zero tensor satisfies the symmetry system")
-    T = kern.gemm(kern.gemm(K.T, kern.asarray(X).reshape(-1, k, k)), K)  # sum_ab x_ab K_a (x) K_b
+    T = kern.gemm(kern.gemm(K.T, X.reshape(-1, k, k)), K)  # sum_ab x_ab K_a (x) K_b
     R, _ = rref_rows(field, T.reshape(len(X), W ** 4)[:, ::-1])
     vec = R[-1][::-1]  # the reversed RREF's last row: the first free column's vector
     n = 4 * W
+    lays = [layout(w, blk) for blk in range(4)]
     terms = {}
-    for t, c in enumerate(vec):
-        if not c:
-            continue
+    for t in np.flatnonzero(vec).tolist():
         exp = [0] * n
         for blk in range(4):
-            pair = t // W ** (3 - blk) % W
-            exp[blk * W + entry_offset(w, blk, *divmod(pair, w))] = 1
-        terms[tuple(exp)] = c
+            exp[blk * W + lays[blk][t // W ** (3 - blk) % W]] = 1
+        terms[tuple(exp)] = int(vec[t])
     return MPoly(field, n, terms), len(X)
 
 
@@ -191,13 +160,7 @@ def extract_conjugated_unit(B: Mat, L: Mat, w: int) -> Mat | None:
     """F with B L B^{-1} = I_w (x) F, or None if not of that shape."""
     G = B * L * B.inverse()
     F = G.block(0, 0, w, w)
-    for a in range(w):
-        for b in range(w):
-            blk = G.block(a * w, b * w, w, w)
-            want = F if a == b else Mat.zeros(B.field, w, w)
-            if blk != want:
-                return None
-    return F
+    return F if G == kron(Mat.identity(B.field, w), F) else None
 
 
 def fmai_solve(A: AlgebraInput, mmti, rng: Rng):
@@ -255,16 +218,13 @@ def verify_isomorphism(A: AlgebraInput, Ls: list[Mat], iso: AlgebraIso) -> bool:
     field = A.field
     w = iso.w
     r = w * w
-    flat = [iso.images[divmod(t, w)].flatten() for t in range(r)]
-    if rank_rows(field, flat) != r:
+    F = [iso.images[divmod(t, w)] for t in range(r)]
+    flat = Mat(field, _flat(F))
+    if flat.rank() != r:
         return False
     for t1 in range(r):
+        rhs = Ls[t1].transpose() * flat  # row t2: sum_t L_t1[t, t2] phi(t), flattened
         for t2 in range(r):
-            lhs = iso.images[divmod(t1, w)] * iso.images[divmod(t2, w)]
-            rhs = Mat.zeros(field, w, w)
-            for t, c in ((t, Ls[t1].rows[t][t2]) for t in range(r)):
-                if c:
-                    rhs = rhs + iso.images[divmod(t, w)].scale(c)
-            if lhs != rhs:
+            if not np.array_equal((F[t1] * F[t2]).flatten(), rhs.rows[t2]):
                 return False
     return True

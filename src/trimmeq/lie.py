@@ -42,29 +42,29 @@ class LieBasis:
         return len(self.basis)
 
     def contains(self, M: Mat) -> bool:
-        vecs = [B.flatten() for B in self.basis]
-        return in_span(self.field, vecs, M.flatten())
+        return in_span(self.field, self.flat(), M.flatten())
 
     def stack(self) -> np.ndarray:
         """The basis as one (a, n, n) residue array."""
         return self.field.kernel.asarray([F.rows for F in self.basis]).reshape(-1, self.n, self.n)
 
+    def flat(self) -> np.ndarray:
+        """The basis as the rows of one (a, n^2) residue array."""
+        return self.stack().reshape(self.dim, -1)
+
     def same_span_as(self, other: "LieBasis") -> bool:
-        return same_span(
-            self.field,
-            [B.flatten() for B in self.basis],
-            [B.flatten() for B in other.basis],
-        )
+        return same_span(self.field, self.flat(), other.flat())
 
 
 class InvariantSubspace:
-    """Subspace closed under every element of a Lie basis."""
+    """Subspace closed under every element of a Lie basis, spanned by the
+    rows of one residue array."""
 
     __slots__ = ("field", "basis")
 
-    def __init__(self, field: Fp, basis: list[list[int]]):
+    def __init__(self, field: Fp, basis):
         self.field = field
-        self.basis = basis
+        self.basis = np.asarray(basis, dtype=field.kernel.dtype)
 
     @property
     def dim(self) -> int:
@@ -93,7 +93,7 @@ def _certify_element(f: Blackbox, E: Mat, trials: int, rng: Rng) -> bool:
     k = f.field.kernel
     pts = rng.array(f.field, (trials, f.n))
     grads = f.gradient_many(pts)
-    Ea = k.matmul(pts, E.to_numpy().T)  # rows: E.a
+    Ea = k.matmul(pts, E.rows.T)  # rows: E.a
     return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
@@ -121,9 +121,7 @@ def lie_algebra_basis(
     attempt_rows = m
     for _ in range(2):
         rows, _ = _lie_rows_sampled(f, attempt_rows, rng)
-        kernel = nullspace_rows(field, rows)
-        basis = [Mat(field, [[int(v[i * n + j]) for j in range(n)] for i in range(n)])
-                 for v in kernel]
+        basis = [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, rows)]
         if all(_certify_element(f, E, certify_trials, rng) for E in basis):
             return LieBasis(field, n, basis)
         attempt_rows *= 2
@@ -149,9 +147,8 @@ def _lie_basis_exact(f: ExplicitBlackbox) -> LieBasis:
                 if row is None:
                     row = rows[key] = [0] * (n * n)
                 row[i * n + j] = (row[i * n + j] + dc) % p
-    kernel = nullspace_rows(field, list(rows.values()))
-    basis = [Mat(field, [[v[i * n + j] for j in range(n)] for i in range(n)]) for v in kernel]
-    return LieBasis(field, n, basis)
+    system = field.kernel.asarray(list(rows.values())).reshape(len(rows), n * n)
+    return LieBasis(field, n, [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, system)])
 
 
 def random_element(L: LieBasis, rng: Rng) -> Mat:
@@ -169,13 +166,13 @@ def _images(k, S: np.ndarray, V: np.ndarray) -> np.ndarray:
     return k.gemm(S, V.T).transpose(2, 0, 1).reshape(-1, S.shape[-1])
 
 
-def closure(v: list[int], L: LieBasis) -> InvariantSubspace:
+def closure(v: np.ndarray, L: LieBasis) -> InvariantSubspace:
     """Smallest L-invariant subspace containing v.  Each round maps the whole
     frontier through the basis at once and keeps, in order, the images that
     grow the span: the pivot columns past the current basis."""
     k = L.field.kernel
     S = L.stack()
-    basis = k.asarray([[x % L.field.p for x in v]])
+    basis = k.asarray([v])
     frontier = basis
     while len(frontier):
         cand = _images(k, S, frontier)
@@ -183,13 +180,13 @@ def closure(v: list[int], L: LieBasis) -> InvariantSubspace:
         piv = k.pivots(np.concatenate([basis, cand]).T)
         frontier = cand[[c - r for c in piv if c >= r]]
         basis = np.concatenate([basis, frontier])
-    return InvariantSubspace(L.field, basis.tolist())
+    return InvariantSubspace(L.field, basis)
 
 
 def is_invariant(space: InvariantSubspace, L: LieBasis) -> bool:
     """The images of the basis under L stay in its span: rank([B; images]) == rank(B)."""
     k = L.field.kernel
-    B = k.asarray(space.basis).reshape(-1, L.n)
+    B = space.basis
     return k.rank(np.concatenate([B, _images(k, L.stack(), B)])) == k.rank(B)
 
 
@@ -232,7 +229,7 @@ def irreducible_invariant_subspaces(
     for p_i, _ in factors:
         N = poly_at_matrix(p_i, R)
         null = N.nullspace()
-        if not null:
+        if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
         space = closure(null[0], L)
         if not any(space.same_as(s) for s in spaces):

@@ -1,12 +1,15 @@
 """Dense exact linear algebra over F_p.
 
-Matrices are lists of rows of canonical ints wrapped in :class:`Mat`.
-Elimination-heavy routines (rank, determinant, kernel basis, RREF) run on
-the field's vectorized kernel (:mod:`trimmeq.modarith`), which has a lane
-for every prime; first-nonzero pivoting suffices, since exact arithmetic
-needs no numerical pivot strategy.  Span membership and span equality are
-rank comparisons, and ``poly_at_matrix`` runs Horner's rule through the
-kernel's GEMM.
+A :class:`Mat` holds one 2-D array of canonical residues in the dtype of the
+field's vectorized kernel (:mod:`trimmeq.modarith`), which has a lane for
+every prime.  Entrywise arithmetic runs on the kernel's ``add``/``sub``/
+``mul``; rank, determinant, kernel basis and RREF run on its elimination,
+where first-nonzero pivoting suffices, since exact arithmetic needs no
+numerical pivot strategy.  ``Mat.__mul__`` and ``Mat.matvec`` are the
+products of the scalar evaluation lane: exact Python-int products
+(``exact_product``) that never reach the kernel's GEMM, so a GEMM bug cannot
+vouch for its own output.  Span membership and span equality are rank
+comparisons, and ``poly_at_matrix`` runs Horner's rule through the GEMM.
 """
 
 from __future__ import annotations
@@ -16,44 +19,31 @@ import numpy as np
 from .errors import InputError, ShapeMismatch, Singular
 from .field import Fp, Rng
 
-Vec = list  # vectors over F_p are plain lists of ints
+Vec = list  # vectors of the scalar lane (points, matvec, solve) are lists of ints
 
 
 # ---------------------------------------------------------------------------
-# kernel front ends (accept list-rows or ndarray, return Python lists)
+# kernel front ends (2-D residue arrays in and out)
 # ---------------------------------------------------------------------------
 
-def _as_residues(field: Fp, rows) -> np.ndarray:
-    return rows if isinstance(rows, np.ndarray) else field.kernel.asarray(rows)
+def nullspace_rows(field: Fp, rows: np.ndarray) -> np.ndarray:
+    """Kernel basis of the row system ``rows . x = 0``, one vector per row."""
+    return field.kernel.nullspace(rows)
 
 
-def nullspace_rows(field: Fp, rows) -> list[list[int]]:
-    """Kernel basis of the row system ``rows . x = 0``."""
-    if isinstance(rows, np.ndarray):
-        m, n = rows.shape
-    else:
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-    if m == 0:
-        return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return [[int(x) for x in v] for v in field.kernel.nullspace(_as_residues(field, rows))]
+def rank_rows(field: Fp, rows: np.ndarray) -> int:
+    return field.kernel.rank(rows)
 
 
-def rank_rows(field: Fp, rows) -> int:
-    if isinstance(rows, np.ndarray):
-        if rows.size == 0:
-            return 0
-    elif not rows:
-        return 0
-    return field.kernel.rank(_as_residues(field, rows))
+def rref_rows(field: Fp, rows: np.ndarray):
+    """Reduced row echelon form; returns (rref array, pivot cols)."""
+    return field.kernel.rref(rows)
 
 
-def rref_rows(field: Fp, rows):
-    """Reduced row echelon form; returns (rref rows as lists, pivot cols)."""
-    if len(rows) == 0:
-        return [], []
-    R, piv = field.kernel.rref(_as_residues(field, rows))
-    return [[int(x) for x in r] for r in R], piv
+def exact_product(field: Fp, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B mod p over Python ints (numpy ``object`` arrays): the scalar
+    lane's product, independent of the kernel's GEMM."""
+    return A.astype(object) @ B.astype(object) % field.p
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +51,16 @@ def rref_rows(field: Fp, rows):
 # ---------------------------------------------------------------------------
 
 class Mat:
-    """Dense matrix over F_p (row-major list of lists of canonical ints)."""
+    """Dense matrix over F_p: ``rows`` is one 2-D array of canonical
+    residues in the dtype of the field's kernel."""
 
     __slots__ = ("field", "rows")
 
-    def __init__(self, field: Fp, rows: list[list[int]]):
+    def __init__(self, field: Fp, rows):
         self.field = field
-        self.rows = rows
+        self.rows = np.asarray(rows, dtype=field.kernel.dtype)
+        if self.rows.ndim != 2:
+            raise ShapeMismatch("a matrix needs a 2-D array of rows")
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -78,118 +71,103 @@ class Mat:
         if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                    for r in rows for x in r):
             raise InputError("matrix entries must be integers")
-        rows = [[int(x) % p for x in r] for r in rows]
         if any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatch("ragged matrix rows")
-        return Mat(field, rows)
+        return Mat(field, [[int(x) % p for x in r] for r in rows])
 
     @staticmethod
     def zeros(field: Fp, r: int, c: int) -> "Mat":
-        return Mat(field, [[0] * c for _ in range(r)])
+        return Mat(field, field.kernel.zeros((r, c)))
 
     @staticmethod
     def identity(field: Fp, n: int) -> "Mat":
-        return Mat(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Mat(field, np.eye(n, dtype=field.kernel.dtype))
 
     @staticmethod
     def random(field: Fp, r: int, c: int, rng: Rng) -> "Mat":
-        return Mat(field, rng.matrix(field, r, c))
+        return Mat(field, field.kernel.asarray(rng.matrix(field, r, c)).reshape(r, c))
 
     # -- basics -----------------------------------------------------------
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.rows.shape[1]
 
     def copy(self) -> "Mat":
-        return Mat(self.field, [list(r) for r in self.rows])
+        return Mat(self.field, self.rows.copy())
 
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
             and self.field == other.field
-            and self.rows == other.rows
+            and np.array_equal(self.rows, other.rows)
         )
 
     def __hash__(self):  # pragma: no cover
-        return hash((self.field, tuple(map(tuple, self.rows))))
+        return hash((self.field, tuple(map(tuple, self.rows.tolist()))))
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols} mod {self.field.p})"
 
-    def to_numpy(self) -> np.ndarray:
-        return self.field.kernel.asarray(self.rows)
-
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Mat") -> "Mat":
+    def _same_shape(self, other: "Mat"):
         self.field.check_same(other.field)
-        p = self.field.p
-        return Mat(
-            self.field,
-            [[(a + b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        if self.rows.shape != other.rows.shape:
+            raise ShapeMismatch(f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
+
+    def __add__(self, other: "Mat") -> "Mat":
+        self._same_shape(other)
+        return Mat(self.field, self.field.kernel.add(self.rows, other.rows))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self.field.check_same(other.field)
-        p = self.field.p
-        return Mat(
-            self.field,
-            [[(a - b) % p for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
+        self._same_shape(other)
+        return Mat(self.field, self.field.kernel.sub(self.rows, other.rows))
 
     def __neg__(self) -> "Mat":
-        p = self.field.p
-        return Mat(self.field, [[-a % p for a in r] for r in self.rows])
+        return Mat(self.field, self.field.kernel.neg(self.rows))
 
     def scale(self, c: int) -> "Mat":
-        p = self.field.p
-        c %= p
-        return Mat(self.field, [[a * c % p for a in r] for r in self.rows])
+        return Mat(self.field, self.field.kernel.mul(self.rows, int(c) % self.field.p))
 
     def __mul__(self, other: "Mat") -> "Mat":
         self.field.check_same(other.field)
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"{self.ncols} cols vs {other.nrows} rows")
-        p = self.field.p
-        bt = list(zip(*other.rows))
-        out = [
-            [sum(a * b for a, b in zip(row, col)) % p for col in bt]
-            for row in self.rows
-        ]
-        return Mat(self.field, out)
+        return Mat(self.field, exact_product(self.field, self.rows, other.rows))
 
     def matvec(self, v: Vec) -> Vec:
         if self.ncols != len(v):
             raise ShapeMismatch(f"{self.ncols} cols vs vector of {len(v)}")
-        p = self.field.p
-        return [sum(a * b for a, b in zip(row, v)) % p for row in self.rows]
+        return exact_product(self.field, self.rows, self.field.kernel.asarray(v)).tolist()
 
     def transpose(self) -> "Mat":
-        return Mat(self.field, [list(r) for r in zip(*self.rows)])
+        return Mat(self.field, self.rows.T.copy())
 
     def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.nrows)) % self.field.p
+        if self.nrows != self.ncols:
+            raise ShapeMismatch("trace of non-square matrix")
+        return sum(self.rows.diagonal().tolist()) % self.field.p
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.rows)
+        return not self.rows.any()
 
-    def flatten(self) -> Vec:
-        return [x for r in self.rows for x in r]
+    def flatten(self) -> np.ndarray:
+        return self.rows.reshape(-1).copy()
 
     # -- elimination-backed operations -------------------------------------
     def rank(self) -> int:
         return rank_rows(self.field, self.rows)
 
-    def nullspace(self) -> list[Vec]:
+    def nullspace(self) -> np.ndarray:
         return nullspace_rows(self.field, self.rows)
 
     def det(self) -> int:
         if self.nrows != self.ncols:
             raise ShapeMismatch("det of non-square matrix")
-        return self.field.kernel.det(self.to_numpy())
+        return self.field.kernel.det(self.rows)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -198,25 +176,24 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise ShapeMismatch("inverse of non-square matrix")
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
+        aug = np.concatenate([self.rows, Mat.identity(self.field, n).rows], axis=1)
         R, piv = rref_rows(self.field, aug)
         if piv != list(range(n)):
             raise Singular("matrix is singular")
-        return Mat(self.field, [r[n:] for r in R])
+        return Mat(self.field, R[:, n:])
 
-    def solve(self, b: Vec):
+    def solve(self, b: Vec) -> Vec | None:
         """A particular solution of self.x = b, or None if inconsistent."""
         if len(b) != self.nrows:
             raise ShapeMismatch(f"{self.nrows} equations vs right-hand side of {len(b)}")
-        aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
+        k, n = self.field.kernel, self.ncols
+        aug = np.concatenate([self.rows, k.asarray(b).reshape(-1, 1)], axis=1)
         R, piv = rref_rows(self.field, aug)
-        n = self.ncols
-        if any(c >= n for c in piv):
+        if n in piv:
             return None
-        x = [0] * n
-        for i, c in enumerate(piv):
-            x[c] = R[i][n]
-        return x
+        x = k.zeros(n)
+        x[piv] = R[: len(piv), n]
+        return x.tolist()
 
     def charpoly(self) -> list[int]:
         """Monic characteristic polynomial det(tI - M), coeffs low-to-high.
@@ -227,19 +204,20 @@ class Mat:
         n = self.nrows
         if n != self.ncols:
             raise ShapeMismatch("charpoly of non-square matrix")
-        p = self.field.p
-        ts = list(range(n + 1))
-        stack = [[[((t if i == j else 0) - x) % p for j, x in enumerate(row)]
-                  for i, row in enumerate(self.rows)] for t in ts]
-        return newton_interp(p, ts, self.field.kernel.det_many(stack).tolist())
+        k = self.field.kernel
+        ts = np.arange(n + 1)
+        stack = k.sub(ts[:, None, None] * np.eye(n, dtype=np.int64), self.rows)
+        return newton_interp(self.field.p, ts.tolist(), k.det_many(stack).tolist())
 
     # -- block structure ----------------------------------------------------
     def block(self, r0: int, c0: int, h: int, w: int) -> "Mat":
-        return Mat(self.field, [row[c0 : c0 + w] for row in self.rows[r0 : r0 + h]])
+        return Mat(self.field, self.rows[r0 : r0 + h, c0 : c0 + w].copy())
 
     def set_block(self, r0: int, c0: int, B: "Mat"):
-        for i, row in enumerate(B.rows):
-            self.rows[r0 + i][c0 : c0 + len(row)] = row
+        h, w = B.rows.shape
+        if r0 + h > self.nrows or c0 + w > self.ncols:
+            raise ShapeMismatch(f"{h}x{w} block at ({r0}, {c0}) past the edge of {self!r}")
+        self.rows[r0 : r0 + h, c0 : c0 + w] = B.rows
 
 
 def newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
@@ -274,12 +252,19 @@ def random_invertible(field: Fp, n: int, rng: Rng) -> Mat:
 
 def kron(A: Mat, B: Mat) -> Mat:
     A.field.check_same(B.field)
-    p = A.field.p
-    out = []
-    for ra in A.rows:
-        for rb in B.rows:
-            out.append([a * b % p for a in ra for b in rb])
-    return Mat(A.field, out)
+    (ra, ca), (rb, cb) = A.rows.shape, B.rows.shape
+    prods = A.field.kernel.mul(A.rows[:, None, :, None], B.rows[None, :, None, :])
+    return Mat(A.field, prods.reshape(ra * rb, ca * cb))
+
+
+def sylvester_rows(field: Fp, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The matrices A (x) I - I (x) B^T of X -> A X - X B on the row-major
+    entries of square X, for a stack of (A, B) pairs: (..., s^2, s^2)."""
+    s = A.shape[-1]
+    I = np.eye(s, dtype=np.int64)
+    left = A[..., :, None, :, None] * I[:, None, :]  # [a, c, b, d] = A[a, b] I[c, d]
+    right = I[:, None, :, None] * np.swapaxes(B, -1, -2)[..., None, :, None, :]  # I[a, b] B[d, c]
+    return field.kernel.sub(left, right).reshape(A.shape[:-2] + (s * s, s * s))
 
 
 def assemble_block_diagonal(blocks: list[Mat]) -> Mat:
@@ -299,24 +284,23 @@ def poly_at_matrix(coeffs: list[int], M: Mat) -> Mat:
     """Evaluate a univariate polynomial (coeffs low-to-high) at a matrix by
     Horner's rule, one GEMM per coefficient."""
     k = M.field.kernel
-    A = M.to_numpy()
-    acc = k.zeros(A.shape)
+    acc = k.zeros(M.rows.shape)
     diag = np.arange(M.nrows)
     for c in reversed(coeffs):
-        acc = k.gemm(acc, A)
+        acc = k.gemm(acc, M.rows)
         acc[diag, diag] = k.add(acc[diag, diag], c % M.field.p)
-    return Mat(M.field, acc.tolist())
+    return Mat(M.field, acc)
 
 
-def in_span(field: Fp, basis: list[Vec], v: Vec) -> bool:
-    """Exact membership of v in span(basis): adding v keeps the rank."""
-    return rank_rows(field, [*basis, [x % field.p for x in v]]) == rank_rows(field, basis)
+def in_span(field: Fp, basis: np.ndarray, v: np.ndarray) -> bool:
+    """Exact membership of v in the span of the rows of basis: adding v keeps the rank."""
+    return rank_rows(field, np.vstack([basis, v])) == rank_rows(field, basis)
 
 
-def same_span(field: Fp, basis_a: list[Vec], basis_b: list[Vec]) -> bool:
+def same_span(field: Fp, basis_a: np.ndarray, basis_b: np.ndarray) -> bool:
     """Equal-length spanning sets of one span: rank(A) == rank(A u B) == rank(B),
     tested in that order, so that a union that grows stops after two ranks."""
     if len(basis_a) != len(basis_b):
         return False
     r = rank_rows(field, basis_a)
-    return r == rank_rows(field, [*basis_a, *basis_b]) == rank_rows(field, basis_b)
+    return r == rank_rows(field, np.concatenate([basis_a, basis_b])) == rank_rows(field, basis_b)

@@ -6,7 +6,8 @@ what dtype residue arrays have:
 * ``M61Kernel`` -- the default modulus 2^61 - 1 (Mersenne).  Products are
   computed limb-wise in int64 (31/30-bit splits) and reduced with shifts,
   so a full multiply costs ~25 elementwise numpy ops and never overflows
-  a signed 64-bit intermediate.
+  a signed 64-bit intermediate; up to 64 products it runs on Python ints,
+  which is cheaper at that size.
 * ``SmallKernel`` -- every other prime, reducing with ``%``.  Residues are
   ``numpy.int64`` when p < 2^31, where ``a * b`` of canonical residues fits
   in int64 directly, and numpy ``object`` arrays of Python ints otherwise.
@@ -43,6 +44,8 @@ _BLOCK_CELLS = 1 << 17  # one float64 temporary of gemm: 1 MB
 # 2^14 cells, below which numpy's per-call cost outweighs what GEMM saves.
 _BASE_WIDTH = 16
 _BASE_CELLS = 1 << 14
+# Up to this many products, Python ints beat the ~25 numpy calls of the limb split.
+_SMALL_MUL = 64
 
 
 class _KernelBase:
@@ -203,9 +206,9 @@ class _KernelBase:
         R[: len(piv)] = U
         return R, piv
 
-    def nullspace(self, M: np.ndarray):
-        """Kernel basis vectors (arrays of length n), one per free column of
-        the RREF: the echelon form back-solved on its free columns only."""
+    def nullspace(self, M: np.ndarray) -> np.ndarray:
+        """Kernel basis vectors, the rows of a (free, n) array, one per free
+        column of the RREF: the echelon form back-solved on its free columns only."""
         U, piv = self._factor(M)
         free = sorted(set(range(U.shape[1])) - set(piv))
         F = U[:, free]
@@ -213,7 +216,7 @@ class _KernelBase:
         basis = self.zeros((len(free), U.shape[1]))
         basis[np.arange(len(free)), free] = 1
         basis[:, piv] = self.neg(F).T
-        return list(basis)
+        return basis
 
     def pivots(self, M: np.ndarray) -> list[int]:
         """Pivot columns of M, in order: the columns outside the span of the
@@ -256,6 +259,8 @@ class M61Kernel(_KernelBase):
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if np.broadcast(a, b).size <= _SMALL_MUL:
+            return (a.astype(object) * b % M61).astype(np.int64)
         a1 = a >> 31
         a0 = a & _MASK31
         b1 = b >> 31

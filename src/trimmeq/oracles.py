@@ -10,6 +10,8 @@ layer matrices.  Every answer is identity-tested before it is returned.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .field import Fp, Rng
 from .linalg import Mat
 from .poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
@@ -27,11 +29,11 @@ def _gram_matrix(g: MPoly) -> Mat | None:
             return None
         nz = [i for i, x in enumerate(e) if x]
         if len(nz) == 1:
-            G.rows[nz[0]][nz[0]] = c % field.p
+            G.rows[nz[0], nz[0]] = c % field.p
         else:
             i, j = nz
-            G.rows[i][j] = c * half % field.p
-            G.rows[j][i] = G.rows[i][j]
+            G.rows[i, j] = c * half % field.p
+            G.rows[j, i] = G.rows[i, j]
     return G
 
 
@@ -42,46 +44,38 @@ def _congruence_diagonalize(G: Mat) -> tuple[Mat, list[int]]:
     entry or, failing that, completing a hyperbolic pair by a column add.
     """
     field = G.field
-    p = field.p
+    k = field.kernel
     n = G.nrows
-    A = G.copy()
+    A = G.rows.copy()
     S = Mat.identity(field, n)
 
     def col_op(dst, src, c):
         # x_dst <- x_dst + c * x_src applied to the form and the transform
-        for r in range(n):
-            A.rows[r][dst] = (A.rows[r][dst] + c * A.rows[r][src]) % p
-        for r in range(n):
-            A.rows[dst][r] = (A.rows[dst][r] + c * A.rows[src][r]) % p
-        for r in range(n):
-            S.rows[r][dst] = (S.rows[r][dst] + c * S.rows[r][src]) % p
+        A[:, dst] = k.add(A[:, dst], k.mul(A[:, src], c))
+        A[dst] = k.add(A[dst], k.mul(A[src], c))
+        S.rows[:, dst] = k.add(S.rows[:, dst], k.mul(S.rows[:, src], c))
 
     def col_swap(i, j):
-        for r in range(n):
-            A.rows[r][i], A.rows[r][j] = A.rows[r][j], A.rows[r][i]
-        A.rows[i], A.rows[j] = A.rows[j], A.rows[i]
-        for r in range(n):
-            S.rows[r][i], S.rows[r][j] = S.rows[r][j], S.rows[r][i]
+        A[:, [i, j]] = A[:, [j, i]]
+        A[[i, j]] = A[[j, i]]
+        S.rows[:, [i, j]] = S.rows[:, [j, i]]
 
-    for k in range(n):
-        if A.rows[k][k] == 0:
-            swap = next((l for l in range(k + 1, n) if A.rows[l][l] != 0), None)
-            if swap is not None:
-                col_swap(k, swap)
+    for t in range(n):
+        if A[t, t] == 0:
+            later = t + 1 + np.flatnonzero(A.diagonal()[t + 1 :])
+            off = t + 1 + np.flatnonzero(A[t, t + 1 :])
+            if later.size:
+                col_swap(t, later[0])
+            elif off.size:
+                col_op(t, off[0], 1)  # makes A[t][t] = 2 A[t][off] != 0
             else:
-                off = next((l for l in range(k + 1, n) if A.rows[k][l] != 0), None)
-                if off is None:
-                    continue  # row/col k already zero
-                col_op(k, off, 1)  # makes A[k][k] = 2 A[k][off] != 0
-        piv = A.rows[k][k]
-        if piv == 0:
-            continue
-        inv = field.inv(piv)
-        for l in range(k + 1, n):
-            c = A.rows[k][l]
+                continue  # row/col t already zero
+        inv = field.inv(int(A[t, t]))
+        for l in range(t + 1, n):
+            c = int(A[t, l])
             if c:
-                col_op(l, k, -c * inv % p)
-    return S, [A.rows[i][i] for i in range(n)]
+                col_op(l, t, -c * inv % field.p)
+    return S, A.diagonal().tolist()
 
 
 def _canonicalize_diagonal(field: Fp, diag: list[int]) -> tuple[Mat, int]:
@@ -95,21 +89,10 @@ def _canonicalize_diagonal(field: Fp, diag: list[int]) -> tuple[Mat, int]:
     d = [x % p for x in diag]
     T = Mat.identity(field, n)
 
-    def right_mul_2x2(i, a, b, c, e):
-        # columns (i, i+1) <- (a*col_i + c*col_{i+1}, b*col_i + e*col_{i+1})
-        for r in range(n):
-            x, y = T.rows[r][i], T.rows[r][i + 1]
-            T.rows[r][i] = (a * x + c * y) % p
-            T.rows[r][i + 1] = (b * x + e * y) % p
-
-    def scale_col(i, c):
-        for r in range(n):
-            T.rows[r][i] = T.rows[r][i] * c % p
-
     for i in range(n - 1):
         r = field.sqrt(d[i])
         if r is not None:
-            scale_col(i, field.inv(r))
+            T.rows[:, i] = field.kernel.mul(T.rows[:, i], field.inv(r))
             d[i] = 1
             continue
         # find a, b with d_i a^2 + d_{i+1} b^2 = 1 (deterministic scan)
@@ -125,13 +108,14 @@ def _canonicalize_diagonal(field: Fp, diag: list[int]) -> tuple[Mat, int]:
         a, b = found
         di, dj = d[i], d[i + 1]
         # new basis: v1 = a e_i + b e_{i+1},  v2 = -dj*b e_i + di*a e_{i+1}
-        right_mul_2x2(i, a, (-dj * b) % p, b, (di * a) % p)
+        rot = Mat(field, [[a, -dj * b % p], [b, di * a % p]])
+        T.rows[:, i : i + 2] = (T.block(0, i, n, 2) * rot).rows
         d[i] = 1
         d[i + 1] = di * dj % p
     # last entry: pull out the square part
     r = field.sqrt(d[n - 1])
     if r is not None and d[n - 1] != 0:
-        scale_col(n - 1, field.inv(r))
+        T.rows[:, n - 1] = field.kernel.mul(T.rows[:, n - 1], field.inv(r))
         d[n - 1] = 1
     return T, d[n - 1]
 
@@ -140,8 +124,8 @@ def _det2_gram(field: Fp) -> Mat:
     """Gram matrix of x0 x3 - x1 x2 (the 2x2 determinant, row-major)."""
     half = field.inv(2)
     G = Mat.zeros(field, 4, 4)
-    G.rows[0][3] = G.rows[3][0] = half
-    G.rows[1][2] = G.rows[2][1] = (-half) % field.p
+    G.rows[0, 3] = G.rows[3, 0] = half
+    G.rows[1, 2] = G.rows[2, 1] = (-half) % field.p
     return G
 
 
@@ -171,13 +155,10 @@ class QuadraticDetOracle:
         if c is None:
             return None  # discriminant class mismatch
         R = Mat.identity(field, 4)
-        R.rows[3][3] = c
+        R.rows[3, 3] = c
         # G = L^T G0 L with L = S0 R (S T)^{-1}
         L = self._S0 * R * (S * T).inverse()
-        Xp = LinMat(field, 2, 2, 4)
-        for i in range(2):
-            for j in range(2):
-                Xp.coeffs[i][j] = list(L.rows[2 * i + j])
+        Xp = LinMat(field, 2, 2, 4, L.rows)
         det_bb = ExplicitBlackbox(det_linear_matrix(Xp))
         if not pit_equal(det_bb, ExplicitBlackbox(g), self.verify_trials, rng):
             return None
@@ -208,20 +189,14 @@ class PlantedDetOracle:
         """Register the layer matrices of f(A_prime . x) from the secret."""
         self.registry = []
         E = self.planted_A * A_prime
-        shape = self.shape
-        w2, d = shape.w ** 2, shape.d
-        for k in range(d):
-            col_block = [r[k * w2 : (k + 1) * w2] for r in E.rows]
-            row_blocks = {
-                t // w2
-                for t, row in enumerate(col_block)
-                if any(x != 0 for x in row)
-            }
+        w2 = self.shape.w ** 2
+        for k in range(self.shape.d):
+            used = np.flatnonzero(E.rows[:, k * w2 : (k + 1) * w2].any(axis=1))
+            row_blocks = set((used // w2).tolist())
             if len(row_blocks) != 1:
                 continue  # not block-structured; leave unregistered
-            c = row_blocks.pop()
-            sub = col_block[c * w2 : (c + 1) * w2]  # w^2 x w^2, rows in block-c order
-            self.registry.append(block_to_layer(Mat(self.field, sub), c))
+            c = row_blocks.pop()  # rows of the w^2 x w^2 block in block-c order
+            self.registry.append(block_to_layer(E.block(c * w2, k * w2, w2, w2), c))
 
     def __call__(self, g: MPoly, rng: Rng) -> LinMat | None:
         field = self.field
@@ -240,7 +215,7 @@ class PlantedDetOracle:
             if beta is None or beta == 0:
                 continue
             D = Mat.identity(field, self.shape.w)
-            D.rows[0][0] = beta
+            D.rows[0, 0] = beta
             Xp = X.left_mul(D)
             det_bb = ExplicitBlackbox(det_linear_matrix(Xp))
             if pit_equal(det_bb, g_bb, self.verify_trials, rng):

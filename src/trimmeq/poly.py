@@ -20,7 +20,7 @@ from .errors import (
     SizeBound,
 )
 from .field import Fp, Rng
-from .linalg import Mat, newton_interp, nullspace_rows
+from .linalg import Mat, exact_product, newton_interp, nullspace_rows
 from .report import add_pit_trials
 
 # ---------------------------------------------------------------------------
@@ -313,9 +313,9 @@ class MPoly:
     def compose_linear(self, A: Mat) -> "MPoly":
         """Explicit substitution x -> A.x (for oracle tests; exponential in degree)."""
         subs = [MPoly(self.field, self.n,
-                      {tuple(1 if k == j else 0 for k in range(self.n)): A.rows[i][j]
-                       for j in range(self.n) if A.rows[i][j]})
-                for i in range(self.n)]
+                      {tuple(1 if k == j else 0 for k in range(self.n)): c
+                       for j, c in enumerate(row) if c})
+                for row in A.rows.tolist()]
         out = MPoly.zero(self.field, self.n)
         for e, c in self.terms.items():
             t = MPoly.constant(self.field, self.n, c)
@@ -368,108 +368,88 @@ def mp_div_exact(num: MPoly, den: MPoly) -> MPoly:
 # ---------------------------------------------------------------------------
 
 class LinMat:
-    """r x c matrix of homogeneous linear forms in n variables.
+    """r x c matrix of homogeneous linear forms in n variables: ``coeffs`` is
+    one (r, c, n) residue array, coeffs[i, j] the coefficients of entry (i, j)."""
 
-    coeffs[i][j] is the length-n coefficient list of entry (i, j).
-    """
-
-    __slots__ = ("field", "nrows", "ncols", "n", "coeffs")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Fp, nrows: int, ncols: int, n: int, coeffs=None):
         self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.n = n
-        self.coeffs = coeffs if coeffs is not None else [
-            [[0] * n for _ in range(ncols)] for _ in range(nrows)
-        ]
+        self.coeffs = (field.kernel.zeros((nrows, ncols, n)) if coeffs is None else
+                       np.asarray(coeffs, dtype=field.kernel.dtype).reshape(nrows, ncols, n))
+
+    @property
+    def nrows(self) -> int:
+        return self.coeffs.shape[0]
+
+    @property
+    def ncols(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.coeffs.shape[2]
 
     @staticmethod
     def symbolic(field: Fp, w: int) -> "LinMat":
         """w x w matrix whose (i, j) entry is the variable w*i + j."""
-        L = LinMat(field, w, w, w * w)
-        for i in range(w):
-            for j in range(w):
-                L.coeffs[i][j][w * i + j] = 1
-        return L
+        return LinMat(field, w, w, w * w, np.eye(w * w, dtype=field.kernel.dtype))
 
     def eval(self, point: list[int]) -> Mat:
-        p = self.field.p
-        return Mat(self.field, [
-            [sum(a * b for a, b in zip(c, point)) % p for c in row] for row in self.coeffs
-        ])
+        """The matrix at one point, from an exact Python-int product."""
+        kern = self.field.kernel
+        vals = exact_product(self.field, self.coeffs.reshape(-1, self.n), kern.asarray(point))
+        return Mat(self.field, vals.reshape(self.nrows, self.ncols))
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """(B, nrows, ncols) residues at the B rows of pts, from one product."""
-        kern = self.field.kernel
-        C = kern.asarray(self.coeffs).reshape(self.nrows * self.ncols, self.n)
-        return kern.gemm(pts, C.T).reshape(len(pts), self.nrows, self.ncols)
+        C = self.coeffs.reshape(self.nrows * self.ncols, self.n)
+        return self.field.kernel.gemm(pts, C.T).reshape(len(pts), self.nrows, self.ncols)
 
     def transpose(self) -> "LinMat":
         return LinMat(self.field, self.ncols, self.nrows, self.n,
-                      [[list(c) for c in col] for col in zip(*self.coeffs)])
+                      self.coeffs.transpose(1, 0, 2).copy())
 
     def left_mul(self, M: Mat) -> "LinMat":
         """Numeric M times this linear matrix."""
-        p = self.field.p
-        out = LinMat(self.field, M.nrows, self.ncols, self.n)
-        for i in range(M.nrows):
-            for j in range(self.ncols):
-                acc = [0] * self.n
-                for u in range(self.nrows):
-                    f = M.rows[i][u]
-                    if f:
-                        acc = [(a + f * b) % p for a, b in zip(acc, self.coeffs[u][j])]
-                out.coeffs[i][j] = acc
-        return out
+        prod = self.field.kernel.gemm(M.rows, self.coeffs.reshape(self.nrows, -1))
+        return LinMat(self.field, M.nrows, self.ncols, self.n, prod)
 
     def right_mul(self, M: Mat) -> "LinMat":
         """This linear matrix times numeric M."""
-        p = self.field.p
-        out = LinMat(self.field, self.nrows, M.ncols, self.n)
-        for i in range(self.nrows):
-            for j in range(M.ncols):
-                acc = [0] * self.n
-                for u in range(self.ncols):
-                    f = M.rows[u][j]
-                    if f:
-                        acc = [(a + f * b) % p for a, b in zip(acc, self.coeffs[i][u])]
-                out.coeffs[i][j] = acc
-        return out
+        r, c, n = self.coeffs.shape
+        prod = self.field.kernel.gemm(self.coeffs.transpose(0, 2, 1).reshape(r * n, c), M.rows)
+        return LinMat(self.field, r, M.ncols, n, prod.reshape(r, n, -1).transpose(0, 2, 1))
 
     def scale(self, c: int) -> "LinMat":
-        p = self.field.p
-        c %= p
-        return LinMat(self.field, self.nrows, self.ncols, self.n,
-                      [[[x * c % p for x in f] for f in row] for row in self.coeffs])
+        prod = self.field.kernel.mul(self.coeffs, int(c) % self.field.p)
+        return LinMat(self.field, self.nrows, self.ncols, self.n, prod)
 
     def restrict(self, variables: list[int]) -> "LinMat":
         """The same forms read on the listed variables only, renumbered
         0.. in list order."""
         return LinMat(self.field, self.nrows, self.ncols, len(variables),
-                      [[[c[v] for v in variables] for c in row] for row in self.coeffs])
+                      self.coeffs[:, :, variables])
 
     def block(self, r0: int, c0: int, h: int, w: int) -> "LinMat":
         """The h x w sub-matrix with top-left entry (r0, c0)."""
-        return LinMat(self.field, h, w, self.n,
-                      [[list(c) for c in row[c0 : c0 + w]] for row in self.coeffs[r0 : r0 + h]])
+        return LinMat(self.field, h, w, self.n, self.coeffs[r0 : r0 + h, c0 : c0 + w].copy())
 
     def identity_kron(self, w: int) -> "LinMat":
         """I_w (x) self: w copies of this matrix down the block diagonal."""
-        r, c = self.nrows, self.ncols
-        out = LinMat(self.field, w * r, w * c, self.n)
+        r, c, n = self.coeffs.shape
+        out = self.field.kernel.zeros((w, r, w, c, n))
         for a in range(w):
-            for i in range(r):
-                out.coeffs[a * r + i][a * c : (a + 1) * c] = [list(f) for f in self.coeffs[i]]
-        return out
+            out[a, :, a] = self.coeffs
+        return LinMat(self.field, w * r, w * c, n, out)
 
     def coefficient_matrix(self) -> Mat:
         """(nrows*ncols) x n matrix of the entry coefficient vectors, row-major."""
-        return Mat(self.field, [list(c) for row in self.coeffs for c in row])
+        return Mat(self.field, self.coeffs.reshape(-1, self.n).copy())
 
     def entry_poly(self, i: int, j: int) -> MPoly:
         out = MPoly.zero(self.field, self.n)
-        for t, c in enumerate(self.coeffs[i][j]):
+        for t, c in enumerate(self.coeffs[i, j].tolist()):
             if c:
                 e = [0] * self.n
                 e[t] = 1
@@ -477,7 +457,7 @@ class LinMat:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, LinMat) and self.coeffs == other.coeffs
+        return isinstance(other, LinMat) and np.array_equal(self.coeffs, other.coeffs)
 
 
 def det_linear_matrix(Y: LinMat, size_bound: int = 9) -> MPoly:
@@ -561,7 +541,7 @@ def wth_root(P: MPoly, w: int, trials: int = 20, rng: Rng | None = None) -> MPol
             r[t] = c
         if any(r):
             dense.append(r)
-    basis = nullspace_rows(field, dense) if dense else []
+    basis = nullspace_rows(field, field.kernel.asarray(dense)).tolist() if dense else []
     for vec in basis:
         g = MPoly(field, P.n, {cands[t]: c for t, c in enumerate(vec) if c})
         if g.is_zero():
@@ -638,7 +618,7 @@ class Blackbox:
         raise NotImplementedError
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.field.kernel.asarray([self.eval([int(x) for x in row]) for row in pts])
+        return self.field.kernel.asarray([self.eval(row) for row in pts.tolist()])
 
     def _check_arity(self, point):
         if len(point) != self.n:
@@ -735,15 +715,14 @@ class ComposedBlackbox(Blackbox):
         return self.base.eval(self.A.matvec(point))
 
     def eval_many(self, pts):
-        transformed = self.field.kernel.matmul(pts, self.A.to_numpy().T)
+        transformed = self.field.kernel.matmul(pts, self.A.rows.T)
         return self.base.eval_many(transformed)
 
     def gradient_many(self, pts):
         k = self.field.kernel
-        An = self.A.to_numpy()
-        transformed = k.matmul(pts, An.T)
+        transformed = k.matmul(pts, self.A.rows.T)
         inner = self.base.gradient_many(transformed)
-        return k.matmul(inner, An)
+        return k.matmul(inner, self.A.rows)
 
 
 class RestrictionBlackbox(Blackbox):

@@ -26,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, prod
 
+import numpy as np
+
 from .abp import evaldim, reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, NotAPerfectPower, StructureViolation
 from .field import Fp, Rng
 from .lie import irreducible_invariant_subspaces
-from .linalg import Mat, assemble_block_diagonal, kron, nullspace_rows
+from .linalg import Mat, assemble_block_diagonal, kron, nullspace_rows, sylvester_rows
 from .poly import (
     Blackbox,
     ComposedBlackbox,
@@ -103,10 +105,7 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
         return reject("square-dimension")
     passed("square-dimension")
     field = f.field
-    cols = []
-    for s in spaces:
-        cols.extend(s.basis)
-    V = Mat(field, [list(r) for r in zip(*cols)])
+    V = Mat(field, np.concatenate([s.basis for s in spaces]).T)
     if not V.is_invertible():
         return reject("subspace-independence")
     passed("subspace-independence")
@@ -118,10 +117,8 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
     passed("adjacency")
     w2 = w * w
     B = Mat.zeros(field, n, n)
-    for k in range(d):
-        tk = ordering.tau[k]
-        for s in range(w2):
-            B.rows[tk * w2 + s][k * w2 + s] = 1
+    for k in range(d):  # block tau[k] of the spaces becomes block k
+        B.set_block(ordering.tau[k] * w2, k * w2, Mat.identity(field, w2))
     return V * B, w
 
 
@@ -230,33 +227,20 @@ def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> MPoly | None:
 def intertwiner_space(Y: LinMat, Z: LinMat) -> list[tuple[Mat, Mat]]:
     """Basis of the space of pairs (T, S) with T.Y(x) = Z(x).S identically.
 
-    Coefficient matching per variable yields n * W^2 linear equations in
-    the 2 W^2 unknowns of T and S.
+    Coefficient matching per variable yields n * W^2 linear equations
+    Z_v S - T Y_v = 0 in the 2 W^2 unknowns of T and S.
     """
     field = Y.field
     W = Y.nrows
-    n = Y.n
-    rows = []
-    for v in range(n):
-        Yv = [[Y.coeffs[u][j][v] for j in range(W)] for u in range(W)]
-        Zv = [[Z.coeffs[u][j][v] for j in range(W)] for u in range(W)]
-        for i in range(W):
-            for j in range(W):
-                row = [0] * (2 * W * W)
-                for u in range(W):
-                    if Yv[u][j]:
-                        row[i * W + u] = Yv[u][j]
-                    if Zv[i][u]:
-                        row[W * W + u * W + j] = (row[W * W + u * W + j] - Zv[i][u]) % field.p
-                if any(row):
-                    rows.append(row)
-    kernel = nullspace_rows(field, rows) if rows else []
-    out = []
-    for vec in kernel:
-        T = Mat(field, [[vec[i * W + u] for u in range(W)] for i in range(W)])
-        S = Mat(field, [[vec[W * W + u * W + j] for j in range(W)] for u in range(W)])
-        out.append((T, S))
-    return out
+    Yv, Zv = Y.coeffs.transpose(2, 0, 1), Z.coeffs.transpose(2, 0, 1)  # (n, W, W)
+    zero = field.kernel.zeros(Yv.shape)
+    rows = np.concatenate([sylvester_rows(field, zero, Yv), sylvester_rows(field, Zv, zero)],
+                          axis=-1).reshape(-1, 2 * W * W)
+    rows = rows[rows.any(axis=1)]
+    if not len(rows):  # Y = Z = 0: no equation, and no intertwiner is offered
+        return []
+    return [(Mat(field, v[: W * W].reshape(W, W)), Mat(field, v[W * W :].reshape(W, W)))
+            for v in nullspace_rows(field, rows)]
 
 
 def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng, attempts: int = 3):
@@ -295,41 +279,20 @@ def factor_kron(Yhat: LinMat, w: int):
     if W != w * w or Yhat.ncols != W:
         raise StructureViolation("expected a w^2 x w^2 layer")
 
-    def block(a, b):
-        return Yhat.block(a * w, b * w, w, w)
-
-    X = None
-    ref = None
-    for a in range(w):
-        for b in range(w):
-            blk = block(a, b)
-            pos = next(
-                ((i, j, v) for i in range(w) for j in range(w)
-                 for v, c in enumerate(blk.coeffs[i][j]) if c),
-                None,
-            )
-            if pos is not None:
-                X = blk
-                ref = pos
-                break
-        if X is not None:
-            break
-    if X is None:
+    n = Yhat.n
+    C = Yhat.coeffs.reshape(w, w, w, w, n).transpose(0, 2, 1, 3, 4)  # [a, b]: block (a, b)
+    nz = np.flatnonzero(C)
+    if not nz.size:
         raise StructureViolation("zero layer")
-    i0, j0, v0 = ref
-    base = X.coeffs[i0][j0][v0]
-    inv = field.inv(base)
-    M = Mat.zeros(field, w, w)
-    for a in range(w):
-        for b in range(w):
-            blk = block(a, b)
-            m = blk.coeffs[i0][j0][v0] * inv % field.p
-            M.rows[a][b] = m
-            if blk != X.scale(m):
-                raise StructureViolation("blocks are not scalar multiples")
+    a, b, i0, j0, v0 = np.unravel_index(nz[0], C.shape)
+    X = C[a, b]
+    kern = field.kernel
+    M = Mat(field, kern.mul(C[:, :, i0, j0, v0], field.inv(int(X[i0, j0, v0]))))
+    if not np.array_equal(C, kern.mul(M.rows[:, :, None, None, None], X)):
+        raise StructureViolation("blocks are not scalar multiples")
     if not M.is_invertible():
         raise StructureViolation("Kronecker factor is singular")
-    return M, X
+    return M, LinMat(field, w, w, n, X.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +371,9 @@ def tensor_iso_to_det(
     passed("kron-structure")
     Ybar = Yhat[d - 1].left_mul(kron(prod_M, Mat.identity(field, w)))
 
-    X0 = LinMat(field, w, w, h.n)
-    Xd = LinMat(field, w, w, h.n)
-    for i in range(w):
-        for j in range(w):
-            X0.coeffs[i][j] = list(Yhat[0].coeffs[0][i * w + j])
-            Xd.coeffs[i][j] = list(Ybar.coeffs[j * w + i][0])
-    Xhat[0] = X0
-    Xhat[d - 1] = Xd
+    Xhat[0] = LinMat(field, w, w, h.n, Yhat[0].coeffs[0])
+    last = Ybar.coeffs[:, 0].reshape(w, w, h.n)  # entry (i, j) is row j * w + i
+    Xhat[d - 1] = LinMat(field, w, w, h.n, last.transpose(1, 0, 2))
 
     layers = [Xhat[k].restrict(blocks[k]) for k in range(d)]
     return certify_blocks(h, shape, [], layers, certify_trials, rng)

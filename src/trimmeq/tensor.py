@@ -36,8 +36,7 @@ def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
     C = Xp.coefficient_matrix()
     if not C.is_invertible():
         raise Singular("layer linear forms are dependent")
-    cols = C.inverse().transpose().rows  # column t of C^-1 = solution for unit t
-    return [[list(cols[i * w + j]) for j in range(w)] for i in range(w)]
+    return C.inverse().rows.T.reshape(w, w, -1).tolist()  # column t of C^-1 solves for unit t
 
 
 def _entry_linear_form(f: Blackbox, template: list[int], block: list[int], rng: Rng):
@@ -129,7 +128,7 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
                 form = _entry_linear_form(f, t, blocks[3], rng)
                 if form is None:
                     return reject("entry-linearity")
-                X3.coeffs[i][j] = form
+                X3.coeffs[i, j] = form
         layer_mats = {3: X3}
     else:
         # suffix ABP of the (1,1)-pinned restriction over blocks 3..d-1
@@ -178,7 +177,7 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
                 form = _entry_linear_form(f, t, blocks[3], rng)
                 if form is None:
                     return reject("entry-linearity")
-                X3.coeffs[i][j] = form
+                X3.coeffs[i, j] = form
         layer_mats[3] = X3
         try:
             units3 = _unit_points_all(X3)
@@ -202,7 +201,7 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
                 form = _entry_linear_form(f, t, blocks[d - 1], rng)
                 if form is None:
                     return reject("entry-linearity")
-                Xlast.coeffs[i][j] = form
+                Xlast.coeffs[i, j] = form
         layer_mats[d - 1] = Xlast
 
     layers = [layer_mats[k] for k in range(3, d)]

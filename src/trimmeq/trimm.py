@@ -4,9 +4,10 @@ Tr-IMM_{w,d} is the trace of a product of d symbolic w x w matrices.  The
 n = w^2 d variables split into d blocks of w^2; block k is enumerated
 row-major when k is even and column-major when k is odd, and all block
 indices are cyclic mod d.  Everything downstream (Lie generators, layer
-extraction, witness conventions) leans on this ordering, and this module
-is the one place that converts between a layer's matrix of linear forms and
-its block transform (``block_to_layer`` / ``layer_to_block``).
+extraction, witness conventions) leans on this ordering: ``layout`` lists it
+for one block, and this module is the one place that converts between a
+layer's matrix of linear forms and its block transform (``block_to_layer`` /
+``layer_to_block``).
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ def var_index(shape: TrimmShape, k: int, i: int, j: int) -> int:
     return k * w * w + entry_offset(w, k, i - 1, j - 1)
 
 
+def layout(w: int, k: int) -> list[int]:
+    """Positions inside block k of the layer entries (i, j), taken in
+    row-major (i, j) order."""
+    return [entry_offset(w, k, i, j) for i in range(w) for j in range(w)]
+
+
 def layer_from_point(shape: TrimmShape, k: int, block_vals: list[int], field: Fp) -> Mat:
     """Assemble the w x w layer-k matrix from the block's w^2 values."""
-    w = shape.w
-    return Mat(field, [[block_vals[entry_offset(w, k, i, j)] % field.p for j in range(w)]
-                       for i in range(w)])
+    vals = [block_vals[t] % field.p for t in layout(shape.w, k)]
+    return Mat(field, field.kernel.asarray(vals).reshape(shape.w, shape.w))
 
 
 def block_to_layer(B: Mat, k: int) -> LinMat:
@@ -73,20 +79,16 @@ def block_to_layer(B: Mat, k: int) -> LinMat:
     variables that the block transform B encodes: entry (i, j) reads row
     entry_offset(w, k, i, j) of B."""
     w = isqrt(B.nrows)
-    return LinMat(B.field, w, w, B.ncols, [
-        [list(B.rows[entry_offset(w, k, i, j)]) for j in range(w)] for i in range(w)
-    ])
+    return LinMat(B.field, w, w, B.ncols, B.rows[layout(w, k)])
 
 
 def layer_to_block(X: LinMat, k: int) -> Mat:
     """Inverse of block_to_layer: the w^2 x w^2 block transform of a layer-k
     matrix of linear forms in w^2 local variables."""
     w = X.nrows
-    rows = [None] * (w * w)
-    for i in range(w):
-        for j in range(w):
-            rows[entry_offset(w, k, i, j)] = list(X.coeffs[i][j])
-    return Mat(X.field, rows)
+    B = Mat.zeros(X.field, w * w, X.n)
+    B.rows[layout(w, k)] = X.coeffs.reshape(w * w, X.n)
+    return B
 
 
 class TraceProductBlackbox(Blackbox):
@@ -108,7 +110,7 @@ class TraceProductBlackbox(Blackbox):
     def _columns(self, k: int) -> list[int]:
         """Columns of layer k's entries (i, j), in row-major (i, j) order."""
         w = self.shape.w
-        return [k * w * w + entry_offset(w, k, i, j) for i in range(w) for j in range(w)]
+        return [k * w * w + t for t in layout(w, k)]
 
     def _layers_np(self, pts: np.ndarray):
         """Per-layer (w, w, B) arrays respecting the block orderings."""
@@ -150,8 +152,7 @@ class TraceProductBlackbox(Blackbox):
         return out
 
     def gradient(self, point):
-        pts = self.field.kernel.asarray([point])
-        return [int(x) for x in self.gradient_many(pts)[0]]
+        return self.gradient_many(self.field.kernel.asarray([point]))[0].tolist()
 
 
 def trimm_blackbox(field: Fp, shape: TrimmShape) -> TraceProductBlackbox:
@@ -219,7 +220,7 @@ class PlantedInstance:
         pts = Rng(0xC0FFEE).array(field, (3, shape.n))
         fast = self.f.eval_many(pts)
         for t in range(3):
-            assert int(fast[t]) == self.f.eval([int(x) for x in pts[t]])
+            assert fast[t] == self.f.eval(pts[t].tolist())
 
 
 def plant_instance(field: Fp, shape: TrimmShape, rng: Rng, mode: str = "full") -> PlantedInstance:

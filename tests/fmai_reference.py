@@ -85,10 +85,12 @@ def build_constrained_tensor_reference(L_list: list[Mat], N_list: list[Mat], w: 
     for N in N_list:
         rows.extend(build_rows(1, N))
         rows.extend(build_rows(3, N))
-    kernel = nullspace_rows(field, rows)
-    if not kernel:
+    if not rows:  # w = 1: no identity constrains M_1, which is given no tensor
         raise Degenerate("only the zero tensor satisfies the symmetry system")
-    vec = kernel[0]
+    kernel = nullspace_rows(field, field.kernel.asarray(rows))
+    if not len(kernel):
+        raise Degenerate("only the zero tensor satisfies the symmetry system")
+    vec = kernel[0].tolist()
     n = 4 * W
     terms = {}
     for t, c in enumerate(vec):

@@ -9,10 +9,12 @@ from trimmeq.errors import Degenerate, InputError, NotClosed
 from trimmeq.field import Fp, Rng
 from trimmeq.fmai import (
     AlgebraInput,
+    AlgebraIso,
     build_constrained_tensor,
     commutant_basis,
     fmai_solve,
     left_mult_matrices,
+    verify_isomorphism,
 )
 from trimmeq.linalg import Mat, kron, random_invertible
 from trimmeq.oracles import QuadraticDetOracle, mmti_oracle
@@ -249,7 +251,7 @@ def _check_planted_k(w, rng):
     for fam, blocks in ((Ls, (0, 2)), (Ns, (1, 3))):
         for idx, M in enumerate(fam):
             for k in blocks:
-                Ea = kern.matmul(pts, _operator_matrix(M, k).to_numpy().T)
+                Ea = kern.matmul(pts, _operator_matrix(M, k).rows.T)
                 assert not np.any(kern.gemm(grads[:, None, :], Ea[:, :, None])), (idx, k)
 
 
@@ -286,6 +288,32 @@ def test_fmai_conjugated_end_to_end():
         if c:
             rhs = rhs + iso.images[divmod(t, 2)].scale(c)
     assert lhs == rhs
+
+
+def test_verify_isomorphism_does_not_use_the_kernel_product(monkeypatch):
+    """A broken GEMM cannot vouch for an isomorphism: verify_isomorphism
+    multiplies on the exact Python-int lane, so it still accepts a planted
+    isomorphism and rejects one with a perturbed image."""
+    from trimmeq.modarith import _KernelBase
+
+    rng = Rng(14)
+    w = 2
+    K, R = random_invertible(F, 4, rng), random_invertible(F, 4, rng)
+    # basis element t is K^-1 (I (x) phi_t) K with phi_t = sum_j R[t, j] E_j
+    images = {divmod(t, w): Mat(F, R.rows[t].reshape(w, w)) for t in range(w * w)}
+    Kinv, eye = K.inverse(), Mat.identity(F, w)
+    A = AlgebraInput(F, [Kinv * kron(eye, images[divmod(t, w)]) * K for t in range(w * w)])
+    Ls = left_mult_matrices(A)
+    bad = dict(images)
+    bad[(0, 1)] = images[(0, 1)] + eye
+
+    def garbage(self, A, B):
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
+        return self.zeros(shape) + 1
+
+    monkeypatch.setattr(_KernelBase, "gemm", garbage)
+    assert verify_isomorphism(A, Ls, AlgebraIso(w, images))
+    assert not verify_isomorphism(A, Ls, AlgebraIso(w, bad))
 
 
 def test_fmai_rejects_non_square_dimension():

@@ -18,7 +18,7 @@ P89 = (1 << 89) - 1
 LANES = [M61, 10007, P89]  # limb-split int64, % on int64, % on Python ints
 
 
-@given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=50))
+@given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=100))
 @settings(max_examples=200, deadline=None)
 def test_m61_mul_matches_bigint(pairs):
     a = np.array([x for x, _ in pairs], dtype=np.int64)
@@ -28,7 +28,7 @@ def test_m61_mul_matches_bigint(pairs):
         assert int(got[i]) == x * y % M61
 
 
-@given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=50))
+@given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=100))
 @settings(max_examples=100, deadline=None)
 def test_m61_add_sub_match_bigint(pairs):
     a = np.array([x for x, _ in pairs], dtype=np.int64)

@@ -32,11 +32,12 @@ def test_unit_point_composed_layer():
     rng = Rng(1)
     X = LinMat.symbolic(F, 2)
     B = random_invertible(F, 4, rng)
+    Xl, Bl = X.coeffs.tolist(), B.rows.tolist()
     Xc = LinMat(F, 2, 2, 4)
     for i in range(2):
         for j in range(2):
             Xc.coeffs[i][j] = [
-                sum(X.coeffs[i][j][t] * B.rows[t][v] for t in range(4)) % F.p
+                sum(Xl[i][j][t] * Bl[t][v] for t in range(4)) % F.p
                 for v in range(4)
             ]
     for i in range(2):

@@ -120,7 +120,7 @@ def test_generator_span_dimension_matches_exact_nullspace():
     for (w, d) in [(2, 3), (2, 4)]:
         sh = TrimmShape(w, d)
         gens = lie_generator_basis(F, sh)
-        dim = rank_rows(F, [g.flatten() for g in gens])
+        dim = rank_rows(F, np.array([g.flatten() for g in gens]))
         exact = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(F, sh)), rng, mode="exact")
         assert dim == exact.dim == d * w * w - 1
 
