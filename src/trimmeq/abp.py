@@ -100,6 +100,18 @@ def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> li
     return coeffs
 
 
+def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
+    """``linear_form_coeffs`` for each template, as the rows of one array:
+    f at every unit point of the block, in one ``eval_many``.  The point by
+    point reading above stays for single forms of explicit polynomials
+    (``tensor``), whose batched evaluation costs more at a handful of points."""
+    T = f.field.kernel.asarray(templates).reshape(len(templates), 1, f.n)
+    T[:, :, block] = 0
+    pts = np.repeat(T, len(block), axis=1)
+    pts[:, np.arange(len(block)), block] = 1
+    return f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), len(block))
+
+
 def reconstruct_abp(
     h: Blackbox,
     blocks: list[list[int]],
@@ -148,8 +160,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
     # layer 0: entries are h with suffix anchored
     suffix = [_suffix_template(field, n, blocks, 0, rng) for _ in range(W)]
     Y0 = LinMat(field, 1, W, n)
-    for j in range(W):
-        Y0.coeffs[0, j, blocks[0]] = linear_form_coeffs(h, suffix[j], blocks[0])
+    Y0.coeffs[0][:, blocks[0]] = _linear_forms(h, suffix, blocks[0])
     layers = [Y0]
 
     for k in range(1, d):
@@ -169,7 +180,7 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
                 for L in layers[1:]:
                     M = M * L.eval(pt)
                 A_rows.append(M.rows[0])
-            A = Mat(field, A_rows)
+            A = Mat(field, np.array(A_rows))
             if A.det() == 0:
                 continue
             Ainv = A.inverse()
@@ -180,11 +191,12 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
                            for pre in prefixes]
             else:
                 anchors = [[pre] for pre in prefixes]
-            G = kern.asarray([[linear_form_coeffs(h, t, blocks[k]) for t in row] for row in anchors])
+            forms = _linear_forms(h, [t for row in anchors for t in row], blocks[k])
             # row i of the layer is row i of A^-1 applied to the anchored forms
-            layer = LinMat(field, W, G.shape[1], n)
-            coeffs = kern.gemm(Ainv.rows, G.reshape(W, -1))
-            layer.coeffs[:, :, blocks[k]] = coeffs.reshape(G.shape)
+            cols = len(anchors[0])
+            layer = LinMat(field, W, cols, n)
+            coeffs = kern.gemm(Ainv.rows, forms.reshape(W, -1))
+            layer.coeffs[:, :, blocks[k]] = coeffs.reshape(W, cols, -1)
             break
         if layer is None:
             raise AnchorSingular(f"anchor matrix singular at layer {k}")

@@ -232,7 +232,8 @@ def irreducible_invariant_subspaces(
         if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
         space = closure(null[0], L)
-        if not any(space.same_as(s) for s in spaces):
+        # every kept s is a closure, so L-invariant: closure(v) lies in s iff v does
+        if not any(space.dim == s.dim and in_span(field, s.basis, null[0]) for s in spaces):
             spaces.append(space)
     if len(spaces) != d:
         return reject("invariant-subspaces:subspace-count")

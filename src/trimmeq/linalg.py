@@ -50,14 +50,29 @@ def exact_product(field: Fp, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # the matrix type
 # ---------------------------------------------------------------------------
 
+def _reduced_rows(p: int, rows) -> list[list[int]]:
+    """Integer entries reduced mod p; any other entry raises InputError."""
+    rows = [list(r) for r in rows]
+    if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+               for r in rows for x in r):
+        raise InputError("matrix entries must be integers")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeMismatch("ragged matrix rows")
+    return [[int(x) % p for x in r] for r in rows]
+
+
 class Mat:
     """Dense matrix over F_p: ``rows`` is one 2-D array of canonical
-    residues in the dtype of the field's kernel."""
+    residues in the dtype of the field's kernel.  A residue array is taken
+    as it is; rows given as lists are checked and reduced as by
+    ``from_rows``."""
 
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Fp, rows):
         self.field = field
+        if not isinstance(rows, np.ndarray):
+            rows = _reduced_rows(field.p, rows)
         self.rows = np.asarray(rows, dtype=field.kernel.dtype)
         if self.rows.ndim != 2:
             raise ShapeMismatch("a matrix needs a 2-D array of rows")
@@ -66,14 +81,7 @@ class Mat:
     @staticmethod
     def from_rows(field: Fp, rows) -> "Mat":
         """Integer entries, reduced mod p; any other entry raises InputError."""
-        p = field.p
-        rows = [list(r) for r in rows]
-        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                   for r in rows for x in r):
-            raise InputError("matrix entries must be integers")
-        if any(len(r) != len(rows[0]) for r in rows):
-            raise ShapeMismatch("ragged matrix rows")
-        return Mat(field, [[int(x) % p for x in r] for r in rows])
+        return Mat(field, _reduced_rows(field.p, rows))
 
     @staticmethod
     def zeros(field: Fp, r: int, c: int) -> "Mat":
@@ -210,13 +218,17 @@ class Mat:
         return newton_interp(self.field.p, ts.tolist(), k.det_many(stack).tolist())
 
     # -- block structure ----------------------------------------------------
+    def _check_block(self, r0: int, c0: int, h: int, w: int):
+        if r0 + h > self.nrows or c0 + w > self.ncols:
+            raise ShapeMismatch(f"{h}x{w} block at ({r0}, {c0}) past the edge of {self!r}")
+
     def block(self, r0: int, c0: int, h: int, w: int) -> "Mat":
+        self._check_block(r0, c0, h, w)
         return Mat(self.field, self.rows[r0 : r0 + h, c0 : c0 + w].copy())
 
     def set_block(self, r0: int, c0: int, B: "Mat"):
         h, w = B.rows.shape
-        if r0 + h > self.nrows or c0 + w > self.ncols:
-            raise ShapeMismatch(f"{h}x{w} block at ({r0}, {c0}) past the edge of {self!r}")
+        self._check_block(r0, c0, h, w)
         self.rows[r0 : r0 + h, c0 : c0 + w] = B.rows
 
 

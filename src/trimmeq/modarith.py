@@ -7,7 +7,8 @@ what dtype residue arrays have:
   computed limb-wise in int64 (31/30-bit splits) and reduced with shifts,
   so a full multiply costs ~25 elementwise numpy ops and never overflows
   a signed 64-bit intermediate; up to 64 products it runs on Python ints,
-  which is cheaper at that size.
+  which is cheaper at that size.  A multiply by 2^s (``mul_pow2``) is a
+  rotation of the 61 bits, since 2^61 = 1.
 * ``SmallKernel`` -- every other prime, reducing with ``%``.  Residues are
   ``numpy.int64`` when p < 2^31, where ``a * b`` of canonical residues fits
   in int64 directly, and numpy ``object`` arrays of Python ints otherwise.
@@ -19,11 +20,14 @@ kernel's ``dtype``; callers allocate residue arrays through ``asarray`` /
 Every matrix product is one exact float64 GEMM (``gemm``) on BLAS: residues
 split into 21-bit limbs, and the inner dimension is cut into chunks of 2048
 limb products, each below 2^42, so that every sum stays below 2^53, where
-float64 is exact.  Rank, kernel basis and RREF come from one recursive
+float64 is exact; the limb shifts and the recombination are multiplies by
+powers of two.  Rank, kernel basis and RREF come from one recursive
 elimination that halves the columns (as LAPACK's ``dgetrf2`` does) down to a
 first-nonzero-pivoting column step, whose pivot columns (``pivots``) are the
 columns outside the span of those before them; determinants come from that
-column step over a stack of matrices.
+column step over a stack of matrices.  The back-solves of RREF and kernel
+basis halve the triangular factor down to 16 rows, whatever the width of
+the right-hand side, so that their work runs in GEMMs.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ _MASK61 = (1 << 61) - 1
 _LIMB = 21
 _K_CHUNK = 2048  # 2048 * (2^21 - 1)^2 < 2^53, where float64 stops being exact
 _BLOCK_CELLS = 1 << 17  # one float64 temporary of gemm: 1 MB
-# The recursion stops at 16 columns (rows of a triangular solve) or at
-# 2^14 cells, below which numpy's per-call cost outweighs what GEMM saves.
+# The elimination's recursion stops at 16 columns or at 2^14 cells, below which
+# numpy's per-call cost outweighs what GEMM saves; a triangular solve's at 16 rows.
 _BASE_WIDTH = 16
 _BASE_CELLS = 1 << 14
 # Up to this many products, Python ints beat the ~25 numpy calls of the limb split.
@@ -66,6 +70,10 @@ class _KernelBase:
 
     def neg(self, a):
         return np.where(a == 0, a, self.p - a)
+
+    def mul_pow2(self, a, s: int):
+        """a * 2^s."""
+        return self.mul(a, pow(2, s, self.p))
 
     def inv_many(self, a: np.ndarray) -> np.ndarray:
         """Inverses of a vector of residues; zeros stay zero."""
@@ -113,7 +121,7 @@ class _KernelBase:
             return np.concatenate([self.gemm(A, B[..., : n // 2]), self.gemm(A, B[..., n // 2 :])],
                                   axis=-1)
         step = _K_CHUNK // limbs
-        Bs = [B] + [self.mul(B, pow(2, _LIMB * s, self.p)) for s in range(1, limbs)]
+        Bs = [B] + [self.mul_pow2(B, _LIMB * s) for s in range(1, limbs)]
         acc = [self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))] * limbs
         for k0 in range(0, k, step):
             As = np.concatenate(self._limbs(A[..., k0 : k0 + step], limbs), axis=-1)
@@ -123,7 +131,7 @@ class _KernelBase:
                 acc[t] = self.add(acc[t], self._from_exact(As @ Bt))
         C = acc[0]
         for t in range(1, limbs):
-            C = self.add(C, self.mul(acc[t], pow(2, _LIMB * t, self.p)))
+            C = self.add(C, self.mul_pow2(acc[t], _LIMB * t))
         return C
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -172,9 +180,11 @@ class _KernelBase:
         return r1 + self._factor_columns(R, r + r1, mid, c1, piv)
 
     def _solve_unit_upper(self, T: np.ndarray, B: np.ndarray) -> None:
-        """B <- T^-1 B for T upper triangular with unit diagonal (not read)."""
+        """B <- T^-1 B for T upper triangular with unit diagonal (not read):
+        halves down to 16 rows, whatever the width of B, so that the work
+        is in GEMMs."""
         n = len(T)
-        if n > _BASE_WIDTH and n * B.shape[1] > _BASE_CELLS:
+        if n > _BASE_WIDTH:
             h = n // 2
             self._solve_unit_upper(T[h:, h:], B[h:])
             B[:h] = self.sub(B[:h], self.gemm(T[:h, h:], B[h:]))
@@ -274,6 +284,13 @@ class M61Kernel(_KernelBase):
         t = (t >> 61) + (t & _MASK61)
         t = t - M61
         return t + ((t >> 63) & M61)
+
+    def mul_pow2(self, a, s: int):
+        """a * 2^s as a rotation of the 61 bits, since 2^61 = 1: the high s
+        bits wrap around to the bottom.  Canonical residues stay canonical."""
+        s %= 61
+        a = np.asarray(a, dtype=np.int64)
+        return ((a & ((1 << (61 - s)) - 1)) << s) | (a >> (61 - s))
 
     # branchless: an int64 sign bit selects the correction
     def add(self, a, b):

@@ -45,15 +45,13 @@ def uni_sub(field: Fp, a, b):
 
 
 def uni_mul(field: Fp, a, b):
+    """a * b as one Kronecker-packed Python-int product."""
     if not a or not b:
         return []
     p = field.p
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return uni_trim(out)
+    B = _slot_bytes(p, min(len(a), len(b)))
+    packed = _pack([int(x) % p for x in a], B) * _pack([int(x) % p for x in b], B)
+    return uni_trim(_unpack(packed, p, B, len(a) + len(b) - 1))
 
 
 def uni_deriv(field: Fp, a):
@@ -92,21 +90,6 @@ def uni_gcd(field: Fp, a, b):
     return uni_monic(field, a)
 
 
-def uni_pow_mod(field: Fp, base, e: int, mod):
-    """base^e mod the polynomial ``mod`` (square-and-multiply)."""
-    if uni_deg(mod) < 1:
-        return []
-    result = [1]
-    _, base = uni_divmod(field, base, mod)
-    while e:
-        if e & 1:
-            _, result = uni_divmod(field, uni_mul(field, result, base), mod)
-        e >>= 1
-        if e:
-            _, base = uni_divmod(field, uni_mul(field, base, base), mod)
-    return result
-
-
 def interpolate_univariate(field: Fp, points: list[tuple[int, int]]) -> list[int]:
     """The unique polynomial of degree < len(points) through the samples."""
     p = field.p
@@ -126,15 +109,120 @@ def squarefree_test(field: Fp, q: list[int]) -> bool:
     return uni_deg(uni_gcd(field, q, d)) == 0
 
 
-def _distinct_degree_split(field: Fp, f):
-    """[(product of irreducible factors of degree k, k)] for square-free f."""
+# Kronecker substitution: a polynomial with coefficients in [0, p) is one
+# Python int holding coefficient i in the i-th slot of B bytes, so that one
+# big-int product multiplies two polynomials.  A slot fits a sum of up to
+# `terms` products of residues without carrying into the next one.
+
+def _slot_bytes(p: int, terms: int) -> int:
+    return (2 * p.bit_length() + terms.bit_length() + 7) // 8
+
+
+def _pack(c: list[int], B: int) -> int:
+    return int.from_bytes(b"".join(x.to_bytes(B, "little") for x in c), "little")
+
+
+def _unpack(v: int, p: int, B: int, m: int) -> list[int]:
+    """The m slots of v, reduced mod p."""
+    buf = v.to_bytes(B * m, "little")
+    return [int.from_bytes(buf[i : i + B], "little") % p for i in range(0, B * m, B)]
+
+
+class _Modulus:
+    """Arithmetic modulo a fixed monic f of degree n >= 1 on packed products:
+    the coefficient h_i of x^(n+i) in a product is folded back by adding
+    h_i * (packed x^(n+i) mod f) to the packed low part."""
+
+    def __init__(self, field: Fp, f: list[int]):
+        p, n = field.p, uni_deg(f)
+        self.field, self.f, self.n = field, f, n
+        self.B = _slot_bytes(p, 2 * n)  # < n products in a slot, plus < n folds
+        folds, r = [], [-c % p for c in f[:n]]  # x^n mod f
+        for _ in range(n - 1):
+            folds.append(_pack(r, self.B))
+            top, r = r[-1], [0] + r[:-1]  # x * r, its x^n term still to fold
+            r = [(c - top * fc) % p for c, fc in zip(r, f)]
+        self.folds = folds
+
+    def reduce(self, a: list[int]) -> list[int]:
+        return uni_divmod(self.field, a, self.f)[1]
+
+    def mul(self, a: list[int], b: list[int]) -> list[int]:
+        """a * b mod f for a, b reduced mod f."""
+        if not a or not b:
+            return []
+        p, B, n = self.field.p, self.B, self.n
+        m = len(a) + len(b) - 1
+        packed = _pack(a, B) * _pack(b, B)
+        if m > n:
+            buf = packed.to_bytes(B * m, "little")
+            packed = int.from_bytes(buf[: B * n], "little")
+            for i, fold in zip(range(B * n, B * m, B), self.folds):
+                h = int.from_bytes(buf[i : i + B], "little") % p
+                if h:
+                    packed += h * fold
+            m = n
+        return uni_trim(_unpack(packed, p, B, m))
+
+    def pow(self, a: list[int], e: int) -> list[int]:
+        """a^e mod f for a reduced mod f and e >= 1: left to right over
+        windows of up to four bits that end in a one, from a table of
+        a, a^3, ..., a^15."""
+        sq = self.mul(a, a)
+        odd = [a]
+        for _ in range(7):
+            odd.append(self.mul(odd[-1], sq))
+        bits = bin(e)[2:]
+        result, i = None, 0  # the first window starts at the leading one
+        while i < len(bits):
+            if bits[i] == "0":
+                result = self.mul(result, result)
+                i += 1
+                continue
+            j = min(i + 4, len(bits))
+            while bits[j - 1] == "0":
+                j -= 1
+            for _ in range(j - i if result is not None else 0):
+                result = self.mul(result, result)
+            w = odd[int(bits[i:j], 2) >> 1]
+            result = w if result is None else self.mul(result, w)
+            i = j
+        return result
+
+
+class _Frobenius:
+    """h -> h^p mod F for h of degree < deg F.  Coefficients are fixed by
+    the p-th power, so h(x)^p = h(x^p) = sum_i h_i x^(ip): the product of h
+    with the Frobenius matrix Q, whose row i is x^(ip) mod F, kept packed."""
+
+    def __init__(self, field: Fp, F: list[int]):
+        ring = _Modulus(field, F)
+        xp = ring.pow(ring.reduce([0, 1]), field.p)
+        rows = [[1]]
+        for _ in range(ring.n - 1):
+            rows.append(ring.mul(rows[-1], xp))
+        self.p, self.n = field.p, ring.n
+        self.B = _slot_bytes(field.p, ring.n)
+        self.Q = [_pack(r, self.B) for r in rows]
+
+    def __call__(self, h: list[int]) -> list[int]:
+        acc = 0
+        for c, row in zip(h, self.Q):
+            if c:
+                acc += c * row
+        return uni_trim(_unpack(acc, self.p, self.B, self.n))
+
+
+def _distinct_degree_split(field: Fp, f, frob: _Frobenius):
+    """[(product of irreducible factors of degree k, k)] for square-free f,
+    with frob the Frobenius map modulo f or a multiple of it."""
     out = []
     k = 1
     x_poly = [0, 1]
     h = x_poly
     f = uni_monic(field, f)
     while uni_deg(f) >= 2 * k:
-        h = uni_pow_mod(field, h, field.p, f)
+        _, h = uni_divmod(field, frob(h), f)  # h^p mod f
         g = uni_gcd(field, uni_sub(field, h, x_poly), f)
         if uni_deg(g) > 0:
             out.append((g, k))
@@ -146,23 +234,30 @@ def _distinct_degree_split(field: Fp, f):
     return out
 
 
-def _equal_degree_split(field: Fp, f, k: int, rng: Rng):
-    """Cantor-Zassenhaus split of f into its degree-k irreducible factors."""
+def _equal_degree_split(field: Fp, f, k: int, rng: Rng, frob: _Frobenius):
+    """Cantor-Zassenhaus split of f into its degree-k irreducible factors.
+    r^((p^k - 1)/2) is b * b^p * ... * b^(p^(k-1)) with b = r^((p-1)/2):
+    one power mod f, then k - 1 Frobenius steps."""
     n = uni_deg(f)
     if n == k:
         return [f]
+    ring = _Modulus(field, f)
     while True:
         r = [rng.scalar(field) for _ in range(n)] + [1]
         r = uni_trim(r)
         g = uni_gcd(field, r, f)
         if 0 < uni_deg(g) < n:
             break
-        h = uni_pow_mod(field, r, (field.p ** k - 1) // 2, f)
+        h = b = ring.pow(ring.reduce(r), (field.p - 1) // 2)
+        for _ in range(k - 1):
+            b = ring.reduce(frob(b))
+            h = ring.mul(h, b)
         g = uni_gcd(field, uni_sub(field, h, [1]), f)
         if 0 < uni_deg(g) < n:
             break
     rest, _ = uni_divmod(field, f, g)
-    return _equal_degree_split(field, g, k, rng) + _equal_degree_split(field, rest, k, rng)
+    return (_equal_degree_split(field, g, k, rng, frob)
+            + _equal_degree_split(field, rest, k, rng, frob))
 
 
 def factor_univariate(field: Fp, q: list[int], rng: Rng):
@@ -170,8 +265,14 @@ def factor_univariate(field: Fp, q: list[int], rng: Rng):
 
     Square-free part via gcd with the derivative, then distinct-degree and
     Cantor-Zassenhaus equal-degree splitting.  p is odd and larger than any
-    degree handled here, so no inseparability cases arise.  The output is
-    asserted to re-multiply to the (monic) input on every run.
+    degree handled here, so no inseparability cases arise.  Every p-th power
+    is one product with the Frobenius matrix of the square-free part (row i
+    is x^(ip) mod it, after von zur Gathen & Shoup), and every other product
+    is one Kronecker-packed Python-int multiply, reduced by folding the high
+    coefficients back through packed x^(n+i) mod the modulus.  The
+    intermediate polynomials, and so the draws from ``rng``, are those of
+    plain square-and-multiply.  The output is asserted to re-multiply to the
+    (monic) input on every run.
     """
     q_in = uni_monic(field, q)
     q = list(q_in)
@@ -182,8 +283,9 @@ def factor_univariate(field: Fp, q: list[int], rng: Rng):
             sf, _ = uni_divmod(field, q, uni_gcd(field, q, d))
         else:
             sf = q
-        for part, k in _distinct_degree_split(field, sf):
-            for irr in _equal_degree_split(field, part, k, rng):
+        frob = _Frobenius(field, sf)
+        for part, k in _distinct_degree_split(field, sf, frob):
+            for irr in _equal_degree_split(field, part, k, rng, frob):
                 irr_t = tuple(uni_monic(field, irr))
                 mult = 0
                 while True:

@@ -24,7 +24,7 @@ results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
@@ -197,19 +197,25 @@ def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> MPoly | None:
     line = kern.asarray([[(x + t * y) % p for x, y in zip(a, b)]
                          for a in points for t in range(W + 1)])
     dets = kern.det_many(Yloc.eval_many(line)).reshape(npts, W + 1)
-    rows = []
+    keep = []
     rhs = []  # g(a)/g(b), read off the samples det(Y(a + t b)), t = 0..W
-    for a, samples in zip(points, dets.tolist()):
+    for i, samples in enumerate(dets.tolist()):
         U = interpolate_univariate(field, list(enumerate(samples)))
         u = (_monic_wth_root_uni(field, [x * field.inv(U[-1]) % p for x in U], w)
              if len(U) == W + 1 else None)
         if u is None:
             continue
-        rows.append([prod(a[i] ** ei for i, ei in enumerate(e)) % p for e in cands])
+        keep.append(i)
         rhs.append(u[0])
-    if len(rows) < len(cands):
+    if len(keep) < len(cands):
         return None
-    A = Mat(field, rows)
+    # the degree-w monomials at the kept points: one product per factor
+    factors = np.array([[i for i, ei in enumerate(e) for _ in range(ei)] for e in cands]).T
+    P = kern.asarray(points)[keep]
+    monomials = P[:, factors[0]]
+    for col in factors[1:]:
+        monomials = kern.mul(monomials, P[:, col])
+    A = Mat(field, monomials)
     x = A.solve(rhs)
     if x is None:
         return None

@@ -1,6 +1,6 @@
 """Evaluation dimension and ABP reconstruction."""
 
-from trimmeq.abp import evaldim, linear_form_coeffs, reconstruct_abp
+from trimmeq.abp import _linear_forms, evaldim, linear_form_coeffs, reconstruct_abp
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import assemble_block_diagonal, random_invertible
 from trimmeq.poly import (
@@ -125,7 +125,8 @@ def test_reconstruct_general_width():
 
 
 def test_linear_form_coeffs_match_batched_reads():
-    """The scalar reader agrees with eval_many at the same unit points."""
+    """The scalar reader agrees with eval_many at the same unit points, and
+    with the batched reader of many templates that the ABP solve uses."""
     rng = Rng(11)
     sh3, sh4 = TrimmShape(2, 3), TrimmShape(2, 4)
     template = [0] * sh4.n
@@ -148,3 +149,6 @@ def test_linear_form_coeffs_match_batched_reads():
             want = [int(x) for x in f.eval_many(F.kernel.asarray(rows))]
             assert linear_form_coeffs(f, point, block) == want
             assert any(want)
+            other = rng.vector(F, f.n)
+            assert _linear_forms(f, [point, other], block).tolist() == [
+                want, linear_form_coeffs(f, other, block)]

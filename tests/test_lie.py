@@ -14,7 +14,7 @@ from trimmeq.lie import (
     lie_algebra_basis,
     random_element,
 )
-from trimmeq.linalg import Mat, random_invertible, same_span
+from trimmeq.linalg import Mat, in_span, random_invertible, same_span
 from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, MPoly, squarefree_test
 from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
 
@@ -189,6 +189,44 @@ def test_invariant_subspaces_seed_independent_spans():
     for a in s1:
         matched += any(a.same_as(b) for b in s2)
     assert matched == 3
+
+
+def _dedup_cases():
+    """(Lie basis, vectors): a reducible Tr-IMM_{2,3} algebra with vectors in
+    and across its blocks, an algebra that is reducible but not a direct sum
+    (a nilpotent plus the identity), and the irreducible gl_3."""
+    rng = Rng(14)
+    L = lie_algebra_basis(trimm_blackbox(F, TrimmShape(2, 3)), rng)
+    vecs = []
+    for k in range(3):
+        for _ in range(2):
+            v = [0] * 12
+            v[4 * k + rng.randrange(4)] = rng.nonzero_scalar(F)
+            vecs.append(v)
+    vecs += [rng.vector(F, 12), vecs[0], vecs[2]]
+    yield L, vecs
+    eye = Mat.identity(F, 3)
+    nil = Mat.from_rows(F, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    yield LieBasis(F, 3, [eye, nil]), [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [0, 3, 4]]
+    units = [Mat.from_rows(F, [[int(r == i and c == j) for c in range(3)] for r in range(3)])
+             for i in range(3) for j in range(3)]
+    yield LieBasis(F, 3, units), [[1, 0, 0], [0, 1, 0], rng.vector(F, 3)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_dedup_by_membership_matches_span_equality(case):
+    """closure(v) equals a kept closure s iff the dims agree and v lies in s,
+    since s is invariant: the dedup of irreducible_invariant_subspaces
+    against comparing the two spans."""
+    L, vecs = list(_dedup_cases())[case]
+    spaces = [closure(v, L) for v in vecs]
+    equal = 0
+    for v, a in zip(vecs, spaces):
+        for s in spaces:
+            by_span = a.same_as(s)
+            assert by_span == (a.dim == s.dim and in_span(F, s.basis, np.array(v)))
+            equal += by_span
+    assert equal > len(vecs)  # some distinct vectors share a closure
 
 
 def test_random_cubic_rejected():

@@ -82,6 +82,21 @@ def test_from_rows_reduces_integers(field):
     assert M.rows.tolist() == [[p - 1, 0], [p - 2, p - 3]]
 
 
+def test_list_rows_are_reduced_like_from_rows(field):
+    """Rows given as lists are checked and reduced; residue arrays are taken as they are."""
+    p = field.p
+    assert Mat(field, [[p]]).is_zero()
+    assert Mat(field, [[p]]) == Mat.zeros(field, 1, 1)
+    assert Mat(field, [[-1, 2 * p + 3]]).rows.tolist() == [[p - 1, 3]]
+    assert Mat(field, [[-1, 2]]) == Mat.from_rows(field, [[-1, 2]])
+    with pytest.raises(InputError):
+        Mat(field, [[1, 2.5]])
+    with pytest.raises(ShapeMismatch):
+        Mat(field, [[1, 2], [3]])
+    R = field.kernel.asarray([[1, 2], [3, 4]])
+    assert Mat(field, R).rows is R
+
+
 def test_zero_by_zero_matrix(field):
     E = Mat.zeros(field, 0, 0)
     assert E.det() == 1
@@ -250,6 +265,8 @@ def test_poly_at_matrix_matches_powers(field):
     pytest.param(lambda f: Mat.from_rows(f, [[2, 0, 0], [0, 3, 0]]).trace(), id="trace"),
     pytest.param(lambda f: Mat.zeros(f, 2, 2).set_block(0, 1, Mat.from_rows(f, [[5, 6]])),
                  id="set-block-past-edge"),
+    pytest.param(lambda f: Mat.zeros(f, 2, 2).block(1, 1, 2, 2), id="block-past-edge"),
+    pytest.param(lambda f: Mat.zeros(f, 2, 2).block(0, 0, 1, 3), id="block-past-right-edge"),
 ])
 def test_shape_mismatches_raise(field, op):
     """Mismatched shapes raise instead of truncating, broadcasting or growing

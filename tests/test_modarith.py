@@ -49,6 +49,21 @@ def test_m61_mul_boundary_values():
             assert int(got[i]) == x * y % M61
 
 
+@pytest.mark.parametrize("p", LANES)
+def test_mul_pow2_matches_mul(p):
+    """The multiply by 2^s (a rotation of the 61 bits on M61) against mul by
+    pow(2, s, p), at the edges of the residues and at random ones."""
+    kern = get_kernel(p)
+    rnd = random.Random(p)
+    vals = [0, 1, p - 1, (1 << 60) % p] + [rnd.randrange(p) for _ in range(200)]
+    a = kern.asarray(vals)
+    for s in list(range(0, 64)) + [122, 1000]:
+        got = kern.mul_pow2(a, s)
+        assert got.dtype == kern.dtype
+        assert _lists([got]) == _lists([kern.mul(a, pow(2, s, p))])
+        assert _lists([got]) == [[x * pow(2, s, p) % p for x in vals]]
+
+
 def _random_rows(seed, m, n, p):
     gen = np.random.default_rng(seed)
     return gen.integers(0, p, size=(m, n), dtype=np.int64)
@@ -268,3 +283,25 @@ def test_det_many_matches_reference(p):
         got = kern.det_many(kern.asarray(stack))
         assert [int(x) for x in got] == [_py_det(p, M) for M in stack]
     assert kern.det_many(kern.zeros((3, 0, 0))).tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 16, 17, 30])
+@pytest.mark.parametrize("n", [17, 40, 129])
+@pytest.mark.parametrize("p", LANES)
+def test_tall_thin_back_solve_matches_reference(p, n, width):
+    """T^-1 B for a unit upper triangular T of more than 16 rows and a
+    narrow B, which the solve halves into GEMMs: the right half of the
+    reference RREF of [T | B]."""
+    kern = get_kernel(p)
+    rnd = random.Random(f"{p}-{n}-{width}")
+    T = [[1 if i == j else rnd.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
+    B = [[rnd.randrange(p) for _ in range(width)] for _ in range(n)]
+    for i in rnd.sample(range(n), n // 4):  # zero rows and a zero column above the diagonal
+        B[i] = [0] * width
+        for r in range(i):
+            T[r][i] = 0
+    X = kern.asarray(B)
+    kern._solve_unit_upper(kern.asarray(T), X)
+    R, piv = _py_rref(p, [t + b for t, b in zip(T, B)])
+    assert piv == list(range(n))
+    assert _lists(X) == [r[n:] for r in R]

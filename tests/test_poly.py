@@ -1,7 +1,13 @@
 """Univariate and multivariate polynomial machinery, blackboxes, PIT."""
 
-import pytest
+import random
 
+import factor_reference
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trimmeq import poly
 from trimmeq.errors import ArityMismatch, DuplicateNode, NotAPerfectPower, SizeBound
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
@@ -22,6 +28,7 @@ from trimmeq.poly import (
     uni_divmod,
     uni_gcd,
     uni_mul,
+    uni_trim,
     wth_root,
 )
 from trimmeq.trimm import TrimmShape, trimm_blackbox, trimm_explicit
@@ -100,6 +107,70 @@ def test_factor_remultiplies():
             for _ in range(m):
                 back = uni_mul(F, back, f)
         assert back == q
+
+
+def _irreducible(field, deg, rnd):
+    """A random monic irreducible of the given degree, by rejection."""
+    while True:
+        c = [rnd.randrange(field.p) for _ in range(deg)] + [1]
+        fs = factor_reference.factor_univariate(field, c, Rng(0))
+        if fs == [(c, 1)]:
+            return c
+
+
+@given(
+    st.sampled_from([7, 10007, (1 << 61) - 1, (1 << 89) - 1]),
+    st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=5),
+    st.integers(1, (1 << 61) - 2),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_factor_matches_square_and_multiply_reference(p, parts, scale, rnd):
+    """Products of irreducibles of mixed degree and multiplicity, over small
+    primes, a prime above 2^31 and 2^61 - 1: the same factors in the same
+    order as plain square-and-multiply Cantor-Zassenhaus, and the same
+    next draw from the Rng, so that every intermediate split agreed."""
+    field = Fp(p)
+    q, drawn = [scale % p or 1], []
+    for deg, mult in parts:
+        f = _irreducible(field, deg, rnd)
+        while f in drawn:  # distinct factors keep every multiplicity below p
+            f = _irreducible(field, deg, rnd)
+        drawn.append(f)
+        for _ in range(mult):
+            q = uni_mul(field, q, f)
+    seed = rnd.randrange(1 << 30)
+    mine, ref = Rng(seed), Rng(seed)
+    assert factor_univariate(field, q, mine) == factor_reference.factor_univariate(field, q, ref)
+    assert mine.scalar(field) == ref.scalar(field)
+
+
+def test_modular_power_matches_square_and_multiply():
+    """The windowed power modulo a fixed f, and the Frobenius map, against
+    square-and-multiply on schoolbook products."""
+    rnd = random.Random(2)
+    for p in (7, 10007, (1 << 61) - 1, (1 << 89) - 1):
+        field = Fp(p)
+        for n in (1, 2, 9, 27):
+            f = [rnd.randrange(p) for _ in range(n)] + [1]
+            ring, frob = poly._Modulus(field, f), poly._Frobenius(field, f)
+            a = uni_trim([rnd.randrange(p) for _ in range(n)])
+            for e in list(range(1, 40)) + [p, (p - 1) // 2, rnd.randrange(p**3)]:
+                assert ring.pow(a, e) == factor_reference.uni_pow_mod(field, a, e, f)
+            assert frob(a) == factor_reference.uni_pow_mod(field, a, p, f)
+            assert ring.pow([], 5) == []
+
+
+def test_uni_mul_matches_schoolbook():
+    rnd = random.Random(1)
+    for p in (7, 10007, (1 << 61) - 1, (1 << 89) - 1):
+        field = Fp(p)
+        for la, lb in [(1, 1), (1, 30), (27, 27), (40, 3)]:
+            a = [rnd.randrange(-p, 2 * p) for _ in range(la)]
+            b = [rnd.randrange(p) for _ in range(lb)]
+            assert uni_mul(field, a, b) == factor_reference.uni_mul(field, a, b)
+    assert uni_mul(F, [], [1, 2]) == []
+    assert uni_mul(Fp(7), [2, 1], [5]) == [3, 5]
 
 
 # ---------------------------------------------------------------------------
