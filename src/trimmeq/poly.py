@@ -173,7 +173,7 @@ class _Modulus:
         for _ in range(7):
             odd.append(self.mul(odd[-1], sq))
         bits = bin(e)[2:]
-        result, i = None, 0  # the first window starts at the leading one
+        result, i = None, 0  # the first window starts at the leading one, so sets result
         while i < len(bits):
             if bits[i] == "0":
                 result = self.mul(result, result)
@@ -182,10 +182,13 @@ class _Modulus:
             j = min(i + 4, len(bits))
             while bits[j - 1] == "0":
                 j -= 1
-            for _ in range(j - i if result is not None else 0):
-                result = self.mul(result, result)
             w = odd[int(bits[i:j], 2) >> 1]
-            result = w if result is None else self.mul(result, w)
+            if result is None:
+                result = w
+            else:
+                for _ in range(j - i):
+                    result = self.mul(result, result)
+                result = self.mul(result, w)
             i = j
         return result
 
