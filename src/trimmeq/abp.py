@@ -89,22 +89,12 @@ def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> li
     f restricted this way is homogeneous linear for set-multilinear f, so
     unit-vector evaluations read the coefficients off directly.
     """
-    base = list(template)
-    for v in block:
-        base[v] = 0
-    coeffs = []
-    for v in block:
-        q = list(base)
-        q[v] = 1
-        coeffs.append(f.eval(q))
-    return coeffs
+    return _linear_forms(f, [template], block)[0].tolist()
 
 
 def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
     """``linear_form_coeffs`` for each template, as the rows of one array:
-    f at every unit point of the block, in one ``eval_many``.  The point by
-    point reading above stays for single forms of explicit polynomials
-    (``tensor``), whose batched evaluation costs more at a handful of points."""
+    f at every unit point of the block, in one ``eval_many``."""
     T = f.field.kernel.asarray(templates).reshape(len(templates), 1, f.n)
     T[:, :, block] = 0
     pts = np.repeat(T, len(block), axis=1)

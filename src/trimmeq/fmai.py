@@ -168,7 +168,8 @@ def fmai_solve(A: AlgebraInput, mmti, rng: Rng):
 
     mmti is the 3-tensor oracle callable handed to the degree reduction.
     The returned map is verified multiplicative and bijective; extraction
-    inconsistencies between the two conjugation identities reject.
+    inconsistencies between the two conjugation identities reject.  At
+    w = 1 no identity constrains a tensor, and e maps to its 1 x 1 action.
     """
     field = A.field
     r = A.dim
@@ -185,13 +186,24 @@ def fmai_solve(A: AlgebraInput, mmti, rng: Rng):
     if len(Ns) != w * w:
         return reject("commutant-dimension")
     passed("commutant-dimension")
+    images = {(0, 0): Ls[0]} if w == 1 else _tensor_images(Ls, Ns, w, mmti, rng)
+    if images is None:
+        return None
+    iso = AlgebraIso(w, images)
+    if not verify_isomorphism(A, Ls, iso):
+        return reject("multiplicativity")
+    passed("multiplicativity")
+    return iso
+
+
+def _tensor_images(Ls: list[Mat], Ns: list[Mat], w: int, mmti, rng: Rng):
+    """The images read off the constrained tensor's block transforms, or None."""
     try:
         tensor, _ = build_constrained_tensor(Ls, Ns, w)
     except Degenerate:
         return reject("tensor-nonzero")
     passed("tensor-nonzero")
-    f4 = ExplicitBlackbox(tensor)
-    Bs = degree_d_to_3(f4, w, 4, mmti, rng)
+    Bs = degree_d_to_3(ExplicitBlackbox(tensor), w, 4, mmti, rng)
     if Bs is None:
         return None
     B0, B1 = Bs[0], Bs[1]
@@ -206,11 +218,7 @@ def fmai_solve(A: AlgebraInput, mmti, rng: Rng):
             if Ft is None or Ft != F.transpose():
                 return reject("extraction")
             images[(i, j)] = F
-    iso = AlgebraIso(w, images)
-    if not verify_isomorphism(A, Ls, iso):
-        return reject("multiplicativity")
-    passed("multiplicativity")
-    return iso
+    return images
 
 
 def verify_isomorphism(A: AlgebraInput, Ls: list[Mat], iso: AlgebraIso) -> bool:

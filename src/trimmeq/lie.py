@@ -16,13 +16,7 @@ import numpy as np
 
 from .errors import CertificationFailed
 from .field import Fp, Rng
-from .linalg import (
-    Mat,
-    in_span,
-    nullspace_rows,
-    poly_at_matrix,
-    same_span,
-)
+from .linalg import Mat, in_span, nullspace_rows, poly_at_matrix, rank_rows, same_span
 from .poly import Blackbox, ExplicitBlackbox, factor_univariate, squarefree_test
 from .report import reject
 
@@ -231,9 +225,12 @@ def irreducible_invariant_subspaces(
         null = N.nullspace()
         if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
-        space = closure(null[0], L)
-        # every kept s is a closure, so L-invariant: closure(v) lies in s iff v does
-        if not any(space.dim == s.dim and in_span(field, s.basis, null[0]) for s in spaces):
+        v = null[0]
+        space = closure(v, L)
+        # a kept s is an invariant closure with an independent basis: it
+        # contains closure(v) iff it contains v, iff appending v keeps rank s.dim
+        if not any(space.dim == s.dim and rank_rows(field, np.vstack([s.basis, v])) == s.dim
+                   for s in spaces):
             spaces.append(space)
     if len(spaces) != d:
         return reject("invariant-subspaces:subspace-count")

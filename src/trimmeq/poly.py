@@ -5,7 +5,8 @@ no trailing zeros, zero polynomial = []).  Sparse multivariate polynomials
 map exponent tuples to nonzero coefficients.  Blackboxes wrap an exact
 evaluation rule -- explicit polynomial, linear composition f(A.x), trace
 of a matrix product (defined in :mod:`trimmeq.trimm`), or a partial
-substitution -- and expose batched evaluation plus exact gradients.
+substitution -- and expose batched evaluation (an explicit polynomial's
+through an exponent table) plus exact gradients.
 """
 
 from __future__ import annotations
@@ -767,12 +768,16 @@ def _deriv_weights(field: Fp, d: int) -> list[int]:
 
 
 class ExplicitBlackbox(Blackbox):
-    """Blackbox view of an explicit sparse polynomial."""
+    """Blackbox view of an explicit sparse polynomial.  ``eval`` stays on
+    Python ints (the lane of verification); ``eval_many`` multiplies the
+    coefficients, repeated per point, by x_i once per exponent step (i, j) on
+    the terms with exponent of x_i at least j, then sums them by halves."""
 
     def __init__(self, poly: MPoly):
         super().__init__(poly.field, poly.n, poly.degree())
         self.poly = poly
-        self._partials: list[MPoly] | None = None
+        self._table = None
+        self._partials: list[ExplicitBlackbox] | None = None
 
     def eval(self, point):
         self._check_arity(point)
@@ -780,25 +785,29 @@ class ExplicitBlackbox(Blackbox):
 
     def eval_many(self, pts):
         k = self.field.kernel
-        B = len(pts)
-        acc = k.zeros(B)
-        for e, c in self.poly.terms.items():
-            t = np.full(B, c % self.field.p, dtype=k.dtype)
-            for i, ei in enumerate(e):
-                for _ in range(ei):
-                    t = k.mul(t, pts[:, i])
-            acc = k.add(acc, t)
-        return acc
-
-    def _grads(self):
-        if self._partials is None:
-            self._partials = [self.poly.deriv(i) for i in range(self.n)]
-        return self._partials
+        if self._table is None:
+            exps = np.array(list(self.poly.terms), dtype=np.int64).reshape(-1, self.n)
+            top = exps.max(axis=0, initial=0).tolist()
+            has = [(i, exps[:, i] >= j) for i in range(self.n) for j in range(1, top[i] + 1)]
+            # a step on every term reads V whole, without a fancy-index copy
+            steps = [(i, slice(None) if m.all() else np.flatnonzero(m)) for i, m in has]
+            self._table = k.asarray(list(self.poly.terms.values())), steps
+        coeffs, steps = self._table
+        V = np.repeat(coeffs[:, None], len(pts), axis=1)  # V[t, b]: term t at point b
+        for i, rows in steps:
+            V[rows] = k.mul(V[rows], pts[:, i])
+        while len(V) > 1:
+            h = (len(V) + 1) // 2
+            V[: len(V) - h] = k.add(V[: len(V) - h], V[h:])
+            V = V[:h]
+        return V[0] if len(V) else k.zeros(len(pts))
 
     def gradient_many(self, pts):
+        if self._partials is None:
+            self._partials = [ExplicitBlackbox(self.poly.deriv(i)) for i in range(self.n)]
         out = self.field.kernel.zeros((len(pts), self.n))
-        for i, g in enumerate(self._grads()):
-            out[:, i] = ExplicitBlackbox(g).eval_many(pts)
+        for i, g in enumerate(self._partials):
+            out[:, i] = g.eval_many(pts)
         return out
 
 

@@ -5,15 +5,17 @@ A random restriction of the last d-3 blocks turns the input into a
 three layer matrices (the oracle's block transforms, read through
 ``trimm.block_to_layer``) then let unit points be solved (points at which
 a layer evaluates to a matrix unit), and the remaining layers are read off
-entry by entry with ``abp.linear_form_coeffs``.  d = 4 needs only the
-direct read-off; d >= 5 reconstructs a width-w suffix ABP first.  The
-blocks pass the same final gates as the tensor-to-determinant reduction
-(``reduction.certify_blocks``).
+entry by entry, each entry's linear form and its collinearity check in one
+``eval_many``.  d = 4 needs only the direct read-off; d >= 5 reconstructs a
+width-w suffix ABP first.  The blocks pass the same final gates as the
+tensor-to-determinant reduction (``reduction.certify_blocks``).
 """
 
 from __future__ import annotations
 
-from .abp import linear_form_coeffs, reconstruct_abp
+import numpy as np
+
+from .abp import reconstruct_abp
 from .errors import AnchorSingular, CertificationFailed, Singular
 from .field import Rng
 from .poly import Blackbox, LinMat, RestrictionBlackbox
@@ -41,26 +43,19 @@ def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
 
 def _entry_linear_form(f: Blackbox, template: list[int], block: list[int], rng: Rng):
     """Coefficients of the linear form x_block -> f(template | block = x),
-    with a random two-point collinearity check."""
+    with a random two-point collinearity check.  f is read in one
+    ``eval_many``: at the base point (block zeroed), the block's unit
+    points, and q1, q2, q12 (block set to r1, r2, r1 + r2)."""
     field = f.field
     p = field.p
-    base = list(template)
-    for v in block:
-        base[v] = 0
-    if f.eval(base) != 0:
-        return None
-    coeffs = linear_form_coeffs(f, base, block)
-    r1 = rng.vector(field, len(block))
-    r2 = rng.vector(field, len(block))
-    q1, q2, q12 = list(base), list(base), list(base)
-    for v, a, b in zip(block, r1, r2):
-        q1[v] = a
-        q2[v] = b
-        q12[v] = (a + b) % p
-    if (f.eval(q1) + f.eval(q2)) % p != f.eval(q12):
-        return None
-    lin = sum(c * a for c, a in zip(coeffs, r1)) % p
-    if lin != f.eval(q1):
+    m = len(block)
+    r1, r2 = rng.vector(field, m), rng.vector(field, m)
+    local = [[0] * m] + [[int(u == v) for u in range(m)] for v in range(m)]
+    local += [r1, r2, [(a + b) % p for a, b in zip(r1, r2)]]
+    pts = np.tile(field.kernel.asarray(template), (m + 4, 1))
+    pts[:, block] = field.kernel.asarray(local)
+    base, *coeffs, q1, q2, q12 = f.eval_many(pts).tolist()
+    if base or (q1 + q2) % p != q12 or sum(c * a for c, a in zip(coeffs, r1)) % p != q1:
         return None
     return coeffs
 

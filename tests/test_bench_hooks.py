@@ -54,3 +54,15 @@ def test_hooked_kernel_signatures_match_the_tracer():
     assert _positional(_KernelBase.matmul) == ["self", "A", "B"]
     for name in ("nullspace", "rref", "rank", "det"):
         assert _positional(getattr(_KernelBase, name)) == ["self", "M"], name
+
+
+def test_hooked_blackbox_signatures_match_the_tracer():
+    """``_one_point`` counts one point per call of ``ExplicitBlackbox.eval``
+    and ``_batch_points`` reads ``len(args[1])`` from ``eval_many`` and
+    ``gradient_many``: the point, resp. the batch, is the first argument
+    after self."""
+    from trimmeq.poly import ExplicitBlackbox
+
+    assert _positional(ExplicitBlackbox.eval) == ["self", "point"]
+    for name in ("eval_many", "gradient_many"):
+        assert _positional(getattr(ExplicitBlackbox, name)) == ["self", "pts"], name

@@ -214,12 +214,26 @@ def test_constrained_tensor_matches_dense_reference(case, dim):
     assert got == "Degenerate" if dim is None else got[1] == dim
 
 
-def test_trivial_algebra_stops_at_tensor_gate():
-    """At w = 1 every symmetry row vanishes, and the empty row list leaves no
-    kernel vector: M_1 is rejected at the tensor gate."""
+@pytest.mark.parametrize("c", [1, 5, F.p - 1])
+def test_m1_certifies_without_the_tensor(c):
+    """At w = 1 no symmetry identity constrains a tensor: the basis element
+    e = c E_11 (e.e = c e) maps to its 1 x 1 left-multiplication matrix [c],
+    which verify_isomorphism accepts."""
     with RunReport() as rep:
-        assert fmai_solve(_identity_named(1), _mmti(F), Rng(8)) is None
-    assert rep.failed_gate == "tensor-nonzero"
+        iso = fmai_solve(AlgebraInput(F, [Mat(F, [[c]])]), _mmti(F), Rng(8))
+    assert iso is not None and iso.w == 1
+    assert iso.images[(0, 0)] == Mat(F, [[c]])
+    assert rep.failed_gate is None and "tensor-nonzero" not in rep.gates_passed
+    assert rep.gates_passed[-1] == "multiplicativity"
+
+
+def test_zero_algebra_is_rejected_at_multiplicativity():
+    """The one-dimensional algebra with e.e = 0 (e = E_12 in M_2) passes the
+    commutant gate, and its image [0] is not a bijection onto M_1."""
+    E = Mat(F, [[0, 1], [0, 0]])
+    with RunReport() as rep:
+        assert fmai_solve(AlgebraInput(F, [E]), _mmti(F), Rng(8)) is None
+    assert rep.failed_gate == "multiplicativity"
 
 
 def test_constrained_tensor_identity_naming_is_trimm():
@@ -288,6 +302,22 @@ def test_fmai_conjugated_end_to_end():
         if c:
             rhs = rhs + iso.images[divmod(t, 2)].scale(c)
     assert lhs == rhs
+
+
+def test_fmai_reads_the_tensor_only_through_eval_many(monkeypatch):
+    """The solve reads its explicit polynomials (the constrained tensor and
+    the DET oracle's queries) in batches: with the scalar ``eval`` raising,
+    a planted w = 2 algebra still certifies."""
+
+    def scalar(self, point):
+        raise AssertionError("ExplicitBlackbox.eval called during fmai_solve")
+
+    monkeypatch.setattr(ExplicitBlackbox, "eval", scalar)
+    A, _ = _conjugated_algebra(Rng(15))
+    with RunReport() as rep:
+        iso = fmai_solve(A, _mmti(F), Rng(16))
+    assert iso is not None and rep.failed_gate is None
+    assert verify_isomorphism(A, left_mult_matrices(A), iso)
 
 
 def test_verify_isomorphism_does_not_use_the_kernel_product(monkeypatch):

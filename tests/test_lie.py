@@ -14,7 +14,7 @@ from trimmeq.lie import (
     lie_algebra_basis,
     random_element,
 )
-from trimmeq.linalg import Mat, in_span, random_invertible, same_span
+from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, same_span
 from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, MPoly, squarefree_test
 from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
 
@@ -163,8 +163,6 @@ def test_invariant_subspaces_planted():
     for i in range(3):
         for j in range(i + 1, 3):
             assert not spaces[i].same_as(spaces[j])
-    from trimmeq.linalg import rank_rows
-
     assert rank_rows(F, np.concatenate([s.basis for s in spaces])) == 12
 
 
@@ -217,7 +215,8 @@ def _dedup_cases():
 def test_dedup_by_membership_matches_span_equality(case):
     """closure(v) equals a kept closure s iff the dims agree and v lies in s,
     since s is invariant: the dedup of irreducible_invariant_subspaces
-    against comparing the two spans."""
+    against comparing the two spans; a closure's basis is independent, so v
+    lies in s iff appending it keeps the rank at s.dim."""
     L, vecs = list(_dedup_cases())[case]
     spaces = [closure(v, L) for v in vecs]
     equal = 0
@@ -225,6 +224,8 @@ def test_dedup_by_membership_matches_span_equality(case):
         for s in spaces:
             by_span = a.same_as(s)
             assert by_span == (a.dim == s.dim and in_span(F, s.basis, np.array(v)))
+            assert by_span == (a.dim == s.dim
+                               and rank_rows(F, np.vstack([s.basis, np.array(v)])) == s.dim)
             equal += by_span
     assert equal > len(vecs)  # some distinct vectors share a closure
 

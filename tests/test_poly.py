@@ -122,15 +122,18 @@ def _irreducible(field, deg, rnd):
     st.sampled_from([7, 10007, (1 << 61) - 1, (1 << 89) - 1]),
     st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=5),
     st.integers(1, (1 << 61) - 2),
-    st.randoms(use_true_random=False),
+    st.integers(0, (1 << 64) - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_factor_matches_square_and_multiply_reference(p, parts, scale, rnd):
+def test_factor_matches_square_and_multiply_reference(p, parts, scale, seed):
     """Products of irreducibles of mixed degree and multiplicity, over small
     primes, a prime above 2^31 and 2^61 - 1: the same factors in the same
     order as plain square-and-multiply Cantor-Zassenhaus, and the same
-    next draw from the Rng, so that every intermediate split agreed."""
+    next draw from the Rng, so that every intermediate split agreed.  The
+    irreducibles are drawn by rejection from a seeded ``random.Random``, whose
+    unbounded draws could overrun Hypothesis's entropy buffer."""
     field = Fp(p)
+    rnd = random.Random(seed)
     q, drawn = [scale % p or 1], []
     for deg, mult in parts:
         f = _irreducible(field, deg, rnd)
@@ -299,6 +302,41 @@ def test_bb_eval_trimm_all_ones():
 def test_zero_blackbox():
     z = ExplicitBlackbox(MPoly.zero(F, 3))
     assert z.eval([1, 2, 3]) == 0
+
+
+@given(
+    st.sampled_from([(1 << 61) - 1, 10007, (1 << 89) - 1]),
+    st.sampled_from(["zero", "constant", "sparse"]),
+    st.integers(1, 6),
+    st.sampled_from([0, 1, 64, 65, 300]),
+    st.integers(0, (1 << 64) - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_explicit_eval_many_matches_scalar_eval(p, kind, n, batch, seed):
+    """The exponent-table lane against ``MPoly.eval`` at every point, and
+    ``gradient_many`` against each ``deriv(i).eval``: the zero polynomial,
+    constants (0 to p - 1) and up to 40 terms with exponents up to 5, on
+    batches on both sides of the M61 lane's 64-product switch."""
+    field = Fp(p)
+    rnd = random.Random(seed)
+    if kind == "zero":
+        f = MPoly.zero(field, n)
+    elif kind == "constant":
+        f = MPoly.constant(field, n, rnd.choice([1, p - 1, rnd.randrange(p)]))
+    else:
+        f = MPoly(field, n)
+        for _ in range(rnd.randint(1, 40)):
+            f.add_term(tuple(rnd.randint(0, 5) for _ in range(n)), rnd.randrange(p))
+    bb = ExplicitBlackbox(f)
+    rows = [[rnd.choice([0, 1, p - 1, rnd.randrange(p)]) for _ in range(n)] for _ in range(batch)]
+    pts = field.kernel.asarray(rows).reshape(batch, n)
+    for _ in range(2):  # the second call reads the tables the first one built
+        vals = bb.eval_many(pts)
+        assert vals.shape == (batch,) and vals.dtype == field.kernel.dtype
+        assert vals.tolist() == [f.eval(q) for q in rows]
+        grads = bb.gradient_many(pts)
+        assert grads.shape == (batch, n)
+        assert grads.tolist() == [[f.deriv(i).eval(q) for i in range(n)] for q in rows]
 
 
 def test_composed_blackbox_matches_explicit_composition():
