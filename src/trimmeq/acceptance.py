@@ -296,7 +296,7 @@ def criterion_9(field: Fp | None = None) -> CriterionResult:
         for _ in range(50):
             B = random_invertible(field, 4, rng)
             g = target.compose_linear(B)
-            Xp = oracle(g, rng)
+            Xp = oracle(ExplicitBlackbox(g), rng)
             if Xp is None:
                 continue
             if pit_equal(
@@ -315,7 +315,7 @@ def criterion_9(field: Fp | None = None) -> CriterionResult:
                     q.add_term(tuple(e), rng.scalar(field))
             if q.is_zero():
                 q.add_term((2, 0, 0, 0), 1)
-            if oracle(q, rng) is None:
+            if oracle(ExplicitBlackbox(q), rng) is None:
                 rejected += 1
         return good == 50 and rejected == 20, f"answered {good}/50, rejected {rejected}/20"
 

@@ -1,11 +1,15 @@
 """Determinant-equivalence oracles and the matrix-multiplication-tensor oracle.
 
-A DET oracle takes a degree-w polynomial g in w^2 variables and returns a
-w x w linear matrix X' with det(X') = g, or None when g is not equivalent
-to the w x w determinant.  Two implementations: a genuine one for w = 2
-(quadratic form classification over F_p is classical and constructive) and
-a planted one for tests at larger w, which answers from registered secret
-layer matrices.  Every answer is identity-tested before it is returned.
+A DET oracle takes a degree-w polynomial g in w^2 variables, given as a
+blackbox, and returns a w x w linear matrix X' with det(X') = g, or None
+when g is not equivalent to the w x w determinant.  Evaluation access is
+all it needs, as for the blackbox determinant-equivalence tests the
+reduction stands for (Kayal, STOC 2012; Garg-Gupta-Kayal-Saha, ICALP 2019).
+Two implementations: a genuine one for w = 2 (quadratic form classification
+over F_p is classical and constructive; the Gram matrix is read from g at
+e_i and e_i + e_j) and a planted one for tests at larger w, which answers
+from registered secret layer matrices.  Every answer is identity-tested
+against g through the numeric determinant of X' before it is returned.
 """
 
 from __future__ import annotations
@@ -14,27 +18,24 @@ import numpy as np
 
 from .field import Fp, Rng
 from .linalg import Mat
-from .poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
+from .poly import Blackbox, DetBlackbox, LinMat, pit_equal
 from .trimm import TrimmShape, block_to_layer
 
 
-def _gram_matrix(g: MPoly) -> Mat | None:
-    """Symmetric Gram matrix of a homogeneous quadratic, or None."""
-    field = g.field
-    n = g.n
-    half = field.inv(2)
-    G = Mat.zeros(field, n, n)
-    for e, c in g.terms.items():
-        if sum(e) != 2:
-            return None
-        nz = [i for i, x in enumerate(e) if x]
-        if len(nz) == 1:
-            G.rows[nz[0], nz[0]] = c % field.p
-        else:
-            i, j = nz
-            G.rows[i, j] = c * half % field.p
-            G.rows[j, i] = G.rows[i, j]
-    return G
+def _gram_matrix(g: Blackbox) -> Mat:
+    """Symmetric Gram matrix of g read as a quadratic form, from one batch:
+    G_ii = g(e_i) and 2 G_ij = g(e_i + e_j) - g(e_i) - g(e_j)."""
+    field, n = g.field, g.n
+    k = field.kernel
+    i, j = np.triu_indices(n, 1)
+    pairs = n + np.arange(len(i))
+    pts = k.zeros((n + len(i), n))
+    pts[np.arange(n), np.arange(n)] = pts[pairs, i] = pts[pairs, j] = 1
+    vals = g.eval_many(pts)
+    G = k.zeros((n, n))
+    G[np.arange(n), np.arange(n)] = vals[:n]
+    G[i, j] = G[j, i] = k.mul(k.sub(k.sub(vals[n:], vals[i]), vals[j]), field.inv(2))
+    return Mat(field, G)
 
 
 def _congruence_diagonalize(G: Mat) -> tuple[Mat, list[int]]:
@@ -141,12 +142,12 @@ class QuadraticDetOracle:
         T0, self._delta0 = _canonicalize_diagonal(field, diag0)
         self._S0 = S0 * T0  # (S0 T0)^T G0 (S0 T0) = diag(1,1,1,delta0)
 
-    def __call__(self, g: MPoly, rng: Rng) -> LinMat | None:
+    def __call__(self, g: Blackbox, rng: Rng) -> LinMat | None:
         field = self.field
-        if g.n != 4 or g.is_zero():
+        if g.n != 4:
             return None
         G = _gram_matrix(g)
-        if G is None or G.rank() != 4:
+        if G.rank() != 4:
             return None
         S, diag = _congruence_diagonalize(G)
         T, delta = _canonicalize_diagonal(field, diag)
@@ -159,8 +160,7 @@ class QuadraticDetOracle:
         # G = L^T G0 L with L = S0 R (S T)^{-1}
         L = self._S0 * R * (S * T).inverse()
         Xp = LinMat(field, 2, 2, 4, L.rows)
-        det_bb = ExplicitBlackbox(det_linear_matrix(Xp))
-        if not pit_equal(det_bb, ExplicitBlackbox(g), self.verify_trials, rng):
+        if not pit_equal(DetBlackbox(Xp), g, self.verify_trials, rng):
             return None
         return Xp
 
@@ -198,11 +198,8 @@ class PlantedDetOracle:
             c = row_blocks.pop()  # rows of the w^2 x w^2 block in block-c order
             self.registry.append(block_to_layer(E.block(c * w2, k * w2, w2, w2), c))
 
-    def __call__(self, g: MPoly, rng: Rng) -> LinMat | None:
+    def __call__(self, g: Blackbox, rng: Rng) -> LinMat | None:
         field = self.field
-        if g.is_zero():
-            return None
-        g_bb = ExplicitBlackbox(g)
         for X in self.registry:
             # fit the scalar at a nonvanishing point, then identity-test
             beta = None
@@ -210,15 +207,14 @@ class PlantedDetOracle:
                 a = rng.vector(field, g.n)
                 dv = X.eval(a).det()
                 if dv:
-                    beta = field.div(g_bb.eval(a), dv)
+                    beta = field.div(g.eval(a), dv)
                     break
-            if beta is None or beta == 0:
+            if not beta:
                 continue
             D = Mat.identity(field, self.shape.w)
             D.rows[0, 0] = beta
             Xp = X.left_mul(D)
-            det_bb = ExplicitBlackbox(det_linear_matrix(Xp))
-            if pit_equal(det_bb, g_bb, self.verify_trials, rng):
+            if pit_equal(DetBlackbox(Xp), g, self.verify_trials, rng):
                 return Xp.transpose() if self.transpose_answers else Xp
         return None
 

@@ -4,9 +4,12 @@ Univariate polynomials are plain coefficient lists (low-to-high degree,
 no trailing zeros, zero polynomial = []).  Sparse multivariate polynomials
 map exponent tuples to nonzero coefficients.  Blackboxes wrap an exact
 evaluation rule -- explicit polynomial, linear composition f(A.x), trace
-of a matrix product (defined in :mod:`trimmeq.trimm`), or a partial
-substitution -- and expose batched evaluation (an explicit polynomial's
-through an exponent table) plus exact gradients.
+of a matrix product (defined in :mod:`trimmeq.trimm`), partial
+substitution, the determinant of a linear matrix, or the w-th root of a
+blackbox that is a w-th power -- and expose batched evaluation (an explicit
+polynomial's through an exponent table) plus exact gradients.  The symbolic
+determinant and w-th root of explicit polynomials are not on the solve
+path, which reads determinant roots only through evaluations.
 """
 
 from __future__ import annotations
@@ -865,6 +868,85 @@ class RestrictionBlackbox(Blackbox):
         for c, v in enumerate(self.free_vars):
             full[:, v] = pts[:, c]
         return self.base.eval_many(full)
+
+
+class DetBlackbox(Blackbox):
+    """det(X(x)) for a square linear matrix X, read numerically: ``eval``
+    on exact Python ints, ``eval_many`` as one stack of determinants."""
+
+    def __init__(self, X: LinMat):
+        if X.nrows != X.ncols:
+            raise ShapeMismatch("determinant of a non-square linear matrix")
+        super().__init__(X.field, X.n, X.nrows)
+        self.X = X
+
+    def eval(self, point):
+        self._check_arity(point)
+        return self.X.eval(point).det()
+
+    def eval_many(self, pts):
+        return self.field.kernel.det_many(self.X.eval_many(pts))
+
+
+class RootBlackbox(Blackbox):
+    """g(x) / g(b) for a blackbox P = alpha * g^w, g homogeneous of degree
+    e = deg P / w, read at a base point b with P(b) != 0.
+
+    On the line a + t b, P(a + t b) / P(b) = u(t)^w with u(t) = g(a + t b) / g(b)
+    monic of degree e, so g(a) / g(b) = u(0).  A batch of points reads P at
+    t = 0..D (D = deg P) on every line in one ``eval_many``, interpolates the
+    lines in one product with the inverse Vandermonde matrix, and takes the
+    monic w-th roots together: the reversed line U(s) = 1 + U_1 s + ... has the
+    power-series root r = U^(1/w), r_0 = 1 and n r_n = sum_k ((1 + 1/w) k - n)
+    U_k r_(n-k) (J. C. P. Miller's recurrence), and u(0) = r_e.  Reading a
+    point checks nothing; ``is_power_on`` checks whole lines.
+    """
+
+    def __init__(self, P: Blackbox, w: int, b):
+        field = P.field
+        super().__init__(field, P.n, P.degree // w)
+        kern, p, D, e = field.kernel, field.p, P.degree, self.degree
+        self.P, self.w = P, w
+        b = kern.asarray(b)
+        self._scale = field.inv(int(P.eval_many(b[None])[0]))  # the t^D coefficient of every line
+        self._offsets = kern.mul(kern.asarray(range(D + 1))[:, None], b)  # t b, t = 0..D
+        V = Mat(field, [[pow(t, j, p) for j in range(D + 1)] for t in range(D + 1)])
+        self._interp = V.inverse().rows.T  # line values -> coefficients, low to high
+        self._nodes = V.rows[:, : e + 1].T  # coefficients of degree <= e -> values at t = 0..D
+        self._miller = [[((w + 1) * k - n * w) * field.inv(n * w) % p for k in range(1, n + 1)]
+                        for n in range(1, e + 1)]
+
+    def _roots(self, pts):
+        """(r_0..r_e, values of P / P(b) at t = 0..D) for the lines through pts."""
+        kern, D = self.field.kernel, self.P.degree
+        lines = kern.add(pts[:, None, :], self._offsets).reshape(-1, self.n)
+        vals = kern.mul(self.P.eval_many(lines).reshape(len(pts), D + 1), self._scale)
+        U = kern.gemm(vals, self._interp)
+        r = [kern.asarray([1] * len(pts))]
+        for n, weights in enumerate(self._miller, 1):
+            acc = kern.zeros(len(pts))
+            for k, c in enumerate(weights, 1):
+                acc = kern.add(acc, kern.mul(kern.mul(U[:, D - k], r[n - k]), c))
+            r.append(acc)
+        return r, vals
+
+    def eval(self, point):
+        self._check_arity(point)
+        return int(self.eval_many(self.field.kernel.asarray([point]))[0])
+
+    def eval_many(self, pts):
+        return self._roots(pts)[0][-1]
+
+    def is_power_on(self, pts) -> bool:
+        """Whether P / P(b) is the w-th power of the monic root on every line
+        a + t b, a a row of pts: u(t)^w against the line at t = 0..D."""
+        kern = self.field.kernel
+        r, vals = self._roots(pts)
+        u = kern.gemm(np.stack(r[::-1], axis=1), self._nodes)
+        power = u
+        for _ in range(self.w - 1):
+            power = kern.mul(power, u)
+        return bool(np.array_equal(power, vals))
 
 
 # ---------------------------------------------------------------------------

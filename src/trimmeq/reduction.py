@@ -7,7 +7,10 @@ Three stages:
   Lie algebra and an evaluation-dimension block ordering.
 * ``tensor_iso_to_det`` -- from the d-tensor to per-block transformations,
   through set-multilinear ABP reconstruction, determinant-oracle queries on
-  the middle layers, intertwiner solves, and Kronecker factorization.
+  the middle layers, intertwiner solves, and Kronecker factorization.  Each
+  query is the root g of det(Y_k) = alpha * g^w as a blackbox: the paper's
+  reduction needs only evaluation access to g, and no explicit polynomial is
+  built for it.
 * ``trace_equivalence`` -- the composition, returning (w, A) with a final
   randomized identity test, or None for "no such w exists".
 
@@ -29,23 +32,11 @@ from math import isqrt
 import numpy as np
 
 from .abp import evaldim, reconstruct_abp
-from .errors import AnchorSingular, CertificationFailed, NotAPerfectPower, StructureViolation
-from .field import Fp, Rng
+from .errors import AnchorSingular, CertificationFailed, StructureViolation
+from .field import Rng
 from .lie import irreducible_invariant_subspaces
 from .linalg import Mat, assemble_block_diagonal, kron, nullspace_rows, sylvester_rows
-from .poly import (
-    Blackbox,
-    ComposedBlackbox,
-    LinMat,
-    MPoly,
-    det_linear_matrix,
-    interpolate_univariate,
-    matches_power,
-    pit_equal,
-    uni_mul,
-    uni_sub,
-    wth_root,
-)
+from .poly import Blackbox, ComposedBlackbox, DetBlackbox, LinMat, RootBlackbox, pit_equal
 from .report import passed, reject
 from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
@@ -126,104 +117,20 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
 # middle-layer determinant roots
 # ---------------------------------------------------------------------------
 
-def _monic_wth_root_uni(field: Fp, U: list[int], w: int):
-    """Monic u of degree deg(U)/w with u^w == U (U monic), else None."""
-    D = len(U) - 1
-    if D % w:
-        return None
-    dw = D // w
-    p = field.p
-    u = [0] * dw + [1]
-    inv_w = field.inv(w)
-    for j in range(1, dw + 1):
-        uw = [1]
-        for _ in range(w):
-            uw = uni_mul(field, uw, u)
-        uw += [0] * (D + 1 - len(uw))
-        target = U[D - j] if D - j < len(U) else 0
-        delta = (target - uw[D - j]) * inv_w % p
-        u[dw - j] = delta
-    uw = [1]
-    for _ in range(w):
-        uw = uni_mul(field, uw, u)
-    if uni_sub(field, uw, list(U)):
-        return None
-    return u
-
-
-def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> MPoly | None:
-    """The degree-w polynomial g with det(Yloc) = alpha * g^w, normalized
-    so that its graded-lex leading coefficient is one.
-
-    For w = 2 the 4x4 symbolic determinant is computed explicitly and the
-    root extracted by wth_root.  For larger w the symbolic determinant
-    blows up, so g is recovered from univariate restrictions of the
-    numeric determinant along a fixed direction (each restriction is a
-    perfect w-th power whose monic root pins g up to one global scalar),
-    followed by exact interpolation of g's coefficients.  Both routes are
-    verified by identity testing against the numeric determinant.
+def _layer_det_root(Yloc: LinMat, w: int, rng: Rng) -> Blackbox | None:
+    """The blackbox g(x) / g(b) for det(Yloc) = alpha * g^w, g of degree w,
+    read through ``RootBlackbox`` at the first of 10 random points b where
+    det(Yloc) does not vanish.  None when there is no such b, or when the
+    determinant is not a w-th power on one of 25 random lines a + t b.
     """
     field = Yloc.field
-    if w == 2:
-        P = det_linear_matrix(Yloc)
-        if P.is_zero():
-            return None
-        try:
-            return wth_root(P, w, rng=rng)
-        except NotAPerfectPower:
-            return None
-    W = Yloc.nrows
-    nloc = Yloc.n
-
-    def detval(point):
-        return Yloc.eval(point).det()
-
-    b = None
-    for _ in range(10):
-        cand = rng.vector(field, nloc)
-        if detval(cand):
-            b = cand
-            break
-    if b is None:
+    det = DetBlackbox(Yloc)
+    cands = rng.array(field, (10, Yloc.n))
+    nonzero = np.flatnonzero(det.eval_many(cands))
+    if not nonzero.size:
         return None
-
-    from .poly import _monomials
-
-    cands = _monomials(nloc, list(range(nloc)), w, homogeneous=True)
-    npts = len(cands) + 12
-    p = field.p
-    points = [rng.vector(field, nloc) for _ in range(npts)]
-    kern = field.kernel
-    line = kern.asarray([[(x + t * y) % p for x, y in zip(a, b)]
-                         for a in points for t in range(W + 1)])
-    dets = kern.det_many(Yloc.eval_many(line)).reshape(npts, W + 1)
-    keep = []
-    rhs = []  # g(a)/g(b), read off the samples det(Y(a + t b)), t = 0..W
-    for i, samples in enumerate(dets.tolist()):
-        U = interpolate_univariate(field, list(enumerate(samples)))
-        u = (_monic_wth_root_uni(field, [x * field.inv(U[-1]) % p for x in U], w)
-             if len(U) == W + 1 else None)
-        if u is None:
-            continue
-        keep.append(i)
-        rhs.append(u[0])
-    if len(keep) < len(cands):
-        return None
-    # the degree-w monomials at the kept points: one product per factor
-    factors = np.array([[i for i, ei in enumerate(e) for _ in range(ei)] for e in cands]).T
-    P = kern.asarray(points)[keep]
-    monomials = P[:, factors[0]]
-    for col in factors[1:]:
-        monomials = kern.mul(monomials, P[:, col])
-    A = Mat(field, monomials)
-    x = A.solve(rhs)
-    if x is None:
-        return None
-    g = MPoly(field, nloc, {e: c for e, c in zip(cands, x) if c})
-    if g.is_zero():
-        return None
-    g = g.normalized_grlex()
-    return g if matches_power(detval, g, w, 25, rng) else None
+    g = RootBlackbox(det, w, cands[nonzero[0]])
+    return g if g.is_power_on(rng.array(field, (25, Yloc.n))) else None
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +223,8 @@ def tensor_iso_to_det(
     """Per-block transformations B_0..B_{d-1} with
     h = Tr-IMM(B_0 x_0, ..., B_{d-1} x_{d-1}), or None.
 
-    Reconstruct a width-w^2 ABP; extract the w-th root of each middle
-    layer's determinant and hand it to the DET oracle; align the layers to
+    Reconstruct a width-w^2 ABP; hand the DET oracle the w-th root of each
+    middle layer's determinant as a blackbox; align the layers to
     I (x) X' via intertwiners (the transpose branch, when it fires, fires
     globally and is absorbed by transposing the oracle answers); factor
     the Kronecker structure; read off the first and last layers; certify.

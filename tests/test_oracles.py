@@ -19,7 +19,7 @@ DET2 = det_linear_matrix(LinMat.symbolic(F, 2))  # x0 x3 - x1 x2
 def test_quadratic_oracle_identity_query():
     rng = Rng(1)
     oracle = QuadraticDetOracle(F)
-    Xp = oracle(DET2, rng)
+    Xp = oracle(ExplicitBlackbox(DET2), rng)
     assert Xp is not None
     # identity assignment: entry (i, j) is exactly variable 2i + j
     assert Xp == LinMat.symbolic(F, 2)
@@ -28,8 +28,20 @@ def test_quadratic_oracle_identity_query():
 def test_quadratic_oracle_rejects_rank_deficient():
     rng = Rng(2)
     oracle = QuadraticDetOracle(F)
-    assert oracle(MPoly(F, 4, {(2, 0, 0, 0): 1}), rng) is None  # rank 1
-    assert oracle(MPoly(F, 4, {(1, 1, 0, 0): 1}), rng) is None  # rank 2
+    assert oracle(ExplicitBlackbox(MPoly(F, 4, {(2, 0, 0, 0): 1})), rng) is None  # rank 1
+    assert oracle(ExplicitBlackbox(MPoly(F, 4, {(1, 1, 0, 0): 1})), rng) is None  # rank 2
+
+
+def test_quadratic_oracle_rejects_cubic_and_non_homogeneous():
+    """The Gram matrix is read from g at e_i and e_i + e_j whatever g is, so
+    a query that is no quadratic form must fall to the answer's identity
+    test, if not to the rank or discriminant check."""
+    rng = Rng(13)
+    oracle = QuadraticDetOracle(F)
+    cubic = DET2 * MPoly.var(F, 4, 0)
+    assert oracle(ExplicitBlackbox(cubic), rng) is None
+    assert oracle(ExplicitBlackbox(DET2 + MPoly.var(F, 4, 1)), rng) is None  # degrees 2 and 1
+    assert oracle(ExplicitBlackbox(DET2 + MPoly.constant(F, 4, 3)), rng) is None
 
 
 def test_quadratic_oracle_planted_compositions():
@@ -38,7 +50,7 @@ def test_quadratic_oracle_planted_compositions():
     for _ in range(50):
         B = random_invertible(F, 4, rng)
         g = DET2.compose_linear(B)
-        Xp = oracle(g, rng)
+        Xp = oracle(ExplicitBlackbox(g), rng)
         assert Xp is not None
         assert pit_equal(
             ExplicitBlackbox(det_linear_matrix(Xp)), ExplicitBlackbox(g), 50, rng
@@ -56,8 +68,8 @@ def test_quadratic_oracle_transpose_orbit():
     for src, dst in [(0, 0), (1, 2), (2, 1), (3, 3)]:
         perm.rows[dst][src] = 1
     gt = g.compose_linear(perm)
-    assert oracle(g, rng) is not None
-    assert oracle(gt, rng) is not None
+    assert oracle(ExplicitBlackbox(g), rng) is not None
+    assert oracle(ExplicitBlackbox(gt), rng) is not None
 
 
 def test_quadratic_oracle_scaled_queries():
@@ -66,7 +78,7 @@ def test_quadratic_oracle_scaled_queries():
     for _ in range(5):
         c = rng.nonzero_scalar(F)
         g = DET2.scale(c)
-        Xp = oracle(g, rng)
+        Xp = oracle(ExplicitBlackbox(g), rng)
         assert Xp is not None
         assert pit_equal(
             ExplicitBlackbox(det_linear_matrix(Xp)), ExplicitBlackbox(g), 50, rng
@@ -82,7 +94,7 @@ def test_planted_oracle_block_mode_registry():
     # query = det of a registered layer -> answered with beta = 1
     X = oracle.registry[1]
     g = det_linear_matrix(X)
-    ans = oracle(g, rng)
+    ans = oracle(ExplicitBlackbox(g), rng)
     assert ans is not None
     assert pit_equal(ExplicitBlackbox(det_linear_matrix(ans)), ExplicitBlackbox(g), 50, rng)
 
@@ -101,7 +113,7 @@ def test_planted_oracle_scalar_absorption():
     oracle = PlantedDetOracle(F, sh, inst.A)
     X = oracle.registry[0]
     g = det_linear_matrix(X).scale(5)
-    ans = oracle(g, rng)
+    ans = oracle(ExplicitBlackbox(g), rng)
     assert ans is not None
     assert pit_equal(ExplicitBlackbox(det_linear_matrix(ans)), ExplicitBlackbox(g), 50, rng)
 
@@ -116,7 +128,7 @@ def test_planted_oracle_rejects_unregistered():
         for j in range(2):
             strange.coeffs[i][j] = rng.vector(F, 4)
     g = det_linear_matrix(strange)
-    assert oracle(g, rng) is None
+    assert oracle(ExplicitBlackbox(g), rng) is None
 
 
 def test_planted_oracle_transpose_flag():
@@ -126,7 +138,7 @@ def test_planted_oracle_transpose_flag():
     oracle = PlantedDetOracle(F, sh, inst.A, transpose_answers=True)
     X = oracle.registry[0]
     g = det_linear_matrix(X)
-    ans = oracle(g, rng)
+    ans = oracle(ExplicitBlackbox(g), rng)
     assert ans is not None
     # determinant is transpose-invariant, so the answer still verifies
     assert pit_equal(ExplicitBlackbox(det_linear_matrix(ans)), ExplicitBlackbox(g), 50, rng)

@@ -1,13 +1,16 @@
 """The reduction pipeline: ordering, intertwiners, Kronecker factorization,
 tensor isomorphism, and the end-to-end equivalence test."""
 
+import sys
+
 import pytest
 
+from trimmeq.abp import SetMultABP
 from trimmeq.errors import StructureViolation
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, kron, random_invertible
 from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle
-from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, LinMat, MPoly
+from trimmeq.poly import ComposedBlackbox, DetBlackbox, ExplicitBlackbox, LinMat, MPoly
 from trimmeq.reduction import (
     _layer_det_root,
     factor_kron,
@@ -166,30 +169,98 @@ def test_factor_kron_rejects_inconsistent_grid():
         factor_kron(Y, 2)
 
 
-def test_layer_det_root_w3_line_method():
-    """The w = 3 extraction agrees with the planted layer determinant."""
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_layer_det_root_line_method(w):
+    """The blackbox root of a conjugated I (x) X is proportional to det(X)."""
     rng = Rng(8)
-    w = 3
+    W = w * w
     X = LinMat.symbolic(F, w)
-    B = random_invertible(F, 9, rng)
     # conjugate I (x) X by invertibles to mimic a reconstructed layer
-    Z = X.identity_kron(w)
-    T0 = random_invertible(F, 9, rng)
-    T1 = random_invertible(F, 9, rng)
-    Y = Z.left_mul(T0).right_mul(T1)
+    T0, T1 = random_invertible(F, W, rng), random_invertible(F, W, rng)
+    Y = X.identity_kron(w).left_mul(T0).right_mul(T1)
     g = _layer_det_root(Y, w, rng)
-    assert g is not None
-    # g must be proportional to det(X) = Det_3
-    from trimmeq.poly import det_linear_matrix
-
-    det3 = det_linear_matrix(X)
-    a = rng.vector(F, 9)
+    assert g is not None and (g.n, g.degree) == (W, w)
+    a = rng.vector(F, W)
     while g.eval(a) == 0:
-        a = rng.vector(F, 9)
-    c = F.div(det3.eval(a), g.eval(a))
-    for _ in range(30):
-        b = rng.vector(F, 9)
-        assert det3.eval(b) == F.mul(c, g.eval(b))
+        a = rng.vector(F, W)
+    c = F.div(X.eval(a).det(), g.eval(a))
+    pts = rng.array(F, (30, W))
+    assert list(DetBlackbox(X).eval_many(pts)) == [F.mul(c, int(v)) for v in g.eval_many(pts)]
+
+
+def _skew_middle(W):
+    """A W x W linear matrix in W variables with det = 0 identically that
+    still sits in a minimum-width ABP: 3 x 3 skew-symmetric blocks down the
+    diagonal (each of determinant 0), then single variables."""
+    M = F.kernel.zeros((W, W, W))
+    top = W - W % 3
+    for s in range(0, top, 3):
+        for v, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)], s):
+            M[s + i, s + j, v], M[s + j, s + i, v] = 1, F.p - 1
+    M[range(top, W), range(top, W), range(top, W)] = 1
+    return M
+
+
+def _diagonal_middle(W):
+    """diag(x_0, ..., x_(W-1)): its determinant is no w-th power."""
+    M = F.kernel.zeros((W, W, W))
+    M[range(W), range(W), range(W)] = 1
+    return M
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("middle", [_skew_middle, _diagonal_middle])
+def test_layer_det_gate_rejects(w, middle):
+    """A 3-tensor Y_0 . M . Y_2 with random outer layers reconstructs, and
+    a middle layer M whose determinant vanishes or is no w-th power stops
+    the reduction at ``layer-det``, before any DET query."""
+    rng = Rng(20 + w)
+    sh, W = TrimmShape(w, 3), w * w
+    blocks = [sh.block_vars(k) for k in range(3)]
+    layers = [LinMat(F, r, c, sh.n) for r, c in [(1, W), (W, W), (W, 1)]]
+    for k, L in enumerate(layers):
+        L.coeffs[:, :, blocks[k]] = middle(W) if k == 1 else rng.array(F, (L.nrows, L.ncols, W))
+    h = SetMultABP(F, blocks, layers, sh.n).as_blackbox()
+
+    def oracle(g, r):
+        raise AssertionError("DET oracle queried")
+
+    with RunReport() as rep:
+        assert tensor_iso_to_det(h, w, 3, oracle, rng) is None
+    assert rep.failed_gate == "layer-det"
+
+
+def test_solve_builds_no_explicit_determinant_root(monkeypatch):
+    """The reduction reads each g_k only through evaluations: with the
+    symbolic determinant, the explicit w-th root and their helpers raising,
+    planted (2,3) with the quadratic oracle, planted (3,3) with the planted
+    oracle and a w = 2 FMAI solve still certify."""
+    from test_fmai import _conjugated_algebra, _mmti
+
+    from trimmeq import poly
+    from trimmeq.fmai import fmai_solve
+
+    for name in ("det_linear_matrix", "wth_root", "mp_div_exact", "matches_power"):
+        original = getattr(poly, name)
+
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        for module in [m for key, m in list(sys.modules.items())
+                       if m is not None and (key == "trimmeq" or key.startswith("trimmeq."))]:
+            for key, val in list(vars(module).items()):
+                if val is original:
+                    monkeypatch.setattr(module, key, forbidden)
+
+    for (w, d), seed in [((2, 3), 41), ((3, 3), 42)]:
+        sh = TrimmShape(w, d)
+        rng = Rng(seed)
+        inst = plant_instance(F, sh, rng, mode="full")
+        oracle = QuadraticDetOracle(F) if w == 2 else PlantedDetOracle(F, sh, inst.A)
+        res = trace_equivalence(inst.f, d, lambda ww: oracle if ww == w else None, rng)
+        assert res is not None and verify_witness(inst.f, sh, res[1], 100, rng)
+    A, _ = _conjugated_algebra(Rng(43))
+    assert fmai_solve(A, _mmti(F), Rng(44)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +331,18 @@ def test_trace_equivalence_planted_33():
     res = trace_equivalence(inst.f, 3, provider, rng)
     assert res is not None
     assert res[0] == 3
+    assert verify_witness(inst.f, sh, res[1], 100, rng)
+
+
+def test_trace_equivalence_planted_43():
+    """w = 4: the determinant roots (C(19, 4) = 3,876 coefficients each) are
+    only ever read at points."""
+    rng = Rng(1)
+    sh = TrimmShape(4, 3)
+    inst = plant_instance(F, sh, rng, mode="full")
+    provider = lambda w: PlantedDetOracle(F, sh, inst.A) if w == 4 else None
+    res = trace_equivalence(inst.f, 3, provider, rng)
+    assert res is not None and res[0] == 4
     assert verify_witness(inst.f, sh, res[1], 100, rng)
 
 
