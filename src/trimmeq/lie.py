@@ -84,10 +84,22 @@ def _lie_rows_sampled(f: Blackbox, m: int, rng: Rng):
 
 def _certify_element(f: Blackbox, E: Mat, trials: int, rng: Rng) -> bool:
     """PIT of the Lie polynomial of E against zero at fresh points."""
+    return _certify_basis(f, [E], trials, rng)
+
+
+def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool:
+    """PIT of the Lie polynomial of every element of the basis against zero,
+    each at its own ``trials`` fresh points, drawn element by element: one
+    ``gradient_many`` reads every point, one GEMM forms every E a, and one
+    more every grad(a) . E a."""
+    if not basis:
+        return True
     k = f.field.kernel
-    pts = rng.array(f.field, (trials, f.n))
+    n = f.n
+    pts = np.concatenate([rng.array(f.field, (trials, n)) for _ in basis])
     grads = f.gradient_many(pts)
-    Ea = k.matmul(pts, E.rows.T)  # rows: E.a
+    E = k.asarray([M.rows for M in basis]).reshape(-1, n, n)
+    Ea = k.gemm(pts.reshape(-1, trials, n), E.transpose(0, 2, 1)).reshape(-1, n)  # rows: E a
     return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
@@ -100,10 +112,10 @@ def lie_algebra_basis(
     """Basis of the Lie algebra of f.
 
     sampled: build an (n^2 + 32)-row random constraint system, take its
-    nullspace, then certify every basis element by PIT at fresh points;
-    raises CertificationFailed if any element fails (the caller may retry
-    with more rows).  exact: coefficient matching on an explicit
-    polynomial; both return the same span w.h.p.
+    nullspace, then certify the basis by PIT at fresh points, every element
+    at once (``_certify_basis``); raises CertificationFailed if any element
+    fails (the caller may retry with more rows).  exact: coefficient
+    matching on an explicit polynomial; both return the same span w.h.p.
     """
     n = f.n
     field = f.field
@@ -116,7 +128,7 @@ def lie_algebra_basis(
     for _ in range(2):
         rows, _ = _lie_rows_sampled(f, attempt_rows, rng)
         basis = [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, rows)]
-        if all(_certify_element(f, E, certify_trials, rng) for E in basis):
+        if _certify_basis(f, basis, certify_trials, rng):
             return LieBasis(field, n, basis)
         attempt_rows *= 2
     raise CertificationFailed("sampled Lie basis failed identity certification")

@@ -199,9 +199,13 @@ class PlantedDetOracle:
             self.registry.append(block_to_layer(E.block(c * w2, k * w2, w2, w2), c))
 
     def __call__(self, g: Blackbox, rng: Rng) -> LinMat | None:
+        """The first registry entry X whose det(X), scaled by the scalar fitted
+        at a nonvanishing point a, agrees with g at the rotation of a and then
+        passes the identity test.  The second point draws nothing, and the
+        identity test's seed is drawn for every fitted entry, so the random
+        stream does not depend on which entries the cheap check drops."""
         field = self.field
         for X in self.registry:
-            # fit the scalar at a nonvanishing point, then identity-test
             beta = None
             for _ in range(20):
                 a = rng.vector(field, g.n)
@@ -211,10 +215,14 @@ class PlantedDetOracle:
                     break
             if not beta:
                 continue
+            pit_rng = Rng(rng.randrange(1 << 62))
+            b = a[1:] + a[:1]
+            if g.eval(b) != field.mul(beta, X.eval(b).det()):
+                continue  # a wrong entry, dropped for one evaluation of g
             D = Mat.identity(field, self.shape.w)
             D.rows[0, 0] = beta
             Xp = X.left_mul(D)
-            if pit_equal(DetBlackbox(Xp), g, self.verify_trials, rng):
+            if pit_equal(DetBlackbox(Xp), g, self.verify_trials, pit_rng):
                 return Xp.transpose() if self.transpose_answers else Xp
         return None
 

@@ -43,7 +43,8 @@ from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
 @dataclass
 class OrderingReport:
-    """Recovered cyclic order of the blocks plus the evaldim table."""
+    """Recovered cyclic order of the blocks plus the evaldim table, whose
+    entries are min(evaldim, w^2 + 16): the sample grid is (w^2 + 16)^2."""
 
     tau: list[int]
     evaldim_table: list[list[int]]
@@ -52,9 +53,14 @@ class OrderingReport:
 def order_blocks(g: Blackbox, shape: TrimmShape, rng: Rng) -> OrderingReport | None:
     """Chain the blocks of a d-tensor into cyclic order via evaluation
     dimension: adjacent block pairs give w^2, non-adjacent w^4.  None when
-    the adjacency structure is broken."""
+    the adjacency structure is broken.
+
+    Adjacency only asks whether a pair's evaldim equals w^2, so each pair is
+    sampled on an m x m grid with m = w^2 + 16, whose rank is min(evaldim, m)
+    w.h.p.: a table entry is min(evaldim, w^2 + 16), and a non-adjacent pair
+    reads w^4 only when w^4 <= w^2 + 16 (w = 2)."""
     w, d = shape.w, shape.d
-    m = w ** 4 + 16
+    m = w * w + 16
     table = [[0] * d for _ in range(d)]
     for r in range(d):
         for rp in range(r + 1, d):

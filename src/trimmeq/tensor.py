@@ -4,9 +4,9 @@ A random restriction of the last d-3 blocks turns the input into a
 3-tensor handled by the matrix-multiplication-tensor oracle; the first
 three layer matrices (the oracle's block transforms, read through
 ``trimm.block_to_layer``) then let unit points be solved (points at which
-a layer evaluates to a matrix unit), and the remaining layers are read off
-entry by entry, each entry's linear form and its collinearity check in one
-``eval_many``.  d = 4 needs only the direct read-off; d >= 5 reconstructs a
+a layer evaluates to a matrix unit), and each remaining layer is read off
+in one ``eval_many``: every entry's linear form with its collinearity
+check.  d = 4 needs only the direct read-off; d >= 5 reconstructs a
 width-w suffix ABP first.  The blocks pass the same final gates as the
 tensor-to-determinant reduction (``reduction.certify_blocks``).
 """
@@ -41,21 +41,27 @@ def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
     return C.inverse().rows.T.reshape(w, w, -1).tolist()  # column t of C^-1 solves for unit t
 
 
-def _entry_linear_form(f: Blackbox, template: list[int], block: list[int], rng: Rng):
-    """Coefficients of the linear form x_block -> f(template | block = x),
-    with a random two-point collinearity check.  f is read in one
-    ``eval_many``: at the base point (block zeroed), the block's unit
-    points, and q1, q2, q12 (block set to r1, r2, r1 + r2)."""
+def _entry_linear_forms(f: Blackbox, templates: list[list[int]], block: list[int], rng: Rng):
+    """Coefficients of the linear forms x_block -> f(template | block = x),
+    one row per template, each with a random two-point collinearity check,
+    or None when a check fails.  The r1, r2 of every template are drawn
+    first, in template order, and f is read in one ``eval_many``: per
+    template at the base point (block zeroed), the block's unit points, and
+    q1, q2, q12 (block set to r1, r2, r1 + r2)."""
     field = f.field
-    p = field.p
+    k = field.kernel
     m = len(block)
-    r1, r2 = rng.vector(field, m), rng.vector(field, m)
-    local = [[0] * m] + [[int(u == v) for u in range(m)] for v in range(m)]
-    local += [r1, r2, [(a + b) % p for a, b in zip(r1, r2)]]
-    pts = np.tile(field.kernel.asarray(template), (m + 4, 1))
-    pts[:, block] = field.kernel.asarray(local)
-    base, *coeffs, q1, q2, q12 = f.eval_many(pts).tolist()
-    if base or (q1 + q2) % p != q12 or sum(c * a for c, a in zip(coeffs, r1)) % p != q1:
+    rs = k.asarray([rng.vector(field, m) + rng.vector(field, m) for _ in templates])
+    r1, r2 = rs[:, :m], rs[:, m:]
+    local = np.zeros((len(templates), m + 4, m), dtype=k.dtype)
+    local[:, 1 : m + 1] = np.eye(m, dtype=k.dtype)
+    local[:, m + 1], local[:, m + 2], local[:, m + 3] = r1, r2, k.add(r1, r2)
+    pts = np.repeat(k.asarray(templates)[:, None, :], m + 4, axis=1)
+    pts[:, :, block] = local
+    vals = f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), m + 4)
+    base, coeffs, (q1, q2, q12) = vals[:, 0], vals[:, 1 : m + 1], vals[:, m + 1 :].T
+    read_q1 = k.gemm(coeffs[:, None, :], r1[:, :, None])[:, 0, 0]
+    if base.any() or not np.array_equal(k.add(q1, q2), q12) or not np.array_equal(read_q1, q1):
         return None
     return coeffs
 
@@ -112,18 +118,27 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
         for v, x in zip(blocks[k], local_vals):
             point[v] = x % field.p
 
-    if d == 4:
-        X3 = LinMat(field, w, w, w2)
+    def read_layer(k, pin):
+        """The w x w layer of f-block k: entry (i, j) is the linear form of f
+        in block k at the template that ``pin(t, i, j)`` fills, all in one read."""
+        templates = []
         for i in range(w):
             for j in range(w):
                 t = [0] * f.n
-                put(t, 0, units[0][j][0])
-                put(t, 1, units[1][0][0])
-                put(t, 2, units[2][0][i])
-                form = _entry_linear_form(f, t, blocks[3], rng)
-                if form is None:
-                    return reject("entry-linearity")
-                X3.coeffs[i, j] = form
+                pin(t, i, j)
+                templates.append(t)
+        forms = _entry_linear_forms(f, templates, blocks[k], rng)
+        return None if forms is None else LinMat(field, w, w, w2, forms.reshape(w, w, w2))
+
+    if d == 4:
+        def pin3(t, i, j):
+            put(t, 0, units[0][j][0])
+            put(t, 1, units[1][0][0])
+            put(t, 2, units[2][0][i])
+
+        X3 = read_layer(3, pin3)
+        if X3 is None:
+            return reject("entry-linearity")
         layer_mats = {3: X3}
     else:
         # suffix ABP of the (1,1)-pinned restriction over blocks 3..d-1
@@ -159,44 +174,38 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
                 return reject("unit-points")
             b_last.append(sol)
 
-        X3 = LinMat(field, w, w, w2)
-        for i in range(w):
-            for j in range(w):
-                t = [0] * f.n
-                put(t, 0, units[0][0][0])
-                put(t, 1, units[1][0][0])
-                put(t, 2, units[2][0][i])
-                for k in range(4, d - 1):
-                    put(t, k, units_suffix[k][j][j])
-                put(t, d - 1, b_last[j])
-                form = _entry_linear_form(f, t, blocks[3], rng)
-                if form is None:
-                    return reject("entry-linearity")
-                X3.coeffs[i, j] = form
+        def pin3(t, i, j):
+            put(t, 0, units[0][0][0])
+            put(t, 1, units[1][0][0])
+            put(t, 2, units[2][0][i])
+            for k in range(4, d - 1):
+                put(t, k, units_suffix[k][j][j])
+            put(t, d - 1, b_last[j])
+
+        X3 = read_layer(3, pin3)
+        if X3 is None:
+            return reject("entry-linearity")
         layer_mats[3] = X3
         try:
             units3 = _unit_points_all(X3)
         except Singular:
             return reject("unit-points")
 
-        Xlast = LinMat(field, w, w, w2)
-        for i in range(w):
-            for j in range(w):
-                t = [0] * f.n
-                put(t, 0, units[0][j][0])
-                put(t, 1, units[1][0][0])
-                put(t, 2, units[2][0][0])
-                put(t, 3, units3[0][0])
-                for k in range(4, d - 2):
-                    put(t, k, units_suffix[k][0][0])
-                if d - 2 >= 4:
-                    put(t, d - 2, units_suffix[d - 2][0][i])
-                else:
-                    put(t, d - 2, units3[0][i])
-                form = _entry_linear_form(f, t, blocks[d - 1], rng)
-                if form is None:
-                    return reject("entry-linearity")
-                Xlast.coeffs[i, j] = form
+        def pin_last(t, i, j):
+            put(t, 0, units[0][j][0])
+            put(t, 1, units[1][0][0])
+            put(t, 2, units[2][0][0])
+            put(t, 3, units3[0][0])
+            for k in range(4, d - 2):
+                put(t, k, units_suffix[k][0][0])
+            if d - 2 >= 4:
+                put(t, d - 2, units_suffix[d - 2][0][i])
+            else:
+                put(t, d - 2, units3[0][i])
+
+        Xlast = read_layer(d - 1, pin_last)
+        if Xlast is None:
+            return reject("entry-linearity")
         layer_mats[d - 1] = Xlast
 
     layers = [layer_mats[k] for k in range(3, d)]

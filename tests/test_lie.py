@@ -8,6 +8,8 @@ from trimmeq.field import Fp, Rng
 from trimmeq.lie import (
     InvariantSubspace,
     LieBasis,
+    _certify_basis,
+    _certify_element,
     closure,
     irreducible_invariant_subspaces,
     is_invariant,
@@ -247,3 +249,20 @@ def test_random_cubic_rejected():
         out = irreducible_invariant_subspaces(ExplicitBlackbox(poly), r, expected_count=3)
         rejects += out is None
     assert rejects >= 9
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+def test_batched_certification_rejects_one_perturbed_element(shape):
+    """The Lie basis is certified in one batch: every element passes, and a
+    basis with one element moved off the algebra fails, wherever it sits."""
+    sh = TrimmShape(*shape)
+    f = plant_instance(F, sh, Rng(21), mode="full").f
+    L = lie_algebra_basis(f, Rng(22))
+    assert _certify_basis(f, L.basis, 20, Rng(23))
+    for pos in (0, L.dim // 2, L.dim - 1):
+        bad = list(L.basis)
+        E = bad[pos].rows.copy()
+        E[0, -1] = F.add(int(E[0, -1]), 1)
+        bad[pos] = Mat(F, E)
+        assert not _certify_basis(f, bad, 20, Rng(23))
+        assert not _certify_element(f, bad[pos], 20, Rng(23))

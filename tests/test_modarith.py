@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 from elimination_reference import _py_det, _py_forward, _py_nullspace, _py_rref
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trimmeq import modarith
@@ -18,7 +18,10 @@ P89 = (1 << 89) - 1
 LANES = [M61, 10007, P89]  # limb-split int64, % on int64, % on Python ints
 
 
-@given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=100))
+M61_RESIDUES = st.one_of(st.integers(0, M61 - 1), st.sampled_from([0, 1, M61 - 2, M61 - 1]))
+
+
+@given(st.lists(st.tuples(M61_RESIDUES, M61_RESIDUES), min_size=1, max_size=100))
 @settings(max_examples=200, deadline=None)
 def test_m61_mul_matches_bigint(pairs):
     a = np.array([x for x, _ in pairs], dtype=np.int64)
@@ -26,6 +29,16 @@ def test_m61_mul_matches_bigint(pairs):
     got = K61.mul(a, b)
     for i, (x, y) in enumerate(pairs):
         assert int(got[i]) == x * y % M61
+    # a column against a row broadcasts past the Python-int cut-off; p - 1 is
+    # the largest operand, and inputs are left as they were
+    row = np.append(b[:8], [M61 - 1, 1, 0])
+    outer = K61.mul(a[:, None], row[None, :])
+    assert outer.dtype == np.int64 and outer.shape == (len(a), len(row))
+    for i, x in enumerate(a.tolist()):
+        assert outer[i].tolist() == [x * y % M61 for y in row.tolist()]
+    assert a.tolist() == [x for x, _ in pairs]
+    top = K61.mul(a, np.int64(M61 - 1))
+    assert top.tolist() == [x * (M61 - 1) % M61 for x, _ in pairs]
 
 
 @given(st.lists(st.tuples(st.integers(0, M61 - 1), st.integers(0, M61 - 1)), min_size=1, max_size=100))
@@ -308,3 +321,19 @@ def test_tall_thin_back_solve_matches_reference(p, n, width):
     R, piv = _py_rref(p, [t + b for t, b in zip(T, B)])
     assert piv == list(range(n))
     assert _lists(X) == [r[n:] for r in R]
+
+
+@given(st.sampled_from(LANES),
+       st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(0, 1 << 90)), max_size=40))
+@settings(max_examples=150, deadline=None)
+@example(p=M61, raw=[])
+@example(p=10007, raw=[5])
+@example(p=P89, raw=[0, 1, -1, 0])
+def test_inv_many_matches_pow(p, raw):
+    """Montgomery's batch inversion against one ``pow`` per entry: zeros stay
+    zero, on every lane, for single entries and the empty vector too."""
+    k = get_kernel(p)
+    xs = [x % p for x in raw]
+    got = k.inv_many(k.asarray(xs))
+    assert got.dtype == k.dtype and got.shape == (len(xs),)
+    assert got.tolist() == [pow(x, -1, p) if x else 0 for x in xs]

@@ -1,9 +1,10 @@
 """The determinant oracles and the matrix-multiplication-tensor oracle."""
 
+from trimmeq import oracles
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
 from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle, mmti_oracle
-from trimmeq.poly import ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
+from trimmeq.poly import DetBlackbox, ExplicitBlackbox, LinMat, MPoly, det_linear_matrix, pit_equal
 from trimmeq.trimm import (
     TrimmShape,
     block_to_layer,
@@ -180,3 +181,35 @@ def test_mmti_rejects_random_tensor():
         if mmti_oracle(ExplicitBlackbox(t), 2, det, r) is None:
             rejected += 1
     assert rejected == 5
+
+
+def test_planted_oracle_drops_a_wrong_entry_before_the_identity_test(monkeypatch):
+    """With a wrong registry entry first, the answer is the one the right
+    entry alone gives, the identity test runs once, and the random stream
+    ends where it ends when every fitted entry runs the identity test."""
+    sh = TrimmShape(3, 3)
+    inst = plant_instance(F, sh, Rng(5), mode="block")
+    oracle = PlantedDetOracle(F, sh, inst.A)
+    wrong, right = oracle.registry[0], oracle.registry[1]
+    g = DetBlackbox(right.scale(7))
+    oracle.registry = [right]
+    alone = oracle(g, Rng(1))
+    calls = []
+
+    def counting_pit(*args):
+        calls.append(args)
+        return pit_equal(*args)
+
+    monkeypatch.setattr(oracles, "pit_equal", counting_pit)
+    oracle.registry = [wrong, right]
+    rng = Rng(1)
+    assert oracle(g, rng) == alone
+    assert len(calls) == 1
+    # the reference stream: the wrong entry's fit, then one identity-test seed
+    # per fitted entry, then the right entry's fit and seed
+    ref = Rng(1)
+    for X in (wrong, right):
+        while not X.eval(ref.vector(F, g.n)).det():
+            pass
+        ref.randrange(1 << 62)
+    assert rng.randrange(1 << 62) == ref.randrange(1 << 62)

@@ -5,12 +5,13 @@ import sys
 
 import pytest
 
-from trimmeq.abp import SetMultABP
+from trimmeq import reduction
+from trimmeq.abp import SetMultABP, evaldim
 from trimmeq.errors import StructureViolation
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, kron, random_invertible
 from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle
-from trimmeq.poly import ComposedBlackbox, DetBlackbox, ExplicitBlackbox, LinMat, MPoly
+from trimmeq.poly import Blackbox, ComposedBlackbox, DetBlackbox, ExplicitBlackbox, LinMat, MPoly
 from trimmeq.reduction import (
     _layer_det_root,
     factor_kron,
@@ -47,27 +48,18 @@ def test_order_blocks_unshuffled_is_rotation():
         assert diffs in ({1}, {d - 1})
 
 
-def test_order_blocks_recovers_shuffle():
+SIGMA = [2, 0, 3, 1]  # block k of the shuffled (2,4) tensor is block SIGMA[k] of Tr-IMM
+
+
+def _shuffled_24():
     sh = TrimmShape(2, 4)
-    d = 4
-    rng = Rng(2)
-    sigma = [2, 0, 3, 1]  # blocks pre-shuffled by a known permutation
-    n = sh.n
-    P = Mat.zeros(F, n, n)
-    for k in range(d):
-        for s in range(4):
-            P.rows[sigma[k] * 4 + s][k * 4 + s] = 1
-    g = ComposedBlackbox(trimm_blackbox(F, sh), P)
-    rep = order_blocks(g, sh, rng)
-    assert rep is not None
-    tau = rep.tau
-    # tau must chain blocks whose images under sigma are cyclically adjacent
-    for t in range(d):
-        a, b = sigma[tau[t]], sigma[tau[(t + 1) % d]]
-        assert (b - a) % d in (1, d - 1)
+    P = Mat.zeros(F, sh.n, sh.n)
+    for k, s in enumerate(SIGMA):
+        P.rows[s * 4 : s * 4 + 4, k * 4 : k * 4 + 4] = Mat.identity(F, 4).rows
+    return ComposedBlackbox(trimm_blackbox(F, sh), P), sh
 
 
-def test_order_blocks_rejects_generic_4tensor():
+def _generic_4tensor():
     rng = Rng(3)
     t = MPoly.zero(F, 16)
     for a in range(4):
@@ -77,14 +69,69 @@ def test_order_blocks_rejects_generic_4tensor():
                     e = [0] * 16
                     e[a] = e[4 + b] = e[8 + c] = e[12 + e4] = 1
                     t.add_term(tuple(e), rng.scalar(F))
-    bb = ExplicitBlackbox(t)
-    assert order_blocks(bb, TrimmShape(2, 4), rng) is None
+    return ExplicitBlackbox(t), TrimmShape(2, 4)
+
+
+def test_order_blocks_recovers_shuffle():
+    g, sh = _shuffled_24()
+    d = sh.d
+    rep = order_blocks(g, sh, Rng(2))
+    assert rep is not None
+    tau = rep.tau
+    # tau must chain blocks whose images under SIGMA are cyclically adjacent
+    for t in range(d):
+        a, b = SIGMA[tau[t]], SIGMA[tau[(t + 1) % d]]
+        assert (b - a) % d in (1, d - 1)
+
+
+def test_order_blocks_rejects_generic_4tensor():
+    bb, sh = _generic_4tensor()
+    assert order_blocks(bb, sh, Rng(3)) is None
 
 
 def test_order_blocks_d3_identity():
     sh = TrimmShape(2, 3)
     rep = order_blocks(trimm_blackbox(F, sh), sh, Rng(4))
     assert rep is not None and rep.tau == [0, 1, 2]
+
+
+@pytest.mark.parametrize("case", ["2x4", "2x5", "3x3", "shuffled-2x4", "generic-4-tensor"])
+def test_order_blocks_decides_as_the_full_grid(monkeypatch, case):
+    """The (w^2 + 16)-sample table chains the blocks exactly as the
+    (w^4 + 16)-sample one did, and each entry is min(evaldim, w^2 + 16)."""
+    if case == "shuffled-2x4":
+        g, sh = _shuffled_24()
+    elif case == "generic-4-tensor":
+        g, sh = _generic_4tensor()
+    else:
+        sh = TrimmShape(*map(int, case.split("x")))
+        g = trimm_blackbox(F, sh)
+    rep = order_blocks(g, sh, Rng(11))
+    with monkeypatch.context() as mp:
+        full = sh.w ** 4 + 16
+        mp.setattr(reduction, "evaldim", lambda f, fixed, m, rng: evaldim(f, fixed, full, rng))
+        ref = order_blocks(g, sh, Rng(11))
+    assert (rep is None) == (ref is None)
+    if ref is not None:
+        assert rep.tau == ref.tau
+        cap = sh.w ** 2 + 16
+        assert rep.evaldim_table == [[min(e, cap) for e in row] for row in ref.evaldim_table]
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_order_blocks_reads_a_w2_plus_16_grid_per_pair(w):
+    """At d = 3 there are three pairs, each read on a (w^2 + 16)^2 grid."""
+    sh = TrimmShape(w, 3)
+    base = trimm_blackbox(F, sh)
+    read = []
+
+    class Counting(Blackbox):
+        def eval_many(self, pts):
+            read.append(len(pts))
+            return base.eval_many(pts)
+
+    assert order_blocks(Counting(F, sh.n, sh.d), sh, Rng(5)).tau == [0, 1, 2]
+    assert sum(read) == 3 * (w * w + 16) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 import pytest
 
+from trimmeq import tensor
 from trimmeq.errors import Singular
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
 from trimmeq.oracles import QuadraticDetOracle, mmti_oracle
 from trimmeq.poly import ExplicitBlackbox, LinMat, MPoly
-from trimmeq.tensor import degree_d_to_3, unit_point
+from trimmeq.tensor import _entry_linear_forms, degree_d_to_3, unit_point
 from trimmeq.trimm import TrimmShape, plant_instance, verify_witness
 
 F = Fp()
@@ -66,13 +67,23 @@ def test_degree_reduce_passthrough_d3():
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
-def test_degree_reduce_planted(d):
+def test_degree_reduce_planted(monkeypatch, d):
+    """The planted tensor certifies, and each read-off layer (block 3, and
+    the last block from d = 5 on) takes its w^2 entry forms from one read."""
+    reads = []
+
+    def counting(f, templates, block, rng):
+        reads.append(len(templates))
+        return _entry_linear_forms(f, templates, block, rng)
+
+    monkeypatch.setattr(tensor, "_entry_linear_forms", counting)
     rng = Rng(30 + d)
     sh = TrimmShape(2, d)
     inst = plant_instance(F, sh, rng, mode="block")
     Bs = degree_d_to_3(inst.f, 2, d, _mmti(F), rng)
     assert Bs is not None
     assert verify_witness(inst.f, sh, Bs, 100, rng)
+    assert reads == [4] * min(d - 3, 2)
 
 
 def test_degree_reduce_restricted_three_tensor_signature():
