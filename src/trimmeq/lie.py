@@ -82,11 +82,6 @@ def _lie_rows_sampled(f: Blackbox, m: int, rng: Rng):
     return rows, pts
 
 
-def _certify_element(f: Blackbox, E: Mat, trials: int, rng: Rng) -> bool:
-    """PIT of the Lie polynomial of E against zero at fresh points."""
-    return _certify_basis(f, [E], trials, rng)
-
-
 def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool:
     """PIT of the Lie polynomial of every element of the basis against zero,
     each at its own ``trials`` fresh points, drawn element by element: one

@@ -77,27 +77,8 @@ class _KernelBase:
         return self.mul(a, pow(2, s, self.p))
 
     def inv_many(self, a: np.ndarray) -> np.ndarray:
-        """Inverses of a vector of residues; zeros stay zero.
-
-        Montgomery's batch inversion (Math. Comp. 48, 1987): the prefix
-        products of the nonzero entries, one ``pow`` of their total, then a
-        backward pass that peels one entry off per step: one inversion and
-        about 3n products for n entries."""
-        p = self.p
-        vals = a.tolist()
-        prefix = []  # prefix[i]: product of the nonzero entries before i
-        acc = 1
-        for x in vals:
-            prefix.append(acc)
-            if x:
-                acc = acc * x % p
-        inv = pow(acc, -1, p)  # the inverse of the product of entries 0..i, going down
-        out = [0] * len(vals)
-        for i in range(len(vals) - 1, -1, -1):
-            if vals[i]:
-                out[i] = inv * prefix[i] % p
-                inv = inv * vals[i] % p
-        return self.asarray(out)
+        """Inverses of a vector of residues; zeros stay zero."""
+        return self.asarray([pow(x, -1, self.p) if x else 0 for x in a.tolist()])
 
     def asarray(self, rows) -> np.ndarray:
         return np.array(rows, dtype=self.dtype)

@@ -9,7 +9,6 @@ from trimmeq.lie import (
     InvariantSubspace,
     LieBasis,
     _certify_basis,
-    _certify_element,
     closure,
     irreducible_invariant_subspaces,
     is_invariant,
@@ -265,4 +264,4 @@ def test_batched_certification_rejects_one_perturbed_element(shape):
         E[0, -1] = F.add(int(E[0, -1]), 1)
         bad[pos] = Mat(F, E)
         assert not _certify_basis(f, bad, 20, Rng(23))
-        assert not _certify_element(f, bad[pos], 20, Rng(23))
+        assert not _certify_basis(f, [bad[pos]], 20, Rng(23))

@@ -330,8 +330,8 @@ def test_tall_thin_back_solve_matches_reference(p, n, width):
 @example(p=10007, raw=[5])
 @example(p=P89, raw=[0, 1, -1, 0])
 def test_inv_many_matches_pow(p, raw):
-    """Montgomery's batch inversion against one ``pow`` per entry: zeros stay
-    zero, on every lane, for single entries and the empty vector too."""
+    """``inv_many`` against one ``pow`` per entry: zeros stay zero, on every
+    lane, for single entries and the empty vector too."""
     k = get_kernel(p)
     xs = [x % p for x in raw]
     got = k.inv_many(k.asarray(xs))

@@ -11,7 +11,7 @@ from trimm_helpers import (
 )
 from trimmeq.errors import InputError
 from trimmeq.field import Fp, Rng
-from trimmeq.lie import _certify_element, lie_algebra_basis
+from trimmeq.lie import _certify_basis, lie_algebra_basis
 from trimmeq.linalg import Mat, rank_rows
 from trimmeq.poly import ExplicitBlackbox, pit_equal
 from trimmeq.trimm import (
@@ -112,7 +112,7 @@ def test_lie_generators_satisfy_identity_all_parities(w, d):
     for k in range(d):
         for _ in range(3):
             M = Mat.random(F, w, w, rng)
-            assert _certify_element(bb, lie_generator(sh, k, M), 20, rng), (k, d)
+            assert _certify_basis(bb, [lie_generator(sh, k, M)], 20, rng), (k, d)
 
 
 def test_generator_span_dimension_matches_exact_nullspace():
@@ -148,7 +148,7 @@ def test_distinct_diagonal_element():
         for j in range(12):
             if i != j:
                 assert B.rows[i][j] == 0
-    assert _certify_element(trimm_blackbox(F, sh), B, 20, rng)
+    assert _certify_basis(trimm_blackbox(F, sh), [B], 20, rng)
 
 
 def test_plant_instance_identity_and_invertibility():

@@ -2,14 +2,14 @@
 
     python3 tools/bench_pairs.py --rev HEAD --workload trimm-w3-planted --pairs 10 --seed 501
 
-Exports ``--rev`` with ``git archive`` into a temporary directory (or
-``--workdir``), then runs ``perfbench/run.py --trace 0`` of each side in its
-own tree, one fresh process per run: pair i uses seed ``--seed`` + i, and
-the side that runs first alternates from pair to pair.  For every
-end-to-end metric of BENCHMARK.json it prints each side's median and
-interquartile range, the number of pairs the working tree won (ties count
-for neither), and the median's relative change against the metric's bound.
-Every run's result line goes to ``--out`` as JSON, if given.
+Exports ``--rev`` with ``git archive`` into a temporary directory, then
+runs ``perfbench/run.py --trace 0`` of each side in its own tree for the
+``run_seconds`` of BENCHMARK.json, one fresh process per run: pair i uses
+seed ``--seed`` + i, and the side that runs first alternates from pair to
+pair.  For every end-to-end metric of BENCHMARK.json it prints each side's
+median and interquartile range, the number of pairs the working tree won
+(ties count for neither), and the median's relative change against the
+metric's bound.
 """
 
 from __future__ import annotations
@@ -82,32 +82,25 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--workdir", help="where to export the revision (default: a temporary directory)")
-    ap.add_argument("--out", help="write every run's metrics here as JSON")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        bench = json.load(fh)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
+    with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": os.path.join(tmp, "tree"), "tree": ROOT}
         export(args.rev, sides["base"])
-        runs, record = [], []
+        runs = []
         for i in range(args.pairs):
             seed = args.seed + i
             order = ("base", "tree") if i % 2 == 0 else ("tree", "base")
-            got = {side: run_once(sides[side], args.workload, seed, args.seconds) for side in order}
-            record.append({"seed": seed, "first": order[0], **got})
+            got = {side: run_once(sides[side], args.workload, seed, seconds) for side in order}
             if got["base"] is None or got["tree"] is None:
                 continue
             runs.append((got["base"], got["tree"]))
             print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): solve_s_p50 "
                   f"{got['base'].get('solve_s_p50', float('nan')):.4g} -> "
                   f"{got['tree'].get('solve_s_p50', float('nan')):.4g}", flush=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"rev": args.rev, "workload": args.workload, "seconds": args.seconds,
-                       "runs": record}, fh, indent=1)
     print(f"{args.workload}: {len(runs)} complete pairs of {args.pairs}, "
           f"{args.rev} (base) against the working tree")
     if runs:
