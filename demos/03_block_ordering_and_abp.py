@@ -5,7 +5,8 @@ spanning the partial evaluations distinguishes cyclically adjacent blocks
 (span dimension w^2) from non-adjacent ones (w^4).  That signature alone
 recovers the cyclic order of a shuffled tensor.  Afterwards we reconstruct
 the width-w^2 branching program layer by layer and check it reproduces the
-tensor exactly.
+tensor exactly: the branching program is itself a blackbox, so the identity
+test reads it like any other.
 """
 
 from trimmeq import (
@@ -54,7 +55,7 @@ print("which visits the original blocks in order:", chain, "(a rotation or refle
 
 # Reconstruct the branching program of the unshuffled tensor.
 abp = reconstruct_abp(bb, [shape.block_vars(k) for k in range(shape.d)], 4, rng)
-print(f"reconstructed ABP: width {abp.width}, {abp.d} layers")
+print(f"reconstructed ABP: width {abp.width}, {abp.degree} layers")
 print("layer shapes:", [(L.nrows, L.ncols) for L in abp.layers])
 print("identity test against the tensor (200 points):",
-      pit_equal(bb, abp.as_blackbox(), 200, rng))
+      pit_equal(bb, abp, 200, rng))

@@ -17,6 +17,9 @@ from .field import Fp, Rng
 from .linalg import Mat, rank_rows
 from .poly import Blackbox, LinMat, pit_equal
 
+_CERTIFY_POINTS = 50  # identity-test points of a reconstructed ABP
+_ATTEMPTS = 3  # whole reconstructions tried before giving up
+
 
 def evaldim(f: Blackbox, fixed_vars: list[int], samples: int, rng: Rng) -> int:
     """Rank of the span of partial evaluations of f at the fixed variables.
@@ -41,46 +44,24 @@ def evaldim(f: Blackbox, fixed_vars: list[int], samples: int, rng: Rng) -> int:
     return rank_rows(field, vals)
 
 
-class SetMultABP:
-    """Layered linear-matrix product: 1xW row, then WxW layers, then Wx1."""
+class SetMultABP(Blackbox):
+    """Layered linear-matrix product: 1xW row, then WxW layers, then Wx1,
+    as a blackbox over the ambient n variables of degree d = len(layers)."""
 
     def __init__(self, field: Fp, blocks: list[list[int]], layers: list[LinMat], n: int):
-        self.field = field
+        super().__init__(field, n, len(layers))
         self.blocks = blocks
         self.layers = layers
-        self.n = n  # arity of the ambient variable space
 
     @property
     def width(self) -> int:
         return self.layers[0].ncols
-
-    @property
-    def d(self) -> int:
-        return len(self.layers)
-
-    def eval(self, point: list[int]) -> int:
-        M = self.layers[0].eval(point)
-        for L in self.layers[1:]:
-            M = M * L.eval(point)
-        return int(M.rows[0, 0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         cur = self.layers[0].eval_many(pts)
         for L in self.layers[1:]:
             cur = self.field.kernel.gemm(cur, L.eval_many(pts))
         return cur[:, 0, 0]
-
-    def as_blackbox(self) -> Blackbox:
-        abp = self
-
-        class _BB(Blackbox):
-            def eval(self, point):
-                return abp.eval(point)
-
-            def eval_many(self, pts):
-                return abp.eval_many(pts)
-
-        return _BB(self.field, self.n, self.d)
 
 
 def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> list[int]:
@@ -102,31 +83,24 @@ def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
     return f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), len(block))
 
 
-def reconstruct_abp(
-    h: Blackbox,
-    blocks: list[list[int]],
-    width: int,
-    rng: Rng,
-    certify_points: int = 50,
-    attempts: int = 3,
-) -> SetMultABP:
+def reconstruct_abp(h: Blackbox, blocks: list[list[int]], width: int, rng: Rng) -> SetMultABP:
     """Width-`width` set-multilinear ABP computing the d-tensor h.
 
     Layer k is solved from anchor systems: suffix anchors fix random values
     for blocks k+1.., prefix anchors instantiate the already-built partial
     product; the anchor matrix must be invertible (resampled up to 3 times,
-    else AnchorSingular).  The output is PIT-certified against h.
+    else AnchorSingular).  The output is PIT-certified against h at
+    ``_CERTIFY_POINTS`` points; the whole reconstruction is tried
+    ``_ATTEMPTS`` times.
     """
-    field = h.field
     last_err: Exception = AnchorSingular("no attempt ran")
-    for _ in range(attempts):
+    for _ in range(_ATTEMPTS):
         try:
             abp = _reconstruct_once(h, blocks, width, rng)
         except AnchorSingular as e:
             last_err = e
             continue
-        bb = abp.as_blackbox()
-        if pit_equal(h, bb, certify_points, rng):
+        if pit_equal(h, abp, _CERTIFY_POINTS, rng):
             return abp
         last_err = CertificationFailed("reconstructed ABP failed identity test")
     raise last_err

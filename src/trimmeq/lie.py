@@ -20,6 +20,9 @@ from .linalg import Mat, in_span, nullspace_rows, poly_at_matrix, rank_rows, sam
 from .poly import Blackbox, ExplicitBlackbox, factor_univariate, squarefree_test
 from .report import reject
 
+_CERTIFY_TRIALS = 20  # identity-test points per element of a sampled basis
+_SUBSPACE_RETRIES = 3  # runs of the invariant-subspace search up to its square-free gate
+
 
 class LieBasis:
     """Basis F_1..F_a of the Lie algebra of some polynomial."""
@@ -98,19 +101,15 @@ def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool
     return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
-def lie_algebra_basis(
-    f: Blackbox,
-    rng: Rng,
-    mode: str = "sampled",
-    certify_trials: int = 20,
-) -> LieBasis:
+def lie_algebra_basis(f: Blackbox, rng: Rng, mode: str = "sampled") -> LieBasis:
     """Basis of the Lie algebra of f.
 
     sampled: build an (n^2 + 32)-row random constraint system, take its
-    nullspace, then certify the basis by PIT at fresh points, every element
-    at once (``_certify_basis``); raises CertificationFailed if any element
-    fails (the caller may retry with more rows).  exact: coefficient
-    matching on an explicit polynomial; both return the same span w.h.p.
+    nullspace, then certify the basis by PIT at ``_CERTIFY_TRIALS`` fresh
+    points per element, every element at once (``_certify_basis``); retry
+    once with twice the rows, then raise CertificationFailed.  exact:
+    coefficient matching on an explicit polynomial; both return the same
+    span w.h.p.
     """
     n = f.n
     field = f.field
@@ -123,7 +122,7 @@ def lie_algebra_basis(
     for _ in range(2):
         rows, _ = _lie_rows_sampled(f, attempt_rows, rng)
         basis = [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, rows)]
-        if _certify_basis(f, basis, certify_trials, rng):
+        if _certify_basis(f, basis, _CERTIFY_TRIALS, rng):
             return LieBasis(field, n, basis)
         attempt_rows *= 2
     raise CertificationFailed("sampled Lie basis failed identity certification")
@@ -191,26 +190,20 @@ def is_invariant(space: InvariantSubspace, L: LieBasis) -> bool:
     return k.rank(np.concatenate([B, _images(k, L.stack(), B)])) == k.rank(B)
 
 
-def irreducible_invariant_subspaces(
-    f: Blackbox,
-    rng: Rng,
-    expected_count: int | None = None,
-    retries: int = 3,
-):
+def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
     """The irreducible invariant subspaces of the Lie algebra of f, or None.
 
     Basis, random element, characteristic polynomial, square-free gate,
     factor, null spaces of the factors at the element, closures of one
-    vector each, dedup.  Rejects unless exactly d distinct spaces of equal
-    dimension come out (d = expected_count, default the polynomial degree).
-    Up to the square-free gate the procedure retries on square-free or
+    vector each, dedup.  Rejects unless exactly expected_count distinct
+    spaces of equal dimension come out.  Up to the square-free gate the
+    procedure retries (``_SUBSPACE_RETRIES`` runs in all) on square-free or
     certification failures, since its guarantees are only with high
     probability; the structural checks after it reject at once.
     """
-    d = expected_count if expected_count is not None else f.degree
     field = f.field
     gate = "square-free"
-    for _ in range(retries):
+    for _ in range(_SUBSPACE_RETRIES):
         try:
             L = lie_algebra_basis(f, rng)
         except CertificationFailed:
@@ -239,7 +232,7 @@ def irreducible_invariant_subspaces(
         if not any(space.dim == s.dim and rank_rows(field, np.vstack([s.basis, v])) == s.dim
                    for s in spaces):
             spaces.append(space)
-    if len(spaces) != d:
+    if len(spaces) != expected_count:
         return reject("invariant-subspaces:subspace-count")
     dims = {s.dim for s in spaces}
     if len(dims) != 1:

@@ -21,6 +21,9 @@ from .linalg import Mat
 from .poly import Blackbox, DetBlackbox, LinMat, pit_equal
 from .trimm import TrimmShape, block_to_layer
 
+_QUADRATIC_VERIFY_TRIALS = 50  # identity-test points of a w = 2 answer
+_PLANTED_VERIFY_TRIALS = 40  # identity-test points of a planted answer
+
 
 def _gram_matrix(g: Blackbox) -> Mat:
     """Symmetric Gram matrix of g read as a quadratic form, from one batch:
@@ -133,10 +136,9 @@ def _det2_gram(field: Fp) -> Mat:
 class QuadraticDetOracle:
     """Genuine DET oracle for w = 2 via quadratic form classification."""
 
-    def __init__(self, field: Fp, verify_trials: int = 50):
+    def __init__(self, field: Fp):
         self.field = field
         self.w = 2
-        self.verify_trials = verify_trials
         G0 = _det2_gram(field)
         S0, diag0 = _congruence_diagonalize(G0)
         T0, self._delta0 = _canonicalize_diagonal(field, diag0)
@@ -160,7 +162,7 @@ class QuadraticDetOracle:
         # G = L^T G0 L with L = S0 R (S T)^{-1}
         L = self._S0 * R * (S * T).inverse()
         Xp = LinMat(field, 2, 2, 4, L.rows)
-        if not pit_equal(DetBlackbox(Xp), g, self.verify_trials, rng):
+        if not pit_equal(DetBlackbox(Xp), g, _QUADRATIC_VERIFY_TRIALS, rng):
             return None
         return Xp
 
@@ -174,13 +176,10 @@ class PlantedDetOracle:
     matrices of the transformed tensor from the planted secret.
     """
 
-    def __init__(self, field: Fp, shape: TrimmShape, planted_A: Mat,
-                 transpose_answers: bool = False, verify_trials: int = 40):
+    def __init__(self, field: Fp, shape: TrimmShape, planted_A: Mat):
         self.field = field
         self.shape = shape
         self.planted_A = planted_A
-        self.transpose_answers = transpose_answers
-        self.verify_trials = verify_trials
         self.w = shape.w
         self.registry: list[LinMat] = []
         self.observe_tensor_map(Mat.identity(field, shape.n))
@@ -222,8 +221,8 @@ class PlantedDetOracle:
             D = Mat.identity(field, self.shape.w)
             D.rows[0, 0] = beta
             Xp = X.left_mul(D)
-            if pit_equal(DetBlackbox(Xp), g, self.verify_trials, pit_rng):
-                return Xp.transpose() if self.transpose_answers else Xp
+            if pit_equal(DetBlackbox(Xp), g, _PLANTED_VERIFY_TRIALS, pit_rng):
+                return Xp
         return None
 
 

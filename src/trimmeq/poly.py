@@ -6,8 +6,12 @@ map exponent tuples to nonzero coefficients.  Blackboxes wrap an exact
 evaluation rule -- explicit polynomial, linear composition f(A.x), trace
 of a matrix product (defined in :mod:`trimmeq.trimm`), partial
 substitution, the determinant of a linear matrix, or the w-th root of a
-blackbox that is a w-th power -- and expose batched evaluation (an explicit
-polynomial's through an exponent table) plus exact gradients.  The symbolic
+blackbox that is a w-th power.  A blackbox defines one method, batched
+evaluation (``eval_many``; an explicit polynomial's through an exponent
+table), and gets exact gradients from it.  Only the verification lane --
+explicit polynomials, compositions and the trace product -- also writes
+out a scalar ``eval`` on Python ints, so a check of a solve's witness does
+not run on the kernels that produced it.  The symbolic
 determinant and w-th root of explicit polynomials are not on the solve
 path, which reads determinant roots only through evaluations.
 """
@@ -716,18 +720,23 @@ def matches_power(evaluate, g: MPoly, w: int, trials: int, rng: Rng) -> bool:
 # ---------------------------------------------------------------------------
 
 class Blackbox:
-    """Evaluation-oracle view of a polynomial: n variables, degree bound."""
+    """Evaluation-oracle view of a polynomial: n variables, degree bound.
+
+    A subclass defines ``eval_many``, the values at the rows of a (B, n)
+    residue array; ``eval`` reads one point as a batch of one."""
 
     def __init__(self, field: Fp, n: int, degree: int):
         self.field = field
         self.n = n
         self.degree = degree
 
-    def eval(self, point: list[int]) -> int:  # pragma: no cover - abstract
+    def eval_many(self, pts: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.field.kernel.asarray([self.eval(row) for row in pts.tolist()])
+    def eval(self, point: list[int]) -> int:
+        self._check_arity(point)
+        p = self.field.p
+        return int(self.eval_many(self.field.kernel.asarray([[x % p for x in point]]))[0])
 
     def _check_arity(self, point):
         if len(point) != self.n:
@@ -855,13 +864,6 @@ class RestrictionBlackbox(Blackbox):
         self.template = [x % base.field.p for x in template]
         self.free_vars = list(free_vars)
 
-    def eval(self, point):
-        self._check_arity(point)
-        full = list(self.template)
-        for v, x in zip(self.free_vars, point):
-            full[v] = x % self.field.p
-        return self.base.eval(full)
-
     def eval_many(self, pts):
         B = len(pts)
         full = np.tile(self.field.kernel.asarray(self.template), (B, 1))
@@ -871,18 +873,14 @@ class RestrictionBlackbox(Blackbox):
 
 
 class DetBlackbox(Blackbox):
-    """det(X(x)) for a square linear matrix X, read numerically: ``eval``
-    on exact Python ints, ``eval_many`` as one stack of determinants."""
+    """det(X(x)) for a square linear matrix X, read as one stack of
+    determinants of X at the points."""
 
     def __init__(self, X: LinMat):
         if X.nrows != X.ncols:
             raise ShapeMismatch("determinant of a non-square linear matrix")
         super().__init__(X.field, X.n, X.nrows)
         self.X = X
-
-    def eval(self, point):
-        self._check_arity(point)
-        return self.X.eval(point).det()
 
     def eval_many(self, pts):
         return self.field.kernel.det_many(self.X.eval_many(pts))
@@ -929,10 +927,6 @@ class RootBlackbox(Blackbox):
                 acc = kern.add(acc, kern.mul(kern.mul(U[:, D - k], r[n - k]), c))
             r.append(acc)
         return r, vals
-
-    def eval(self, point):
-        self._check_arity(point)
-        return int(self.eval_many(self.field.kernel.asarray([point]))[0])
 
     def eval_many(self, pts):
         return self._roots(pts)[0][-1]

@@ -40,6 +40,10 @@ from .poly import Blackbox, ComposedBlackbox, DetBlackbox, LinMat, RootBlackbox,
 from .report import passed, reject
 from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
+_INTERTWINER_ATTEMPTS = 3  # random draws from an intertwiner space
+_BLOCKS_CERTIFY_TRIALS = 40  # identity-test points of tensor_iso_to_det's blocks
+_FINAL_TRIALS = 20  # identity-test points of trace_equivalence's witness
+
 
 @dataclass
 class OrderingReport:
@@ -162,7 +166,7 @@ def intertwiner_space(Y: LinMat, Z: LinMat) -> list[tuple[Mat, Mat]]:
             for v in nullspace_rows(field, rows)]
 
 
-def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng, attempts: int = 3):
+def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng):
     """(T', S', transposed) with T'.Y = Z.S' or T'.Y = Z^T.S', both
     invertible, sampled from the solution space; None when neither or both
     branches admit nonzero solutions."""
@@ -174,7 +178,7 @@ def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng, attempts: int = 3):
         return None
     space = plain or trans
     field = Y.field
-    for _ in range(attempts):
+    for _ in range(_INTERTWINER_ATTEMPTS):
         T = Mat.zeros(field, space[0][0].nrows, space[0][0].ncols)
         S = Mat.zeros(field, space[0][1].nrows, space[0][1].ncols)
         for Tb, Sb in space:
@@ -218,14 +222,7 @@ def factor_kron(Yhat: LinMat, w: int):
 # Reduction from tensor isomorphism to the determinant oracle
 # ---------------------------------------------------------------------------
 
-def tensor_iso_to_det(
-    h: Blackbox,
-    w: int,
-    d: int,
-    det_oracle,
-    rng: Rng,
-    certify_trials: int = 40,
-):
+def tensor_iso_to_det(h: Blackbox, w: int, d: int, det_oracle, rng: Rng):
     """Per-block transformations B_0..B_{d-1} with
     h = Tr-IMM(B_0 x_0, ..., B_{d-1} x_{d-1}), or None.
 
@@ -295,7 +292,7 @@ def tensor_iso_to_det(
     Xhat[d - 1] = LinMat(field, w, w, h.n, last.transpose(1, 0, 2))
 
     layers = [Xhat[k].restrict(blocks[k]) for k in range(d)]
-    return certify_blocks(h, shape, [], layers, certify_trials, rng)
+    return certify_blocks(h, shape, [], layers, _BLOCKS_CERTIFY_TRIALS, rng)
 
 
 def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: list[LinMat],
@@ -320,13 +317,7 @@ def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: lis
     return Bs
 
 
-def trace_equivalence(
-    f: Blackbox,
-    d: int,
-    det_provider,
-    rng: Rng,
-    final_trials: int = 20,
-):
+def trace_equivalence(f: Blackbox, d: int, det_provider, rng: Rng):
     """Full pipeline: blackbox f -> (w, A) with f = Tr-IMM_{w,d}(A.x).
 
     det_provider maps a width w to a DET oracle for that width (or None if
@@ -339,7 +330,7 @@ def trace_equivalence(
     if stage1 is None:
         return None
     A_prime, w = stage1
-    det_oracle = det_provider(w) if callable(det_provider) else det_provider
+    det_oracle = det_provider(w)
     if det_oracle is None:
         return reject("det-oracle-unavailable")
     observe = getattr(det_oracle, "observe_tensor_map", None)
@@ -352,7 +343,7 @@ def trace_equivalence(
     A = assemble_block_diagonal(Bs) * A_prime.inverse()
     shape = TrimmShape(w, d)
     target = ComposedBlackbox(trimm_blackbox(field, shape), A)
-    if not pit_equal(f, target, final_trials, rng):
+    if not pit_equal(f, target, _FINAL_TRIALS, rng):
         return reject("final-pit")
     passed("certified")
     return w, A

@@ -23,6 +23,8 @@ from .reduction import certify_blocks
 from .report import passed, reject
 from .trimm import TrimmShape, block_to_layer
 
+_FINAL_TRIALS = 40  # identity-test points of degree_d_to_3's blocks
+
 
 def unit_point(Xp: LinMat, i: int, j: int) -> list[int]:
     """b with Xp(b) equal to the (i, j) matrix unit (i, j zero-based).
@@ -33,11 +35,10 @@ def unit_point(Xp: LinMat, i: int, j: int) -> list[int]:
 
 
 def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
-    """unit[i][j] for all positions, from one matrix inversion."""
+    """unit[i][j] for all positions, from one matrix inversion (Singular
+    when the entry forms are dependent)."""
     w = Xp.nrows
     C = Xp.coefficient_matrix()
-    if not C.is_invertible():
-        raise Singular("layer linear forms are dependent")
     return C.inverse().rows.T.reshape(w, w, -1).tolist()  # column t of C^-1 solves for unit t
 
 
@@ -66,33 +67,25 @@ def _entry_linear_forms(f: Blackbox, templates: list[list[int]], block: list[int
     return coeffs
 
 
-def degree_d_to_3(
-    f: Blackbox,
-    w: int,
-    d: int,
-    mmti,
-    rng: Rng,
-    final_trials: int = 40,
-):
+def degree_d_to_3(f: Blackbox, w: int, d: int, mmti, rng: Rng):
     """B_0..B_{d-1} with f = Tr-IMM_{w,d}(B_0 x_0, ...), via the MMTI oracle.
 
     mmti is a callable (3-tensor blackbox, w, rng) -> [B_0, B_1, B_2] | None.
     One resample of the restriction points on failure, then None.
     """
-    field = f.field
     shape = TrimmShape(w, d)
     if f.n != shape.n:
         return reject("tensor-arity")
     if d == 3:
         return mmti(f, w, rng)
     for _ in range(2):
-        Bs = _degree_reduce_once(f, w, d, mmti, rng, final_trials)
+        Bs = _degree_reduce_once(f, w, d, mmti, rng)
         if Bs is not None:
             return Bs
     return None
 
 
-def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
+def _degree_reduce_once(f, w, d, mmti, rng):
     field = f.field
     shape = TrimmShape(w, d)
     w2 = w * w
@@ -209,4 +202,4 @@ def _degree_reduce_once(f, w, d, mmti, rng, final_trials):
         layer_mats[d - 1] = Xlast
 
     layers = [layer_mats[k] for k in range(3, d)]
-    return certify_blocks(f, shape, B012, layers, final_trials, rng)
+    return certify_blocks(f, shape, B012, layers, _FINAL_TRIALS, rng)

@@ -1,11 +1,13 @@
 """Evaluation dimension and ABP reconstruction."""
 
-from trimmeq.abp import _linear_forms, evaldim, linear_form_coeffs, reconstruct_abp
+from trimmeq.abp import SetMultABP, _linear_forms, evaldim, linear_form_coeffs, reconstruct_abp
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import assemble_block_diagonal, random_invertible
 from trimmeq.poly import (
+    Blackbox,
     ComposedBlackbox,
     ExplicitBlackbox,
+    LinMat,
     MPoly,
     RestrictionBlackbox,
     pit_equal,
@@ -50,7 +52,7 @@ def test_reconstruct_trimm_itself():
     rng = Rng(3)
     abp = reconstruct_abp(bb, [sh.block_vars(k) for k in range(3)], 4, rng)
     assert abp.width == 4
-    assert pit_equal(bb, abp.as_blackbox(), 100, rng)
+    assert pit_equal(bb, abp, 100, rng)
 
 
 def test_reconstruct_planted_block_25():
@@ -58,7 +60,7 @@ def test_reconstruct_planted_block_25():
     rng = Rng(4)
     inst = plant_instance(F, sh, rng, mode="block")
     abp = reconstruct_abp(inst.f, [sh.block_vars(k) for k in range(5)], 4, rng)
-    assert pit_equal(inst.f, abp.as_blackbox(), 200, rng)
+    assert pit_equal(inst.f, abp, 200, rng)
 
 
 def test_reconstruct_layers_variable_disjoint():
@@ -101,11 +103,28 @@ def test_reconstructed_middle_dets_nonzero_and_proportional():
             assert X.eval(b).det() == F.mul(c, g.eval(b))
 
 
+def test_set_mult_abp_is_a_blackbox():
+    """A SetMultABP is a Blackbox of arity n and degree d whose ``eval`` is
+    the exact product of its layers' ``LinMat.eval`` at the point."""
+    rng = Rng(8)
+    n, W = 16, 3
+    blocks = [list(range(4 * k, 4 * k + 4)) for k in range(4)]
+    layers = [LinMat(F, r, c, n) for r, c in [(1, W), (W, W), (W, W), (W, 1)]]
+    for L, block in zip(layers, blocks):
+        L.coeffs[:, :, block] = rng.array(F, (L.nrows, L.ncols, 4))
+    abp = SetMultABP(F, blocks, layers, n)
+    assert isinstance(abp, Blackbox)
+    assert (abp.n, abp.degree, abp.width) == (n, 4, W)
+    for _ in range(10):
+        a = rng.vector(F, n)
+        M = layers[0].eval(a)
+        for L in layers[1:]:
+            M = M * L.eval(a)
+        assert abp.eval(a) == int(M.rows[0, 0])
+
+
 def test_reconstruct_general_width():
     """Width-2 reconstruction of a planted width-2 layered product."""
-    from trimmeq.abp import SetMultABP
-    from trimmeq.poly import LinMat
-
     rng = Rng(7)
     n = 12
     blocks = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
@@ -118,10 +137,9 @@ def test_reconstruct_general_width():
         for i in range(2):
             mid.coeffs[i][j] = [rng.scalar(F) if v in blocks[1] else 0 for v in range(n)]
     planted = SetMultABP(F, blocks, [row, mid, col], n)
-    g = planted.as_blackbox()
-    abp = reconstruct_abp(g, blocks, 2, rng)
+    abp = reconstruct_abp(planted, blocks, 2, rng)
     assert abp.width == 2
-    assert pit_equal(g, abp.as_blackbox(), 100, rng)
+    assert pit_equal(planted, abp, 100, rng)
 
 
 def test_linear_form_coeffs_match_batched_reads():

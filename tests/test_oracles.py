@@ -12,6 +12,7 @@ from trimmeq.trimm import (
     trimm_blackbox,
     verify_witness,
 )
+from trimm_helpers import transposing
 
 F = Fp()
 DET2 = det_linear_matrix(LinMat.symbolic(F, 2))  # x0 x3 - x1 x2
@@ -136,8 +137,9 @@ def test_planted_oracle_transpose_flag():
     rng = Rng(9)
     sh = TrimmShape(2, 3)
     inst = plant_instance(F, sh, rng, mode="block")
-    oracle = PlantedDetOracle(F, sh, inst.A, transpose_answers=True)
-    X = oracle.registry[0]
+    planted = PlantedDetOracle(F, sh, inst.A)
+    oracle = transposing(planted)
+    X = planted.registry[0]
     g = det_linear_matrix(X)
     ans = oracle(ExplicitBlackbox(g), rng)
     assert ans is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trimmeq import poly
+from trimmeq import modarith, poly
 from trimmeq.errors import ArityMismatch, DuplicateNode, NotAPerfectPower, SizeBound
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
@@ -302,6 +302,49 @@ def test_bb_eval_trimm_all_ones():
 def test_zero_blackbox():
     z = ExplicitBlackbox(MPoly.zero(F, 3))
     assert z.eval([1, 2, 3]) == 0
+
+
+def test_eval_reads_a_batch_of_one():
+    """A blackbox that defines only ``eval_many`` answers ``eval`` with its
+    value at the point, coordinates reduced mod p first, and raises
+    ArityMismatch on a point of the wrong length."""
+    base = trimm_blackbox(F, TrimmShape(2, 3))
+
+    class BatchOnly(Blackbox):
+        def eval_many(self, pts):
+            return base.eval_many(pts)
+
+    bb = BatchOnly(F, 12, 3)
+    rng = Rng(12)
+    for _ in range(5):
+        a = rng.vector(F, 12)
+        want = int(base.eval_many(F.kernel.asarray([a]))[0])
+        assert bb.eval(a) == want
+        assert bb.eval([x + F.p * c for x, c in zip(a, range(-6, 6))]) == want
+        assert bb.eval([x + F.p ** 3 for x in a]) == want
+    with pytest.raises(ArityMismatch):
+        bb.eval([1] * 11)
+
+
+def test_verification_lane_runs_without_the_kernels(monkeypatch):
+    """``ExplicitBlackbox.eval`` and ``ComposedBlackbox.eval`` over the trace
+    product answer on Python ints: with the kernel's GEMM, stacked
+    determinants and both lanes' products patched to raise, they still
+    agree with the batched lane at every point."""
+    rng = Rng(13)
+    sh = TrimmShape(2, 3)
+    explicit = ExplicitBlackbox(trimm_explicit(F, sh))
+    composed = ComposedBlackbox(trimm_blackbox(F, sh), random_invertible(F, 12, rng))
+    pts = [rng.vector(F, 12) for _ in range(5)]
+    want = [bb.eval_many(F.kernel.asarray(pts)).tolist() for bb in (explicit, composed)]
+
+    def refuse(*args):
+        raise AssertionError("a kernel ran on the verification lane")
+
+    for cls, name in [(modarith._KernelBase, "gemm"), (modarith._KernelBase, "det_many"),
+                      (modarith.M61Kernel, "mul"), (modarith.SmallKernel, "mul")]:
+        monkeypatch.setattr(cls, name, refuse)
+    assert [[bb.eval(a) for a in pts] for bb in (explicit, composed)] == want
 
 
 @given(

@@ -30,6 +30,7 @@ from trimmeq.trimm import (
     trimm_explicit,
     verify_witness,
 )
+from trimm_helpers import transposing
 
 F = Fp()
 
@@ -267,7 +268,7 @@ def test_layer_det_gate_rejects(w, middle):
     layers = [LinMat(F, r, c, sh.n) for r, c in [(1, W), (W, W), (W, 1)]]
     for k, L in enumerate(layers):
         L.coeffs[:, :, blocks[k]] = middle(W) if k == 1 else rng.array(F, (L.nrows, L.ncols, W))
-    h = SetMultABP(F, blocks, layers, sh.n).as_blackbox()
+    h = SetMultABP(F, blocks, layers, sh.n)
 
     def oracle(g, r):
         raise AssertionError("DET oracle queried")
@@ -344,7 +345,7 @@ def test_tensor_iso_to_det_planted_with_transposed_oracle():
     rng = Rng(11)
     sh = TrimmShape(2, 4)
     inst = plant_instance(F, sh, rng, mode="block")
-    det = PlantedDetOracle(F, sh, inst.A, transpose_answers=True)
+    det = transposing(PlantedDetOracle(F, sh, inst.A))
     Bs = tensor_iso_to_det(inst.f, 2, 4, det, rng)
     assert Bs is not None
     assert verify_witness(inst.f, sh, Bs, 100, rng)

@@ -1,6 +1,7 @@
 """Constructions that only the tests use: the inverse of ``var_index``, the
 full basis of Lie generators, a generic diagonal Lie-algebra element, the
-rotation symmetries of Tr-IMM, and scaling of univariate coefficient lists."""
+rotation symmetries of Tr-IMM, scaling of univariate coefficient lists, and
+a DET oracle whose answers come transposed."""
 
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat
@@ -62,3 +63,12 @@ def uni_scale(field: Fp, a, c):
     if c == 0:
         return []
     return [x * c % field.p for x in a]
+
+
+def transposing(oracle):
+    """The DET oracle ``oracle`` with every answer transposed, which changes
+    no determinant."""
+    def ask(g, rng):
+        ans = oracle(g, rng)
+        return None if ans is None else ans.transpose()
+    return ask

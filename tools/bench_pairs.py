@@ -9,7 +9,8 @@ seed ``--seed`` + i, and the side that runs first alternates from pair to
 pair.  For every end-to-end metric of BENCHMARK.json it prints each side's
 median and interquartile range, the number of pairs the working tree won
 (ties count for neither), and the median's relative change against the
-metric's bound.
+metric's bound.  Under the table it prints the line count of ``src/trimmeq``
+on each side.
 """
 
 from __future__ import annotations
@@ -53,6 +54,17 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict | None
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def src_lines(tree: str) -> int:
+    """Lines of the Python files of ``src/trimmeq`` in ``tree``, as ``wc -l`` counts them."""
+    pkg = os.path.join(tree, "src", "trimmeq")
+    total = 0
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
+
+
 def quartiles(vals: list[float]) -> tuple[float, float, float]:
     if len(vals) == 1:
         return vals[0], vals[0], vals[0]
@@ -90,6 +102,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": os.path.join(tmp, "tree"), "tree": ROOT}
         export(args.rev, sides["base"])
+        lines = {side: src_lines(tree) for side, tree in sides.items()}
         runs = []
         for i in range(args.pairs):
             seed = args.seed + i
@@ -105,6 +118,7 @@ def main(argv=None) -> int:
           f"{args.rev} (base) against the working tree")
     if runs:
         summarize(runs, metrics)
+    print(f"src/trimmeq lines: {lines['base']} ({args.rev}) -> {lines['tree']} (working tree)")
     return 0 if len(runs) == args.pairs else 1
 
 
