@@ -9,12 +9,12 @@ explicitly for (w, d) = (2, 3).
 """
 
 from trimmeq import (
-    ExplicitBlackbox,
     Fp,
     Mat,
     Rng,
     TrimmShape,
     lie_algebra_basis,
+    lie_algebra_basis_exact,
     lie_generator,
     closure,
     random_element,
@@ -37,8 +37,8 @@ print(f"explicit expansion has {len(explicit.terms)} monomials (= w^d paths)")
 print("value at the all-ones point:", bb.eval([1] * shape.n), "(= w^d)\n")
 
 # Basis of the Lie algebra from blackbox samples, then exactly.
-sampled = lie_algebra_basis(bb, rng, mode="sampled")
-exact = lie_algebra_basis(ExplicitBlackbox(explicit), rng, mode="exact")
+sampled = lie_algebra_basis(bb, rng)
+exact = lie_algebra_basis_exact(explicit)
 print(f"Lie algebra dimension: sampled={sampled.dim}, exact={exact.dim}")
 print("spans agree:", sampled.same_span_as(exact))
 print("(dimension d*w^2 - 1: the d generator families overlap in one relation)\n")

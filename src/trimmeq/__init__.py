@@ -39,6 +39,7 @@ from .lie import (
     closure,
     irreducible_invariant_subspaces,
     lie_algebra_basis,
+    lie_algebra_basis_exact,
     random_element,
 )
 from .abp import SetMultABP, evaldim, reconstruct_abp

@@ -4,15 +4,16 @@ A set-multilinear ABP over blocks B_0..B_{d-1} is a product
 row(1xW) . mid(WxW)^{d-2} . col(Wx1) of linear matrices, layer k reading
 only block-k variables.  Reconstruction recovers a min-width ABP from
 blackbox access by anchoring random suffix assignments and solving one
-linear system per layer; the result is certified against the blackbox by
-randomized identity testing.
+linear system per layer; it reads the blackbox and the layers already
+built only through batched evaluations.  The result is certified against
+the blackbox by randomized identity testing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import AnchorSingular, CertificationFailed
+from .errors import CertificationFailed, Singular
 from .field import Fp, Rng
 from .linalg import Mat, rank_rows
 from .poly import Blackbox, LinMat, pit_equal
@@ -36,12 +37,20 @@ def evaldim(f: Blackbox, fixed_vars: list[int], samples: int, rng: Rng) -> int:
     assigns = rng.array(field, (m, len(fixed)))
     probes = rng.array(field, (m, len(rest)))
     pts = field.kernel.zeros((m * m, n))
-    for c, v in enumerate(fixed):
-        pts[:, v] = np.repeat(assigns[:, c], m)
-    for c, v in enumerate(rest):
-        pts[:, v] = np.tile(probes[:, c], m)
+    pts[:, fixed] = np.repeat(assigns, m, axis=0)
+    pts[:, rest] = np.tile(probes, (m, 1))
     vals = f.eval_many(pts).reshape(m, m)
     return rank_rows(field, vals)
+
+
+def _partial_products(layers: list[LinMat], pts: np.ndarray) -> np.ndarray:
+    """(B, 1, c) product of the layers (1 x W first, c columns last) at the
+    B rows of pts."""
+    kern = layers[0].field.kernel
+    cur = layers[0].eval_many(pts)
+    for L in layers[1:]:
+        cur = kern.gemm(cur, L.eval_many(pts))
+    return cur
 
 
 class SetMultABP(Blackbox):
@@ -58,24 +67,14 @@ class SetMultABP(Blackbox):
         return self.layers[0].ncols
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        cur = self.layers[0].eval_many(pts)
-        for L in self.layers[1:]:
-            cur = self.field.kernel.gemm(cur, L.eval_many(pts))
-        return cur[:, 0, 0]
-
-
-def linear_form_coeffs(f: Blackbox, template: list[int], block: list[int]) -> list[int]:
-    """Coefficient vector of the linear form x_block -> f(template with block=x).
-
-    f restricted this way is homogeneous linear for set-multilinear f, so
-    unit-vector evaluations read the coefficients off directly.
-    """
-    return _linear_forms(f, [template], block)[0].tolist()
+        return _partial_products(self.layers, pts)[:, 0, 0]
 
 
 def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
-    """``linear_form_coeffs`` for each template, as the rows of one array:
-    f at every unit point of the block, in one ``eval_many``."""
+    """Coefficients of the linear form x_block -> f(template with block = x)
+    for each template, as the rows of one array: f is linear in each block,
+    so its values at the unit points of the block are the coefficients, all
+    read in one ``eval_many``."""
     T = f.field.kernel.asarray(templates).reshape(len(templates), 1, f.n)
     T[:, :, block] = 0
     pts = np.repeat(T, len(block), axis=1)
@@ -83,36 +82,36 @@ def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
     return f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), len(block))
 
 
+def _random_points(field: Fp, n: int, count: int, blocks, rng: Rng) -> np.ndarray:
+    """count points, zero except on the variables of blocks, which one
+    ``rng.vector`` fills point by point in block order."""
+    cols = [v for b in blocks for v in b]
+    pts = field.kernel.zeros((count, n))
+    pts[:, cols] = field.kernel.asarray(rng.vector(field, count * len(cols))).reshape(count, -1)
+    return pts
+
+
 def reconstruct_abp(h: Blackbox, blocks: list[list[int]], width: int, rng: Rng) -> SetMultABP:
     """Width-`width` set-multilinear ABP computing the d-tensor h.
 
     Layer k is solved from anchor systems: suffix anchors fix random values
     for blocks k+1.., prefix anchors instantiate the already-built partial
-    product; the anchor matrix must be invertible (resampled up to 3 times,
-    else AnchorSingular).  The output is PIT-certified against h at
-    ``_CERTIFY_POINTS`` points; the whole reconstruction is tried
-    ``_ATTEMPTS`` times.
+    product, whose values at them form the anchor matrix.  An attempt ends
+    when that matrix is singular (``Singular``) or when the output fails its
+    identity test against h at ``_CERTIFY_POINTS`` points
+    (``CertificationFailed``); after ``_ATTEMPTS`` attempts the last error
+    is raised.
     """
-    last_err: Exception = AnchorSingular("no attempt ran")
-    for _ in range(_ATTEMPTS):
+    for attempt in range(1, _ATTEMPTS + 1):
         try:
             abp = _reconstruct_once(h, blocks, width, rng)
-        except AnchorSingular as e:
-            last_err = e
+        except Singular:
+            if attempt == _ATTEMPTS:
+                raise
             continue
         if pit_equal(h, abp, _CERTIFY_POINTS, rng):
             return abp
-        last_err = CertificationFailed("reconstructed ABP failed identity test")
-    raise last_err
-
-
-def _suffix_template(field: Fp, n: int, blocks, k: int, rng: Rng) -> list[int]:
-    """Random assignment to blocks k+1.. (zero elsewhere)."""
-    t = [0] * n
-    for b in blocks[k + 1 :]:
-        for v in b:
-            t[v] = rng.scalar(field)
-    return t
+    raise CertificationFailed("reconstructed ABP failed identity test")
 
 
 def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
@@ -122,47 +121,25 @@ def _reconstruct_once(h: Blackbox, blocks, W: int, rng: Rng) -> SetMultABP:
     n = h.n
 
     # layer 0: entries are h with suffix anchored
-    suffix = [_suffix_template(field, n, blocks, 0, rng) for _ in range(W)]
+    suffixes = _random_points(field, n, W, blocks[1:], rng)
     Y0 = LinMat(field, 1, W, n)
-    Y0.coeffs[0][:, blocks[0]] = _linear_forms(h, suffix, blocks[0])
+    Y0.coeffs[0][:, blocks[0]] = _linear_forms(h, suffixes, blocks[0])
     layers = [Y0]
 
     for k in range(1, d):
-        layer = None
-        for _ in range(3):
-            prefixes = []
-            for _ in range(W):
-                pt = [0] * n
-                for b in blocks[:k]:
-                    for v in b:
-                        pt[v] = rng.scalar(field)
-                prefixes.append(pt)
-            # anchor matrix: rows are the partial products at the prefixes
-            A_rows = []
-            for pt in prefixes:
-                M = layers[0].eval(pt)
-                for L in layers[1:]:
-                    M = M * L.eval(pt)
-                A_rows.append(M.rows[0])
-            A = Mat(field, np.array(A_rows))
-            if A.det() == 0:
-                continue
-            Ainv = A.inverse()
-            if k < d - 1:
-                suffix = [_suffix_template(field, n, blocks, k, rng) for _ in range(W)]
-                # prefix and suffix assignments have disjoint support
-                anchors = [[[(a + b) % field.p for a, b in zip(pre, suf)] for suf in suffix]
-                           for pre in prefixes]
-            else:
-                anchors = [[pre] for pre in prefixes]
-            forms = _linear_forms(h, [t for row in anchors for t in row], blocks[k])
-            # row i of the layer is row i of A^-1 applied to the anchored forms
-            cols = len(anchors[0])
-            layer = LinMat(field, W, cols, n)
-            coeffs = kern.gemm(Ainv.rows, forms.reshape(W, -1))
-            layer.coeffs[:, :, blocks[k]] = coeffs.reshape(W, cols, -1)
-            break
-        if layer is None:
-            raise AnchorSingular(f"anchor matrix singular at layer {k}")
+        prefixes = _random_points(field, n, W, blocks[:k], rng)
+        # anchor matrix: rows are the partial products at the prefixes
+        Ainv = Mat(field, _partial_products(layers, prefixes)[:, 0, :]).inverse()
+        if k < d - 1:
+            suffixes = _random_points(field, n, W, blocks[k + 1 :], rng)
+            anchors = kern.add(prefixes[:, None], suffixes[None])  # disjoint supports
+        else:
+            anchors = prefixes[:, None]
+        cols = anchors.shape[1]
+        forms = _linear_forms(h, anchors.reshape(-1, n), blocks[k])
+        # row i of the layer is row i of A^-1 applied to the anchored forms
+        layer = LinMat(field, W, cols, n)
+        coeffs = kern.gemm(Ainv.rows, forms.reshape(W, -1))
+        layer.coeffs[:, :, blocks[k]] = coeffs.reshape(W, cols, -1)
         layers.append(layer)
     return SetMultABP(field, [list(b) for b in blocks], layers, n)

@@ -19,6 +19,7 @@ from .fmai import AlgebraInput, build_constrained_tensor, commutant_basis, fmai_
 from .lie import (
     irreducible_invariant_subspaces,
     lie_algebra_basis,
+    lie_algebra_basis_exact,
     random_element,
 )
 from .linalg import Mat, kron, random_invertible
@@ -193,8 +194,8 @@ def criterion_5(field: Fp | None = None) -> CriterionResult:
     def run():
         sh = TrimmShape(2, 3)
         rng = Rng(50)
-        exact = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(field, sh)), rng, mode="exact")
-        sampled = lie_algebra_basis(trimm_blackbox(field, sh), rng, mode="sampled")
+        exact = lie_algebra_basis_exact(trimm_explicit(field, sh))
+        sampled = lie_algebra_basis(trimm_blackbox(field, sh), rng)
         ok = sampled.dim == exact.dim and sampled.same_span_as(exact)
         for k in range(3):
             for u in range(2):
@@ -218,7 +219,7 @@ def criterion_6(field: Fp | None = None) -> CriterionResult:
     def run():
         sh = TrimmShape(2, 3)
         rng = Rng(60)
-        L = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(field, sh)), rng, mode="exact")
+        L = lie_algebra_basis_exact(trimm_explicit(field, sh))
         good = 0
         for _ in range(100):
             R = random_element(L, rng)

@@ -134,17 +134,15 @@ def _mat_to_rows(M: Mat):
     return M.rows.tolist()
 
 
+def _document(field: Fp, kind: str, **fields) -> dict:
+    """An instance or certificate: the shared header, then the given fields."""
+    return {"format_version": FORMAT_VERSION, "prime": str(field.p), "kind": kind, **fields}
+
+
 def cmd_gen(args) -> int:
     field = Fp(args.prime)
     rng = Rng(args.seed)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "prime": str(field.p),
-        "kind": args.mode,
-        "w": args.w,
-        "d": args.d,
-        "seed": args.seed,
-    }
+    header = _document(field, args.mode, w=args.w, d=args.d, seed=args.seed)
     if args.mode == "algebra":
         from .acceptance import _planted_full_algebra
 
@@ -172,18 +170,18 @@ def cmd_gen(args) -> int:
 
 
 def _blackbox_from_instance(field: Fp, data: dict):
-    """(blackbox f, shape, planted transform or None) for polynomial kinds."""
+    """(blackbox f, shape) for polynomial kinds."""
     shape = TrimmShape(data["w"], data["d"])
     field.check_char_bound(shape.w, shape.d)
     payload = data["payload"]
     kind = data["kind"]
     if kind == "full":
         A = Mat.from_rows(field, payload["matrix"])
-        return ComposedBlackbox(trimm_blackbox(field, shape), A), shape, A
+        return ComposedBlackbox(trimm_blackbox(field, shape), A), shape
     if kind in ("block", "tensor"):
         blocks = [Mat.from_rows(field, b) for b in payload["blocks"]]
         A = assemble_block_diagonal(blocks)
-        return ComposedBlackbox(trimm_blackbox(field, shape), A), shape, A
+        return ComposedBlackbox(trimm_blackbox(field, shape), A), shape
     if kind == "tensor-explicit":
         poly = MPoly.zero(field, shape.n)
         for term in payload["terms"]:
@@ -191,7 +189,7 @@ def _blackbox_from_instance(field: Fp, data: dict):
             for k, (i, j) in enumerate(term["indices"]):
                 exp[var_index(shape, k, i, j)] += 1
             poly.add_term(tuple(exp), int(term["coeff"]))
-        return ExplicitBlackbox(poly), shape, None
+        return ExplicitBlackbox(poly), shape
     raise TrimmeqError(f"instance kind {kind!r} is not a polynomial instance")
 
 
@@ -220,41 +218,20 @@ def cmd_solve(args) -> int:
             mmti = lambda h, w, r: mmti_oracle(h, w, det, r)
             iso = fmai_solve(algebra, mmti, rng)
             if iso is not None:
-                cert = {
-                    "format_version": FORMAT_VERSION,
-                    "prime": str(field.p),
-                    "kind": "algebra-iso",
-                    "w": iso.w,
-                    "images": {
-                        f"{i+1},{j+1}": _mat_to_rows(iso.images[(i, j)])
-                        for i in range(iso.w)
-                        for j in range(iso.w)
-                    },
-                }
+                images = {f"{i+1},{j+1}": _mat_to_rows(iso.images[(i, j)])
+                          for i in range(iso.w) for j in range(iso.w)}
+                cert = _document(field, "algebra-iso", w=iso.w, images=images)
         else:
-            f, shape, _ = _blackbox_from_instance(field, data)
+            f, shape = _blackbox_from_instance(field, data)
             if args.oracle == "planted":
                 det = _planted_oracle_from_secret(field, data, shape)
             else:
                 det = QuadraticDetOracle(field)
             if args.task == "trace":
-                provider = lambda ww: (
-                    det
-                    if (args.oracle == "planted" and ww == shape.w)
-                    or (args.oracle == "w2" and ww == 2)
-                    else None
-                )
-                res = trace_equivalence(f, shape.d, provider, rng)
+                res = trace_equivalence(f, shape.d, lambda ww: det if ww == det.w else None, rng)
                 if res is not None:
                     w, A = res
-                    cert = {
-                        "format_version": FORMAT_VERSION,
-                        "prime": str(field.p),
-                        "kind": "witness-full",
-                        "w": w,
-                        "d": shape.d,
-                        "matrix": _mat_to_rows(A),
-                    }
+                    cert = _document(field, "witness-full", w=w, d=shape.d, matrix=_mat_to_rows(A))
             elif args.task == "tensor-iso":
                 Bs = tensor_iso_to_det(f, shape.w, shape.d, det, rng)
                 if Bs is not None:
@@ -274,14 +251,8 @@ def cmd_solve(args) -> int:
 
 
 def _blocks_cert(field, shape, Bs):
-    return {
-        "format_version": FORMAT_VERSION,
-        "prime": str(field.p),
-        "kind": "witness-blocks",
-        "w": shape.w,
-        "d": shape.d,
-        "blocks": [_mat_to_rows(B) for B in Bs],
-    }
+    return _document(field, "witness-blocks", w=shape.w, d=shape.d,
+                     blocks=[_mat_to_rows(B) for B in Bs])
 
 
 def cmd_verify(args) -> int:
@@ -303,15 +274,14 @@ def cmd_verify(args) -> int:
         }
         ok = verify_isomorphism(algebra, left_mult_matrices(algebra), AlgebraIso(w, images))
     else:
-        f, shape, _ = _blackbox_from_instance(field, data)
+        # _check_certificate has matched the certificate's (w, d) to the instance's
+        f, shape = _blackbox_from_instance(field, data)
         if cert["kind"] == "witness-full":
             witness = Mat.from_rows(field, cert["matrix"])
-            sh = TrimmShape(cert["w"], cert["d"])
         else:
             witness = [Mat.from_rows(field, b) for b in cert["blocks"]]
-            sh = TrimmShape(cert["w"], cert["d"])
         try:
-            ok = verify_witness(f, sh, witness, args.trials, rng)
+            ok = verify_witness(f, shape, witness, args.trials, rng)
         except TrimmeqError:
             ok = False
     print(json.dumps({"verdict": "pass" if ok else "fail", "pit_trials": args.trials}))

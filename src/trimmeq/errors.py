@@ -50,10 +50,6 @@ class CertificationFailed(TrimmeqError):
     """A randomized construction failed its identity-test certification."""
 
 
-class AnchorSingular(TrimmeqError):
-    """ABP reconstruction could not find invertible anchor matrices."""
-
-
 class StructureViolation(TrimmeqError):
     """A matrix expected to have Kronecker-product structure does not."""
 

@@ -1,9 +1,10 @@
 """Lie algebra of a polynomial and its irreducible invariant subspaces.
 
 The Lie algebra of f is the space of matrices E with
-sum_{i,j} E[i][j] * x_j * df/dx_i == 0.  A basis is found either by
-sampling that identity at random points (blackbox access) or by exact
-coefficient matching (explicit polynomials).  On top of it sit random
+sum_{i,j} E[i][j] * x_j * df/dx_i == 0.  A basis is found by sampling
+that identity at random points (blackbox access, ``lie_algebra_basis``) or
+by exact coefficient matching (explicit polynomials,
+``lie_algebra_basis_exact``).  On top of it sit random
 elements, vector closures, and the invariant-subspace search that drives
 the reduction to tensor isomorphism.  Closures and invariance checks run on
 the field's kernel: one GEMM maps a set of vectors through the stacked
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import CertificationFailed
 from .field import Fp, Rng
 from .linalg import Mat, in_span, nullspace_rows, poly_at_matrix, rank_rows, same_span
-from .poly import Blackbox, ExplicitBlackbox, factor_univariate, squarefree_test
+from .poly import Blackbox, MPoly, factor_univariate, squarefree_test
 from .report import reject
 
 _CERTIFY_TRIALS = 20  # identity-test points per element of a sampled basis
@@ -101,24 +102,18 @@ def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool
     return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
-def lie_algebra_basis(f: Blackbox, rng: Rng, mode: str = "sampled") -> LieBasis:
-    """Basis of the Lie algebra of f.
+def lie_algebra_basis(f: Blackbox, rng: Rng) -> LieBasis:
+    """Basis of the Lie algebra of f, sampled.
 
-    sampled: build an (n^2 + 32)-row random constraint system, take its
-    nullspace, then certify the basis by PIT at ``_CERTIFY_TRIALS`` fresh
-    points per element, every element at once (``_certify_basis``); retry
-    once with twice the rows, then raise CertificationFailed.  exact:
-    coefficient matching on an explicit polynomial; both return the same
-    span w.h.p.
+    Build an (n^2 + 32)-row random constraint system, take its nullspace,
+    then certify the basis by PIT at ``_CERTIFY_TRIALS`` fresh points per
+    element, every element at once (``_certify_basis``); retry once with
+    twice the rows, then raise CertificationFailed.  W.h.p. the span is
+    that of ``lie_algebra_basis_exact``.
     """
     n = f.n
     field = f.field
-    if mode == "exact":
-        if not isinstance(f, ExplicitBlackbox):
-            raise TypeError("exact mode needs an ExplicitBlackbox")
-        return _lie_basis_exact(f)
-    m = n * n + 32
-    attempt_rows = m
+    attempt_rows = n * n + 32
     for _ in range(2):
         rows, _ = _lie_rows_sampled(f, attempt_rows, rng)
         basis = [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, rows)]
@@ -128,12 +123,14 @@ def lie_algebra_basis(f: Blackbox, rng: Rng, mode: str = "sampled") -> LieBasis:
     raise CertificationFailed("sampled Lie basis failed identity certification")
 
 
-def _lie_basis_exact(f: ExplicitBlackbox) -> LieBasis:
+def lie_algebra_basis_exact(f: MPoly) -> LieBasis:
+    """Basis of the Lie algebra of an explicit polynomial, by coefficient
+    matching: one constraint row per monomial of sum E[i][j] x_j df/dx_i."""
     field = f.field
     n = f.n
     p = field.p
     rows: dict[tuple, list[int]] = {}
-    for e, c in f.poly.terms.items():
+    for e, c in f.terms.items():
         for i in range(n):
             if not e[i]:
                 continue

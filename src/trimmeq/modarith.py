@@ -139,10 +139,6 @@ class _KernelBase:
         """(m, k) x (k, n) product."""
         return self.gemm(A, B)
 
-    def batched_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """(r, k, N) x (k, c, N) product of N matrices stacked on the last axis."""
-        return np.moveaxis(self.gemm(np.moveaxis(A, -1, 0), np.moveaxis(B, -1, 0)), 0, -1)
-
     # -- elimination -------------------------------------------------------
     def _column_step(self, R, r, c0, c1, piv) -> int:
         """Eliminate columns [c0, c1) of R from row r down, one pivot at a time,

@@ -200,15 +200,17 @@ class PlantedDetOracle:
     def __call__(self, g: Blackbox, rng: Rng) -> LinMat | None:
         """The first registry entry X whose det(X), scaled by the scalar fitted
         at a nonvanishing point a, agrees with g at the rotation of a and then
-        passes the identity test.  The second point draws nothing, and the
-        identity test's seed is drawn for every fitted entry, so the random
-        stream does not depend on which entries the cheap check drops."""
+        passes the identity test; det(X) is read through ``DetBlackbox``, as
+        g is.  The second point draws nothing, and the identity test's seed
+        is drawn for every fitted entry, so the random stream does not depend
+        on which entries the cheap check drops."""
         field = self.field
         for X in self.registry:
+            det_X = DetBlackbox(X)
             beta = None
             for _ in range(20):
                 a = rng.vector(field, g.n)
-                dv = X.eval(a).det()
+                dv = det_X.eval(a)
                 if dv:
                     beta = field.div(g.eval(a), dv)
                     break
@@ -216,7 +218,7 @@ class PlantedDetOracle:
                 continue
             pit_rng = Rng(rng.randrange(1 << 62))
             b = a[1:] + a[:1]
-            if g.eval(b) != field.mul(beta, X.eval(b).det()):
+            if g.eval(b) != field.mul(beta, det_X.eval(b)):
                 continue  # a wrong entry, dropped for one evaluation of g
             D = Mat.identity(field, self.shape.w)
             D.rows[0, 0] = beta

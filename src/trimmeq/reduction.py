@@ -32,7 +32,7 @@ from math import isqrt
 import numpy as np
 
 from .abp import evaldim, reconstruct_abp
-from .errors import AnchorSingular, CertificationFailed, StructureViolation
+from .errors import CertificationFailed, Singular, StructureViolation
 from .field import Rng
 from .lie import irreducible_invariant_subspaces
 from .linalg import Mat, assemble_block_diagonal, kron, nullspace_rows, sylvester_rows
@@ -240,7 +240,7 @@ def tensor_iso_to_det(h: Blackbox, w: int, d: int, det_oracle, rng: Rng):
     blocks = [shape.block_vars(k) for k in range(d)]
     try:
         abp = reconstruct_abp(h, blocks, w2, rng)
-    except (AnchorSingular, CertificationFailed):
+    except (Singular, CertificationFailed):
         return reject("abp-reconstruction")
     passed("abp-reconstruction")
     Y = abp.layers

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .abp import reconstruct_abp
-from .errors import AnchorSingular, CertificationFailed, Singular
+from .errors import CertificationFailed, Singular
 from .field import Rng
 from .poly import Blackbox, LinMat, RestrictionBlackbox
 from .reduction import certify_blocks
@@ -145,7 +145,7 @@ def _degree_reduce_once(f, w, d, mmti, rng):
         g_blocks = [list(range(s * w2, (s + 1) * w2)) for s in range(d - 3)]
         try:
             suffix = reconstruct_abp(g, g_blocks, w, rng)
-        except (AnchorSingular, CertificationFailed):
+        except (Singular, CertificationFailed):
             return reject("suffix-abp")
         passed("suffix-abp")
         layer_mats = {}

@@ -113,19 +113,19 @@ class TraceProductBlackbox(Blackbox):
         return [k * w * w + t for t in layout(w, k)]
 
     def _layers_np(self, pts: np.ndarray):
-        """Per-layer (w, w, B) arrays respecting the block orderings."""
+        """Per-layer (B, w, w) stacks respecting the block orderings."""
         w = self.shape.w
-        return [pts[:, self._columns(k)].T.reshape(w, w, len(pts)) for k in range(self.shape.d)]
+        return [pts[:, self._columns(k)].reshape(len(pts), w, w) for k in range(self.shape.d)]
 
     def eval_many(self, pts):
         k = self.field.kernel
         layers = self._layers_np(pts)
         M = layers[0]
         for L in layers[1:]:
-            M = k.batched_matmul(M, L)
+            M = k.gemm(M, L)
         acc = k.zeros(len(pts))
         for i in range(self.shape.w):
-            acc = k.add(acc, M[i, i])
+            acc = k.add(acc, M[:, i, i])
         return acc
 
     def gradient_many(self, pts):
@@ -135,20 +135,18 @@ class TraceProductBlackbox(Blackbox):
         w, w2, d = shape.w, shape.w ** 2, shape.d
         B = len(pts)
         layers = self._layers_np(pts)
-        eye = kern.zeros((w, w, B))
-        for i in range(w):
-            eye[i, i] = 1
+        eye = np.broadcast_to(np.eye(w, dtype=kern.dtype), (B, w, w))
         prefix = [eye]  # prefix[k] = Q_0 ... Q_{k-1}
         for k in range(d - 1):
-            prefix.append(kern.batched_matmul(prefix[-1], layers[k]))
+            prefix.append(kern.gemm(prefix[-1], layers[k]))
         suffix = [eye]  # suffix[k] = Q_{k+1} ... Q_{d-1}, built backwards
         for k in range(d - 1, 0, -1):
-            suffix.append(kern.batched_matmul(layers[k], suffix[-1]))
+            suffix.append(kern.gemm(layers[k], suffix[-1]))
         suffix.reverse()  # suffix[k] for k in 0..d-1
         out = kern.zeros((B, shape.n))
         for k in range(d):
-            G = kern.batched_matmul(suffix[k], prefix[k])  # (Q_{k+1}..Q_{k-1})
-            out[:, self._columns(k)] = G.transpose(1, 0, 2).reshape(w2, B).T  # entry (i, j): G[j, i]
+            G = kern.gemm(suffix[k], prefix[k])  # (Q_{k+1}..Q_{k-1})
+            out[:, self._columns(k)] = G.transpose(0, 2, 1).reshape(B, w2)  # entry (i, j): G[j, i]
         return out
 
     def gradient(self, point):

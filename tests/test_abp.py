@@ -1,8 +1,12 @@
 """Evaluation dimension and ABP reconstruction."""
 
-from trimmeq.abp import SetMultABP, _linear_forms, evaldim, linear_form_coeffs, reconstruct_abp
+import pytest
+
+from trimmeq import abp as abp_module
+from trimmeq.abp import SetMultABP, _ATTEMPTS, _linear_forms, evaldim, reconstruct_abp
+from trimmeq.errors import Singular
 from trimmeq.field import Fp, Rng
-from trimmeq.linalg import assemble_block_diagonal, random_invertible
+from trimmeq.linalg import Mat, assemble_block_diagonal, random_invertible
 from trimmeq.poly import (
     Blackbox,
     ComposedBlackbox,
@@ -123,9 +127,8 @@ def test_set_mult_abp_is_a_blackbox():
         assert abp.eval(a) == int(M.rows[0, 0])
 
 
-def test_reconstruct_general_width():
-    """Width-2 reconstruction of a planted width-2 layered product."""
-    rng = Rng(7)
+def _planted_width_2(rng):
+    """A width-2 layered product over three blocks of 4 variables."""
     n = 12
     blocks = [list(range(4)), list(range(4, 8)), list(range(8, 12))]
     row = LinMat(F, 1, 2, n)
@@ -136,15 +139,45 @@ def test_reconstruct_general_width():
         col.coeffs[j][0] = [rng.scalar(F) if v in blocks[2] else 0 for v in range(n)]
         for i in range(2):
             mid.coeffs[i][j] = [rng.scalar(F) if v in blocks[1] else 0 for v in range(n)]
-    planted = SetMultABP(F, blocks, [row, mid, col], n)
+    return SetMultABP(F, blocks, [row, mid, col], n), blocks
+
+
+def test_reconstruct_general_width():
+    """Width-2 reconstruction of a planted width-2 layered product."""
+    rng = Rng(7)
+    planted, blocks = _planted_width_2(rng)
     abp = reconstruct_abp(planted, blocks, 2, rng)
     assert abp.width == 2
     assert pit_equal(planted, abp, 100, rng)
 
 
+def test_too_wide_reconstruction_fails_each_attempt_at_its_first_anchor(monkeypatch):
+    """At width 4 the anchor matrix of a width-2 product has rank 2, so every
+    attempt ends at its first elimination: Singular after ``_ATTEMPTS``
+    attempts, with one inversion each and no determinant."""
+    calls = {"attempts": 0, "inverse": 0, "det": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(abp_module, "_reconstruct_once",
+                        counted("attempts", abp_module._reconstruct_once))
+    monkeypatch.setattr(Mat, "inverse", counted("inverse", Mat.inverse))
+    monkeypatch.setattr(Mat, "det", counted("det", Mat.det))
+    rng = Rng(7)
+    planted, blocks = _planted_width_2(rng)
+    with pytest.raises(Singular):
+        reconstruct_abp(planted, blocks, 4, rng)
+    assert calls == {"attempts": _ATTEMPTS, "inverse": _ATTEMPTS, "det": 0}
+
+
 def test_linear_form_coeffs_match_batched_reads():
-    """The scalar reader agrees with eval_many at the same unit points, and
-    with the batched reader of many templates that the ABP solve uses."""
+    """The linear-form reader of one template agrees with eval_many at the
+    same unit points, and with the reader of many templates that the ABP
+    solve uses."""
     rng = Rng(11)
     sh3, sh4 = TrimmShape(2, 3), TrimmShape(2, 4)
     template = [0] * sh4.n
@@ -165,8 +198,8 @@ def test_linear_form_coeffs_match_batched_reads():
                     q[u] = 1 if u == v else 0
                 rows.append(q)
             want = [int(x) for x in f.eval_many(F.kernel.asarray(rows))]
-            assert linear_form_coeffs(f, point, block) == want
+            assert _linear_forms(f, [point], block).tolist() == [want]
             assert any(want)
             other = rng.vector(F, f.n)
             assert _linear_forms(f, [point, other], block).tolist() == [
-                want, linear_form_coeffs(f, other, block)]
+                want, _linear_forms(f, [other], block)[0].tolist()]

@@ -85,6 +85,21 @@ def test_solve_fmai(tmp_path):
     assert main(["verify", str(inst), str(cert)]) == 0
 
 
+@pytest.mark.parametrize("task, gen, oracle", [
+    ("trace", ["--w", "2", "--d", "3", "--mode", "full"], "w2"),
+    ("tensor-iso", ["--w", "2", "--d", "4", "--mode", "tensor"], "planted"),
+    ("fmai", ["--w", "2", "--d", "4", "--mode", "algebra"], "w2"),
+])
+def test_solve_writes_the_same_certificate_at_one_seed(tmp_path, task, gen, oracle):
+    inst = tmp_path / "inst.json"
+    main(["gen", *gen, "--seed", "5", "--out", str(inst)])
+    certs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for cert in certs:
+        assert main(["solve", str(inst), "--task", task, "--oracle", oracle,
+                     "--seed", "6", "--cert", str(cert)]) == 0
+    assert certs[0].read_bytes() == certs[1].read_bytes()
+
+
 def test_corrupted_certificate_fails_verification(tmp_path):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"

@@ -13,6 +13,7 @@ from trimmeq.lie import (
     irreducible_invariant_subspaces,
     is_invariant,
     lie_algebra_basis,
+    lie_algebra_basis_exact,
     random_element,
 )
 from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, same_span
@@ -26,15 +27,14 @@ def test_single_variable_polynomial_dims_agree():
     # f = x0 in two variables: sampled and exact modes agree on the span
     poly = MPoly.var(F, 2, 0)
     rng = Rng(1)
-    exact = lie_algebra_basis(ExplicitBlackbox(poly), rng, mode="exact")
-    sampled = lie_algebra_basis(ExplicitBlackbox(poly), rng, mode="sampled")
+    exact = lie_algebra_basis_exact(poly)
+    sampled = lie_algebra_basis(ExplicitBlackbox(poly), rng)
     assert exact.dim == sampled.dim
     assert exact.same_span_as(sampled)
 
 
 def test_trimm_23_dimension_is_11():
-    rng = Rng(2)
-    exact = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(F, TrimmShape(2, 3))), rng, mode="exact")
+    exact = lie_algebra_basis_exact(trimm_explicit(F, TrimmShape(2, 3)))
     assert exact.dim == 11
 
 
@@ -63,7 +63,7 @@ def test_random_element_single_basis_and_determinism():
 
 def test_random_element_charpoly_squarefree_rate():
     rng = Rng(6)
-    L = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(F, TrimmShape(2, 3))), rng, mode="exact")
+    L = lie_algebra_basis_exact(trimm_explicit(F, TrimmShape(2, 3)))
     good = sum(
         squarefree_test(F, random_element(L, rng).charpoly()) for _ in range(100)
     )
@@ -89,8 +89,10 @@ def test_closure_matches_per_vector_reference(w, mode):
     from random, coordinate and block-aligned start vectors."""
     rng = Rng(20 + w)
     sh = TrimmShape(w, 3)
-    f = ExplicitBlackbox(trimm_explicit(F, sh)) if mode == "exact" else trimm_blackbox(F, sh)
-    L = lie_algebra_basis(f, rng, mode=mode)
+    if mode == "exact":
+        L = lie_algebra_basis_exact(trimm_explicit(F, sh))
+    else:
+        L = lie_algebra_basis(trimm_blackbox(F, sh), rng)
     n = L.n
     starts = [rng.vector(F, n), [1] + [0] * (n - 1), [0] * (n - 1) + [7]]
     starts.append([x if t // (w * w) == 1 else 0 for t, x in enumerate(rng.vector(F, n))])
@@ -125,7 +127,7 @@ def test_is_invariant_rejects_a_subspace_that_is_not():
     assert not is_invariant(InvariantSubspace(F, [[0, 1]]), nil)
     assert is_invariant(InvariantSubspace(F, [[1, 0]]), nil)
     sh = TrimmShape(2, 3)
-    L = lie_algebra_basis(ExplicitBlackbox(trimm_explicit(F, sh)), Rng(24), mode="exact")
+    L = lie_algebra_basis_exact(trimm_explicit(F, sh))
     block = closure([1] + [0] * 11, L)
     assert is_invariant(block, L)
     assert not is_invariant(InvariantSubspace(F, block.basis[:2]), L)

@@ -218,17 +218,25 @@ def test_split_gemm_matches_bigint(monkeypatch, p):
 
 
 @pytest.mark.parametrize("p", LANES)
-def test_batched_matmul_matches_each_product(p):
+def test_gemm_multiplies_each_matrix_of_a_stack(p):
+    """(4, r, k) x (4, k, c) stacks multiply matrix by matrix, and a 2-D
+    operand multiplies every matrix of a stack."""
     kern = get_kernel(p)
     rnd = random.Random(p)
+
+    def draw(*shape):
+        return [draw(*shape[1:]) for _ in range(shape[0])] if len(shape) > 1 else [
+            rnd.randrange(p) for _ in range(shape[0])]
+
     for r, k, c in [(3, 3, 3), (2, 2049, 1), (1, 4, 5)]:
-        A = [[[rnd.randrange(p) for _ in range(4)] for _ in range(k)] for _ in range(r)]
-        B = [[[rnd.randrange(p) for _ in range(4)] for _ in range(c)] for _ in range(k)]
-        C = kern.batched_matmul(kern.asarray(A), kern.asarray(B))
+        A, B = draw(4, r, k), draw(4, k, c)
+        C = kern.gemm(kern.asarray(A), kern.asarray(B))
+        assert C.shape == (4, r, c)
         for b in range(4):
-            Ab = [[x[b] for x in row] for row in A]
-            Bb = [[x[b] for x in row] for row in B]
-            assert _lists(C[:, :, b]) == _product(p, Ab, Bb)
+            assert _lists(C[b]) == _product(p, A[b], B[b])
+    M, S = draw(3, 4), draw(5, 4, 2)
+    C = kern.gemm(kern.asarray(M), kern.asarray(S))
+    assert [_lists(Cb) for Cb in C] == [_product(p, M, Sb) for Sb in S]
 
 
 def _system(p, n, layout, rnd):

@@ -311,6 +311,47 @@ def test_solve_builds_no_explicit_determinant_root(monkeypatch):
     assert fmai_solve(A, _mmti(F), Rng(44)) is not None
 
 
+def test_solve_reads_no_value_on_the_scalar_lane(monkeypatch):
+    """Every solve reads its blackboxes, its ABP layers and the planted
+    oracle's registry through ``eval_many``: with the scalar ``eval`` of
+    LinMat and of the blackboxes that write one out raising, planted (3,3)
+    with the planted oracle and planted (2,3) with the quadratic oracle
+    certify, a w = 2 FMAI positive certifies and the diagonal negative is
+    rejected."""
+    from test_fmai import _conjugated_algebra, _diagonal_algebra, _mmti
+
+    from trimmeq.fmai import fmai_solve
+    from trimmeq.trimm import TraceProductBlackbox
+
+    # planting spot-checks the instance on the scalar lane, so it comes first
+    runs = []
+    for (w, d), seed in [((3, 3), 42), ((2, 3), 41)]:
+        sh = TrimmShape(w, d)
+        rng = Rng(seed)
+        inst = plant_instance(F, sh, rng, mode="full")
+        oracle = QuadraticDetOracle(F) if w == 2 else PlantedDetOracle(F, sh, inst.A)
+        runs.append((sh, inst, oracle, rng))
+    positive, _ = _conjugated_algebra(Rng(43))
+    negative = _diagonal_algebra(Rng(21))
+
+    for cls in (LinMat, ExplicitBlackbox, ComposedBlackbox, TraceProductBlackbox):
+        def scalar(self, point, name=cls.__name__):
+            raise AssertionError(f"{name}.eval called")
+        monkeypatch.setattr(cls, "eval", scalar)
+    results = []
+    for sh, inst, oracle, rng in runs:
+        res = trace_equivalence(inst.f, sh.d, lambda ww: oracle if ww == sh.w else None, rng)
+        assert res is not None
+        results.append(res)
+    assert fmai_solve(positive, _mmti(F), Rng(44)) is not None
+    with RunReport() as rep:
+        assert fmai_solve(negative, _mmti(F), Rng(45)) is None
+    assert rep.failed_gate == "mmti-oracle"
+    monkeypatch.undo()
+    for (sh, inst, _, rng), (_, A) in zip(runs, results):
+        assert verify_witness(inst.f, sh, A, 100, rng)
+
+
 # ---------------------------------------------------------------------------
 # stage 1 and full pipeline
 # ---------------------------------------------------------------------------
