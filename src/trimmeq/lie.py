@@ -4,7 +4,16 @@ The Lie algebra of f is the space of matrices E with
 sum_{i,j} E[i][j] * x_j * df/dx_i == 0.  A basis is found by sampling
 that identity at random points (blackbox access, ``lie_algebra_basis``) or
 by exact coefficient matching (explicit polynomials,
-``lie_algebra_basis_exact``).  On top of it sit random
+``lie_algebra_basis_exact``).  Sampling never builds the n^2-unknown system:
+over a random invertible U, with X = E U, the identity at points a = U c
+with c supported on a block J of coordinates involves only the n |J|
+unknowns X[:, J].  So one small elimination per block (``_blocks`` picks
+the most blocks whose identity has as many monomials as unknowns) narrows
+each X[:, J] to a nullspace N_J, and one elimination over the coordinates
+in the N_J, at general points, gives the algebra.  Every row is a sampled
+instance of the identity, so the span always contains the algebra, and the
+identity test of every element (``_certify_basis``) decides that it holds
+no more.  On top of it sit random
 elements, vector closures, and the invariant-subspace search that drives
 the reduction to tensor isomorphism.  Closures and invariance checks run on
 the field's kernel: one GEMM maps a set of vectors through the stacked
@@ -13,11 +22,14 @@ basis, and one elimination keeps the images that grow the span.
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
 from .errors import CertificationFailed
 from .field import Fp, Rng
-from .linalg import Mat, in_span, nullspace_rows, poly_at_matrix, rank_rows, same_span
+from .linalg import (Mat, in_span, nullspace_rows, poly_at_matrix, random_invertible, rank_rows,
+                     same_span)
 from .poly import Blackbox, MPoly, factor_univariate, squarefree_test
 from .report import reject
 
@@ -48,7 +60,7 @@ class LieBasis:
 
     def flat(self) -> np.ndarray:
         """The basis as the rows of one (a, n^2) residue array."""
-        return self.stack().reshape(self.dim, -1)
+        return self.stack().reshape(self.dim, self.n * self.n)
 
     def same_span_as(self, other: "LieBasis") -> bool:
         return same_span(self.field, self.flat(), other.flat())
@@ -72,18 +84,19 @@ class InvariantSubspace:
         return same_span(self.field, self.basis, other.basis)
 
 
-def _lie_rows_sampled(f: Blackbox, m: int, rng: Rng):
-    """m rows of the sampled constraint system over the n^2 unknowns E[i][j].
+def _blocks(n: int, d: int) -> list[range]:
+    """Near-equal blocks of range(n): the largest count b whose smallest
+    block size r = n // b has C(r + d, d) >= n r, so that a block's identity,
+    of degree <= d in r variables, has as many monomials as unknowns; b = 1
+    when no count does."""
+    b = next((b for b in range(n, 1, -1) if comb(n // b + d, d) >= n * (n // b)), 1)
+    return [range(n * i // b, n * (i + 1) // b) for i in range(b)]
 
-    Row for point a is the flattened outer product grad_f(a) (x) a, since
-    sum_ij E_ij a_j d_i f(a) = grad(a)^T E a.
-    """
-    field = f.field
-    n = f.n
-    pts = rng.array(field, (m, n))
-    grads = f.gradient_many(pts)
-    rows = field.kernel.mul(grads[:, :, None], pts[:, None, :]).reshape(m, n * n)
-    return rows, pts
+
+def _kron_rows(k, g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Row t is g_t (x) c_t: the coefficients of grad(a_t)^T X c_t over the
+    unknowns X[i][j], flattened as i * c.shape[1] + j."""
+    return k.mul(g[:, :, None], c[:, None, :]).reshape(len(g), -1)
 
 
 def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool:
@@ -103,23 +116,46 @@ def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool
 
 
 def lie_algebra_basis(f: Blackbox, rng: Rng) -> LieBasis:
-    """Basis of the Lie algebra of f, sampled.
+    """Basis of the Lie algebra of f, sampled in two stages over a random
+    invertible U.
 
-    Build an (n^2 + 32)-row random constraint system, take its nullspace,
-    then certify the basis by PIT at ``_CERTIFY_TRIALS`` fresh points per
-    element, every element at once (``_certify_basis``); retry once with
-    twice the rows, then raise CertificationFailed.  W.h.p. the span is
-    that of ``lie_algebra_basis_exact``.
+    With X = E U the identity reads grad_f(U c)^T X c == 0 in c.  Stage 1,
+    for each block J of ``_blocks(n, f.degree)``: at n |J| + 32 points
+    a = U_J c, with c supported on J, only the n |J| unknowns X[:, J] occur;
+    the nullspace N_J of those rows holds every X[:, J] of the algebra.
+    Stage 2: at s + 32 general points a = U c, s = sum_J dim N_J, the rows
+    over the coordinates Y_J of X[:, J] = Y_J N_J; their nullspace gives X,
+    and E = X U^-1.  Every row is a sampled instance of the identity, so the
+    span always contains the Lie algebra, and by Schwartz-Zippel each stage
+    is complete w.h.p.  The basis is then certified by PIT at
+    ``_CERTIFY_TRIALS`` fresh points per element, every element at once
+    (``_certify_basis``); retry once with a new U and twice the rows in
+    every stage, then raise CertificationFailed.  W.h.p. the span is that of
+    ``lie_algebra_basis_exact``.
     """
     n = f.n
     field = f.field
-    attempt_rows = n * n + 32
-    for _ in range(2):
-        rows, _ = _lie_rows_sampled(f, attempt_rows, rng)
-        basis = [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, rows)]
+    k = field.kernel
+    blocks = _blocks(n, f.degree)
+    for scale in (1, 2):
+        U = random_invertible(field, n, rng)
+        nulls = []
+        for J in blocks:
+            c = rng.array(field, (scale * (n * len(J) + 32), len(J)))
+            g = f.gradient_many(k.gemm(c, U.rows[:, J].T))
+            nulls.append(nullspace_rows(field, _kron_rows(k, g, c)))
+        s = sum(len(N) for N in nulls)
+        c = rng.array(field, (scale * (s + 32), n))
+        g = f.gradient_many(k.gemm(c, U.rows.T))
+        Y = nullspace_rows(field, np.concatenate(
+            [k.gemm(_kron_rows(k, g, c[:, J]), N.T) for J, N in zip(blocks, nulls)], axis=1))
+        X = k.zeros((len(Y), n, n))
+        cols = np.cumsum([0] + [len(N) for N in nulls])
+        for J, N, y0, y1 in zip(blocks, nulls, cols, cols[1:]):
+            X[:, :, J] = k.gemm(Y[:, y0:y1], N).reshape(len(Y), n, len(J))
+        basis = [Mat(field, E) for E in k.gemm(X, U.inverse().rows)]
         if _certify_basis(f, basis, _CERTIFY_TRIALS, rng):
             return LieBasis(field, n, basis)
-        attempt_rows *= 2
     raise CertificationFailed("sampled Lie basis failed identity certification")
 
 

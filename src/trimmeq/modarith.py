@@ -19,16 +19,18 @@ kernel's ``dtype``; callers allocate residue arrays through ``asarray`` /
 ``zeros`` so they never depend on the lane.
 
 Every matrix product is one exact float64 GEMM (``gemm``) on BLAS: residues
-split into 21-bit limbs, and the inner dimension is cut into chunks of 2048
-limb products, each below 2^42, so that every sum stays below 2^53, where
-float64 is exact; the limb shifts and the recombination are multiplies by
-powers of two.  Rank, kernel basis and RREF come from one recursive
-elimination that halves the columns (as LAPACK's ``dgetrf2`` does) down to a
-first-nonzero-pivoting column step, whose pivot columns (``pivots``) are the
-columns outside the span of those before them; determinants come from that
-column step over a stack of matrices.  The back-solves of RREF and kernel
-basis halve the triangular factor down to 16 rows, whatever the width of
-the right-hand side, so that their work runs in GEMMs.
+split into 21-bit limbs, the limb products A_s B_t are summed by u = s + t
+in one BLAS product per u (as FFLAS-FFPACK groups them), and the inner
+dimension is cut into chunks of 2048 limb products, each below 2^42, so that
+every sum stays below 2^53, where float64 is exact; each of the 2 limbs - 1
+sums is reduced and multiplied by 2^(21 u) once.  Rank, kernel basis and
+RREF come from one recursive elimination that halves the columns (as
+LAPACK's ``dgetrf2`` does) down to a first-nonzero-pivoting column step,
+whose pivot columns (``pivots``) are the columns outside the span of those
+before them; determinants come from that column step over a stack of
+matrices.  The back-solves of RREF and kernel basis halve the triangular
+factor down to 16 rows, whatever the width of the right-hand side, so that
+their work runs in GEMMs.
 """
 
 from __future__ import annotations
@@ -107,11 +109,13 @@ class _KernelBase:
     def gemm(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Exact (..., m, k) x (..., k, n) product mod p, batch axes broadcast.
 
-        With A_s the limbs of A and B_s = 2^(21 s) B mod p, A B is
-        sum_t (sum_s A_s (B_s)_t) 2^(21 t): each inner sum is one BLAS ``@``
-        of the limbs of A side by side, on chunks of k small enough to be
-        exact, reduced mod p and recombined with the lane's ``add``/``mul``.
-        Large products are split in halves to bound the limb temporaries.
+        With A_s and B_t the limbs of A and B, A B is sum_u S_u 2^(21 u) with
+        S_u = sum_{s+t=u} A_s B_t: each S_u is one BLAS ``@`` of the limbs
+        A_s side by side against the limbs B_(u-s) stacked, on chunks of k
+        small enough to be exact, since S_u adds at most ``limbs`` products
+        per k; the sums are reduced mod p and each is multiplied by
+        2^(21 u) once.  Large products are split in halves to bound the limb
+        temporaries.
         """
         limbs = -(-self.p.bit_length() // _LIMB)
         (m, k), n = A.shape[-2:], B.shape[-1]
@@ -122,17 +126,21 @@ class _KernelBase:
             return np.concatenate([self.gemm(A, B[..., : n // 2]), self.gemm(A, B[..., n // 2 :])],
                                   axis=-1)
         step = _K_CHUNK // limbs
-        Bs = [B] + [self.mul_pow2(B, _LIMB * s) for s in range(1, limbs)]
-        acc = [self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n))] * limbs
+        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n)
+        acc = [self.zeros(shape)] * (2 * limbs - 1)
         for k0 in range(0, k, step):
-            As = np.concatenate(self._limbs(A[..., k0 : k0 + step], limbs), axis=-1)
-            parts = [self._limbs(Bj[..., k0 : k0 + step, :], limbs) for Bj in Bs]
-            for t in range(limbs):
-                Bt = np.concatenate([part[t] for part in parts], axis=-2)
-                acc[t] = self.add(acc[t], self._from_exact(As @ Bt))
+            kc = min(step, k - k0)
+            # A_0 .. A_(L-1) side by side, B_(L-1) .. B_0 stacked
+            As = np.concatenate(self._limbs(A[..., k0 : k0 + kc], limbs), axis=-1)
+            Bs = np.concatenate(self._limbs(B[..., k0 : k0 + kc, :], limbs)[::-1], axis=-2)
+            for u in range(2 * limbs - 1):
+                lo, hi = max(0, u - limbs + 1), min(u, limbs - 1) + 1  # A_lo .. A_(hi-1)
+                b0 = limbs - 1 - u + lo  # where B_(u-lo) sits in Bs
+                S = As[..., lo * kc : hi * kc] @ Bs[..., b0 * kc : (b0 + hi - lo) * kc, :]
+                acc[u] = self.add(acc[u], self._from_exact(S))
         C = acc[0]
-        for t in range(1, limbs):
-            C = self.add(C, self.mul_pow2(acc[t], _LIMB * t))
+        for u in range(1, 2 * limbs - 1):
+            C = self.add(C, self.mul_pow2(acc[u], _LIMB * u))
         return C
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:

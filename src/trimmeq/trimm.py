@@ -129,23 +129,25 @@ class TraceProductBlackbox(Blackbox):
         return acc
 
     def gradient_many(self, pts):
-        """d tr(prod)/dQ_k[i,j] = (Q_{k+1} ... Q_{k-1})[j, i], batched."""
+        """d tr(prod)/dQ_k[i,j] = (Q_{k+1} ... Q_{k-1})[j, i], batched: the
+        suffix Q_{k+1} ... Q_{d-1} times the prefix Q_0 ... Q_{k-1}, where the
+        first layer's gradient is a suffix alone and the last's a prefix."""
         kern = self.field.kernel
         shape = self.shape
         w, w2, d = shape.w, shape.w ** 2, shape.d
         B = len(pts)
         layers = self._layers_np(pts)
-        eye = np.broadcast_to(np.eye(w, dtype=kern.dtype), (B, w, w))
-        prefix = [eye]  # prefix[k] = Q_0 ... Q_{k-1}
-        for k in range(d - 1):
-            prefix.append(kern.gemm(prefix[-1], layers[k]))
-        suffix = [eye]  # suffix[k] = Q_{k+1} ... Q_{d-1}, built backwards
-        for k in range(d - 1, 0, -1):
-            suffix.append(kern.gemm(layers[k], suffix[-1]))
-        suffix.reverse()  # suffix[k] for k in 0..d-1
+        prefix = [layers[0]]  # prefix[k] = Q_0 ... Q_k
+        for L in layers[1:-1]:
+            prefix.append(kern.gemm(prefix[-1], L))
+        suffix = [layers[-1]]  # built backwards; reversed, suffix[k] = Q_{k+1} ... Q_{d-1}
+        for L in layers[-2:0:-1]:
+            suffix.append(kern.gemm(L, suffix[-1]))
+        suffix.reverse()
+        grads = ([suffix[0]] + [kern.gemm(suffix[k], prefix[k - 1]) for k in range(1, d - 1)]
+                 + [prefix[-1]])
         out = kern.zeros((B, shape.n))
-        for k in range(d):
-            G = kern.gemm(suffix[k], prefix[k])  # (Q_{k+1}..Q_{k-1})
+        for k, G in enumerate(grads):
             out[:, self._columns(k)] = G.transpose(0, 2, 1).reshape(B, w2)  # entry (i, j): G[j, i]
         return out
 

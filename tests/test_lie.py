@@ -1,13 +1,18 @@
 """Lie algebra bases, closures, random elements, invariant subspaces."""
 
+from itertools import combinations_with_replacement
+from math import comb
+
 import numpy as np
 import pytest
 from closure_reference import closure_reference
 
+from trimmeq.errors import CertificationFailed
 from trimmeq.field import Fp, Rng
 from trimmeq.lie import (
     InvariantSubspace,
     LieBasis,
+    _blocks,
     _certify_basis,
     closure,
     irreducible_invariant_subspaces,
@@ -267,3 +272,102 @@ def test_batched_certification_rejects_one_perturbed_element(shape):
         bad[pos] = Mat(F, E)
         assert not _certify_basis(f, bad, 20, Rng(23))
         assert not _certify_basis(f, [bad[pos]], 20, Rng(23))
+
+
+@pytest.mark.parametrize("n, d, count", [(12, 3, 2), (16, 4, 4), (27, 3, 2), (64, 4, 7),
+                                         (10, 2, 1), (75, 3, 3)])
+def test_blocks_partition_by_the_monomial_count(n, d, count):
+    """The most near-equal blocks whose smallest size r has C(r + d, d) >= n r."""
+    blocks = _blocks(n, d)
+    assert len(blocks) == count
+    assert [i for J in blocks for i in J] == list(range(n))
+    assert max(map(len, blocks)) - min(map(len, blocks)) <= 1
+    r = min(map(len, blocks))
+    assert count == 1 or comb(r + d, d) >= n * r
+    r = n // (count + 1)
+    assert comb(r + d, d) < n * r
+
+
+def _zeroed_trimm_33():
+    terms = dict(trimm_explicit(F, TrimmShape(3, 3)).terms)
+    del terms[sorted(terms)[5]]
+    return MPoly(F, 27, terms)
+
+
+def _random_poly(n, degrees, count, rng):
+    """count random terms of each degree in degrees, in n variables."""
+    poly = MPoly.zero(F, n)
+    for deg in degrees:
+        for _ in range(count):
+            e = [0] * n
+            for _ in range(deg):
+                e[rng.randrange(n)] += 1
+            poly.add_term(tuple(e), rng.nonzero_scalar(F))
+    return poly
+
+
+def _explicit_cases():
+    rng = Rng(31)
+    yield "trimm23", trimm_explicit(F, TrimmShape(2, 3))
+    yield "trimm24", trimm_explicit(F, TrimmShape(2, 4))
+    yield "trimm33", trimm_explicit(F, TrimmShape(3, 3))
+    yield "zeroed33", _zeroed_trimm_33()
+    yield "quadratic", _random_poly(10, [2], 12, rng)  # one block
+    yield "nonhomogeneous", _random_poly(9, [3, 2, 1], 4, rng)
+    dense = MPoly.zero(F, 8)
+    for mono in combinations_with_replacement(range(8), 3):
+        dense.add_term(tuple(mono.count(i) for i in range(8)), rng.scalar(F))
+    yield "dense", dense
+
+
+@pytest.mark.parametrize("case", range(7), ids=[name for name, _ in _explicit_cases()])
+def test_block_sampled_span_equals_exact(case):
+    """Two-stage block sampling finds the span of coefficient matching, on
+    Tr-IMMs, a zeroed Tr-IMM, a quadratic (one block), a non-homogeneous
+    cubic and a dense cubic with no Lie algebra."""
+    name, poly = list(_explicit_cases())[case]
+    exact = lie_algebra_basis_exact(poly)
+    sampled = lie_algebra_basis(ExplicitBlackbox(poly), Rng(32 + case))
+    assert sampled.dim == exact.dim
+    assert exact.same_span_as(sampled)
+    if name == "quadratic":
+        assert len(_blocks(poly.n, ExplicitBlackbox(poly).degree)) == 1
+    if name == "dense":
+        assert exact.dim == 0
+
+
+def _record_row_counts(monkeypatch, fails):
+    """Patch lie's nullspace_rows to record each system's row count, and
+    _certify_basis to fail the first ``fails`` calls."""
+    import trimmeq.lie as lie
+
+    seen, calls = [], []
+    real_null, real_cert = lie.nullspace_rows, lie._certify_basis
+    monkeypatch.setattr(lie, "nullspace_rows",
+                        lambda field, rows: seen.append(len(rows)) or real_null(field, rows))
+
+    def certify(*args):
+        calls.append(args)
+        return len(calls) > fails and real_cert(*args)
+
+    monkeypatch.setattr(lie, "_certify_basis", certify)
+    return seen, calls
+
+
+def test_failed_certification_retries_once_with_doubled_rows(monkeypatch):
+    sh = TrimmShape(2, 3)
+    f = trimm_blackbox(F, sh)
+    seen, calls = _record_row_counts(monkeypatch, fails=1)
+    L = lie_algebra_basis(f, Rng(41))
+    assert len(calls) == 2 and L.dim == 11
+    assert len(seen) == 6  # two blocks and the combined stage, per attempt
+    first, second = seen[:3], seen[3:]
+    assert first[:2] == [12 * 6 + 32] * 2
+    assert second == [2 * m for m in first]
+
+
+def test_certification_failing_twice_raises(monkeypatch):
+    seen, calls = _record_row_counts(monkeypatch, fails=2)
+    with pytest.raises(CertificationFailed):
+        lie_algebra_basis(trimm_blackbox(F, TrimmShape(2, 3)), Rng(42))
+    assert len(calls) == 2 and len(seen) == 6

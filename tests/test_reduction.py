@@ -435,6 +435,18 @@ def test_trace_equivalence_planted_43():
     assert verify_witness(inst.f, sh, res[1], 100, rng)
 
 
+def test_trace_equivalence_planted_44():
+    """n = 64: the Lie algebra comes from seven blocks of 9 or 10 columns
+    and one combined system, never from one 4,096-unknown elimination."""
+    rng = Rng(1)
+    sh = TrimmShape(4, 4)
+    inst = plant_instance(F, sh, rng, mode="full")
+    provider = lambda w: PlantedDetOracle(F, sh, inst.A) if w == 4 else None
+    res = trace_equivalence(inst.f, 4, provider, rng)
+    assert res is not None and res[0] == 4
+    assert verify_witness(inst.f, sh, res[1], 100, rng)
+
+
 def test_trace_equivalence_rejects_product_of_variables():
     rng = Rng(15)
     f = ExplicitBlackbox(MPoly(F, 3, {(1, 1, 1): 1}))

@@ -10,7 +10,10 @@ pair.  For every end-to-end metric of BENCHMARK.json it prints each side's
 median and interquartile range, the number of pairs the working tree won
 (ties count for neither), and the median's relative change against the
 metric's bound.  Under the table it prints the line count of ``src/trimmeq``
-on each side.
+on each side.  The same figures, with every pair's values, go to
+``BENCH_<short hash of --rev>.json`` at the root of the checkout, one entry
+per workload: a later run on another workload adds its entry, and a run on
+the same workload replaces it.
 """
 
 from __future__ import annotations
@@ -72,9 +75,13 @@ def quartiles(vals: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> None:
+def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs the working
+    tree won (ties count for neither), the median's relative change and the
+    metric's bound; printed as a table and returned."""
     print(f"{'metric':<18} {'base p50':>11} {'base IQR':>10} {'tree p50':>11} {'tree IQR':>10} "
           f"{'change':>8} {'bound':>6} {'won':>7}")
+    out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
         pairs = [(b[name], t[name]) for b, t in runs if name in b and name in t]
@@ -86,6 +93,31 @@ def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> None:
         change = (tq[1] - bq[1]) / bq[1] if bq[1] else 0.0
         print(f"{name:<18} {bq[1]:>11.4g} {bq[2] - bq[0]:>10.3g} {tq[1]:>11.4g} "
               f"{tq[2] - tq[0]:>10.3g} {change:>+8.1%} {spec['bound']:>6.2f} {won:>3}/{len(pairs)}")
+        out[name] = {
+            "better": spec["better"], "bound": spec["bound"], "change": change,
+            "won": won, "pairs": len(pairs),
+            "base": {"median": bq[1], "q1": bq[0], "q3": bq[2], "iqr": bq[2] - bq[0], "runs": base},
+            "tree": {"median": tq[1], "q1": tq[0], "q3": tq[2], "iqr": tq[2] - tq[0], "runs": tree},
+        }
+    return out
+
+
+def record(rev: str, workload: str, entry: dict) -> str:
+    """Write ``entry`` under ``workload`` in BENCH_<short hash of rev>.json at
+    the root of the checkout, keeping the other workloads' entries; returns
+    the path."""
+    commit = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", rev], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    path = os.path.join(ROOT, f"BENCH_{commit}.json")
+    doc = {"base": commit, "workloads": {}}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    doc["workloads"][workload] = entry
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return path
 
 
 def main(argv=None) -> int:
@@ -116,9 +148,12 @@ def main(argv=None) -> int:
                   f"{got['tree'].get('solve_s_p50', float('nan')):.4g}", flush=True)
     print(f"{args.workload}: {len(runs)} complete pairs of {args.pairs}, "
           f"{args.rev} (base) against the working tree")
-    if runs:
-        summarize(runs, metrics)
+    stats = summarize(runs, metrics) if runs else {}
     print(f"src/trimmeq lines: {lines['base']} ({args.rev}) -> {lines['tree']} (working tree)")
+    entry = {"seeds": [args.seed, args.seed + args.pairs - 1], "pairs": args.pairs,
+             "complete_pairs": len(runs), "run_seconds": seconds,
+             "src_lines": {"base": lines["base"], "tree": lines["tree"]}, "metrics": stats}
+    print(f"wrote {record(args.rev, args.workload, entry)}")
     return 0 if len(runs) == args.pairs else 1
 
 
