@@ -2,7 +2,8 @@
 suite and the command-line selftest.
 
 Each criterion returns a CriterionResult with pass/fail, a human-readable
-detail string, and its wall time.  Thresholds, seed counts, and time
+detail string, and its wall time; ``run_all`` runs them one after another in
+the calling process.  Thresholds, seed counts, and time
 budgets are pinned here and nowhere else.
 """
 
@@ -500,21 +501,9 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(field: Fp | None = None, numbers=None, jobs: int = 1):
-    """Run the acceptance criteria (all or a subset); returns results."""
+def run_all(field: Fp | None = None, numbers=None):
+    """Run the acceptance criteria (all or a subset) in order, in this
+    process; returns results."""
     field = field or Fp()
-    todo = [
-        fn for i, fn in enumerate(ALL_CRITERIA, start=1) if numbers is None or i in numbers
-    ]
-    if jobs > 1:
-        import multiprocessing as mp
-
-        with mp.Pool(jobs) as pool:
-            return pool.map(_run_one, [(fn.__name__, field.p) for fn in todo])
-    return [fn(field) for fn in todo]
-
-
-def _run_one(args):
-    name, p = args
-    fn = globals()[name]
-    return fn(Fp(p))
+    return [fn(field) for i, fn in enumerate(ALL_CRITERIA, start=1)
+            if numbers is None or i in numbers]

@@ -293,7 +293,7 @@ def cmd_selftest(args) -> int:
 
     field = Fp(args.prime)
     numbers = set(args.only) if args.only else None
-    results = run_all(field, numbers=numbers, jobs=args.jobs)
+    results = run_all(field, numbers=numbers)
     for r in results:
         print(r.line())
     bad = [r for r in results if not r.passed]
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("selftest", help="run the acceptance suite")
     t.add_argument("--prime", type=int, default=default_prime)
     t.add_argument("--only", type=int, nargs="*", default=None, help="criterion numbers")
-    t.add_argument("--jobs", type=int, default=1)
     t.set_defaults(fn=cmd_selftest)
     return ap
 

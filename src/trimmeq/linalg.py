@@ -10,6 +10,10 @@ products of the scalar evaluation lane: exact Python-int products
 (``exact_product``) that never reach the kernel's GEMM, so a GEMM bug cannot
 vouch for its own output.  Span membership and span equality are rank
 comparisons, and ``poly_at_matrix`` runs Horner's rule through the GEMM.
+Values on a line become coefficients one way only: through the inverse of
+``vandermonde``, on the elimination.  The characteristic polynomial,
+univariate interpolation, blackbox gradients and determinant roots all read
+it.
 """
 
 from __future__ import annotations
@@ -204,18 +208,17 @@ class Mat:
         return x.tolist()
 
     def charpoly(self) -> list[int]:
-        """Monic characteristic polynomial det(tI - M), coeffs low-to-high.
-
-        Evaluation at n+1 points (one stack of determinants) followed by
-        interpolation; needs p > n, which the modulus policy guarantees.
-        """
+        """Monic characteristic polynomial det(tI - M), coeffs low-to-high:
+        one stack of determinants at t = 0..n times the inverse Vandermonde
+        matrix; needs p > n, which the modulus policy guarantees."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeMismatch("charpoly of non-square matrix")
         k = self.field.kernel
         ts = np.arange(n + 1)
         stack = k.sub(ts[:, None, None] * np.eye(n, dtype=np.int64), self.rows)
-        return newton_interp(self.field.p, ts.tolist(), k.det_many(stack).tolist())
+        interp = vandermonde(self.field, ts).inverse().rows
+        return k.gemm(interp, k.det_many(stack)[:, None])[:, 0].tolist()
 
     # -- block structure ----------------------------------------------------
     def _check_block(self, r0: int, c0: int, h: int, w: int):
@@ -232,27 +235,20 @@ class Mat:
         self.rows[r0 : r0 + h, c0 : c0 + w] = B.rows
 
 
-def newton_interp(p: int, xs: list[int], ys: list[int]) -> list[int]:
-    """Divided-difference interpolation through (xs[i], ys[i]) with
-    distinct xs: len(xs) coefficients, low-to-high, untrimmed."""
-    n = len(xs)
-    coef = [y % p for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
-    # expand Newton form
-    poly = [0] * n
-    for i in range(n - 1, -1, -1):
-        # poly <- poly * (t - x_i) + coef[i]
-        shifted = [0] + poly[:-1]
-        poly = [(s - xs[i] * q) % p for s, q in zip(shifted, poly)]
-        poly[0] = (poly[0] + coef[i]) % p
-    return poly
-
-
 # ---------------------------------------------------------------------------
 # free-standing operations
 # ---------------------------------------------------------------------------
+
+def vandermonde(field: Fp, xs) -> Mat:
+    """The square Vandermonde matrix V[t, j] = xs[t]^j: V maps coefficients
+    (low to high, degree < len(xs)) to values at the nodes xs, and
+    ``V.inverse()`` maps values back to coefficients.  A repeated node makes
+    V singular."""
+    xs = [int(x) for x in xs]
+    p = field.p
+    rows = [[pow(x, j, p) for j in range(len(xs))] for x in xs]
+    return Mat(field, field.kernel.asarray(rows).reshape(len(xs), len(xs)))
+
 
 def random_invertible(field: Fp, n: int, rng: Rng) -> Mat:
     """Uniform-ish invertible matrix; retries until nonsingular."""

@@ -8,7 +8,9 @@ of a matrix product (defined in :mod:`trimmeq.trimm`), partial
 substitution, the determinant of a linear matrix, or the w-th root of a
 blackbox that is a w-th power.  A blackbox defines one method, batched
 evaluation (``eval_many``; an explicit polynomial's through an exponent
-table), and gets exact gradients from it.  Only the verification lane --
+table), and gets exact gradients from it.  Interpolation, gradients and
+determinant roots turn values on a line into coefficients through one
+route, the inverse of ``linalg.vandermonde``.  Only the verification lane --
 explicit polynomials, compositions and the trace product -- also writes
 out a scalar ``eval`` on Python ints, so a check of a solve's witness does
 not run on the kernels that produced it.  The symbolic
@@ -28,7 +30,7 @@ from .errors import (
     SizeBound,
 )
 from .field import Fp, Rng
-from .linalg import Mat, exact_product, newton_interp, nullspace_rows
+from .linalg import Mat, exact_product, nullspace_rows, vandermonde
 from .report import add_pit_trials
 
 # ---------------------------------------------------------------------------
@@ -99,12 +101,14 @@ def uni_gcd(field: Fp, a, b):
 
 
 def interpolate_univariate(field: Fp, points: list[tuple[int, int]]) -> list[int]:
-    """The unique polynomial of degree < len(points) through the samples."""
-    p = field.p
+    """The unique polynomial of degree < len(points) through the samples:
+    the values times the inverse Vandermonde matrix."""
+    p, k = field.p, field.kernel
     xs = [t % p for t, _ in points]
     if len(set(xs)) != len(xs):
         raise DuplicateNode("repeated interpolation abscissae")
-    return uni_trim(newton_interp(p, xs, [v for _, v in points]))
+    vals = k.asarray([v % p for _, v in points])
+    return uni_trim(k.gemm(vandermonde(field, xs).inverse().rows, vals[:, None])[:, 0].tolist())
 
 
 def squarefree_test(field: Fp, q: list[int]) -> bool:
@@ -743,40 +747,24 @@ class Blackbox:
             raise ArityMismatch(f"expected {self.n} coordinates, got {len(point)}")
 
     def gradient_many(self, pts: np.ndarray) -> np.ndarray:
-        """(B, n) matrix of gradients, via batched line interpolation."""
+        """(B, n) matrix of gradients.  On the line a + t e_i the values at
+        t = 0..d determine q(t) = f(a + t e_i), and df/dx_i(a) = q'(0) is its
+        t-coefficient: row 1 of the inverse Vandermonde matrix times them.
+        A constant is read as a degree-1 polynomial, so that row 1 exists."""
         field = self.field
-        d = self.degree
+        d = max(self.degree, 1)
         B = len(pts)
-        lam = _deriv_weights(field, d)
-        big = np.repeat(pts, d + 1, axis=0)  # B*(d+1) base copies per variable
         k = field.kernel
+        lam = vandermonde(field, range(d + 1)).inverse().rows[1:2].T
+        big = np.repeat(pts, d + 1, axis=0)  # B*(d+1) base copies per variable
+        ts = np.tile(k.asarray(range(d + 1)), B)
         out = k.zeros((B, self.n))
         for i in range(self.n):
             work = big.copy()
-            ts = np.tile(k.asarray(range(d + 1)), B)
             work[:, i] = k.add(work[:, i], ts)
             vals = self.eval_many(work).reshape(B, d + 1)
-            out[:, i] = k.gemm(vals, k.asarray(lam)[:, None])[:, 0]
+            out[:, i] = k.gemm(vals, lam)[:, 0]
         return out
-
-
-def _deriv_weights(field: Fp, d: int) -> list[int]:
-    """Weights l_j with sum_j l_j q(j) = q'(0) for every deg <= d poly q."""
-    p = field.p
-    nodes = list(range(d + 1))
-    lam = []
-    for j in nodes:
-        num = [1]
-        for t in nodes:
-            if t != j:
-                num = uni_mul(field, num, [-t % p, 1])
-        den = 1
-        for t in nodes:
-            if t != j:
-                den = den * (j - t) % p
-        c1 = num[1] if len(num) > 1 else 0
-        lam.append(c1 * pow(den, p - 2, p) % p)
-    return lam
 
 
 class ExplicitBlackbox(Blackbox):
@@ -908,7 +896,7 @@ class RootBlackbox(Blackbox):
         b = kern.asarray(b)
         self._scale = field.inv(int(P.eval_many(b[None])[0]))  # the t^D coefficient of every line
         self._offsets = kern.mul(kern.asarray(range(D + 1))[:, None], b)  # t b, t = 0..D
-        V = Mat(field, [[pow(t, j, p) for j in range(D + 1)] for t in range(D + 1)])
+        V = vandermonde(field, range(D + 1))
         self._interp = V.inverse().rows.T  # line values -> coefficients, low to high
         self._nodes = V.rows[:, : e + 1].T  # coefficients of degree <= e -> values at t = 0..D
         self._miller = [[((w + 1) * k - n * w) * field.inv(n * w) % p for k in range(1, n + 1)]

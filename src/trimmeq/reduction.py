@@ -41,7 +41,7 @@ from .report import passed, reject
 from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
 _INTERTWINER_ATTEMPTS = 3  # random draws from an intertwiner space
-_BLOCKS_CERTIFY_TRIALS = 40  # identity-test points of tensor_iso_to_det's blocks
+_BLOCKS_CERTIFY_TRIALS = 40  # identity-test points of certify_blocks
 _FINAL_TRIALS = 20  # identity-test points of trace_equivalence's witness
 
 
@@ -90,7 +90,8 @@ def order_blocks(g: Blackbox, shape: TrimmShape, rng: Rng) -> OrderingReport | N
 
 
 def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
-    """Algorithm: invariant subspaces -> V -> block ordering -> A' = V.B.
+    """Algorithm: invariant subspaces -> V -> block ordering -> A', the
+    columns of V in blocks, taken in the cyclic order.
 
     Returns (A', w) such that f(A'.x) is a d-tensor isomorphic to
     Tr-IMM_{w,d} (certified downstream), or None.
@@ -116,11 +117,8 @@ def trace_to_tensor_iso(f: Blackbox, d: int, rng: Rng):
     if ordering is None:
         return reject("adjacency")
     passed("adjacency")
-    w2 = w * w
-    B = Mat.zeros(field, n, n)
-    for k in range(d):  # block tau[k] of the spaces becomes block k
-        B.set_block(ordering.tau[k] * w2, k * w2, Mat.identity(field, w2))
-    return V * B, w
+    cols = V.rows.reshape(n, d, dim)  # [:, k]: the basis of space k
+    return Mat(field, cols[:, ordering.tau].reshape(n, n)), w  # space tau[k] becomes block k
 
 
 # ---------------------------------------------------------------------------
@@ -292,17 +290,17 @@ def tensor_iso_to_det(h: Blackbox, w: int, d: int, det_oracle, rng: Rng):
     Xhat[d - 1] = LinMat(field, w, w, h.n, last.transpose(1, 0, 2))
 
     layers = [Xhat[k].restrict(blocks[k]) for k in range(d)]
-    return certify_blocks(h, shape, [], layers, _BLOCKS_CERTIFY_TRIALS, rng)
+    return certify_blocks(h, shape, [], layers, rng)
 
 
 def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: list[LinMat],
-                   trials: int, rng: Rng) -> list[Mat] | None:
+                   rng: Rng) -> list[Mat] | None:
     """Per-block transformations B_0..B_{d-1} certified against f, or None.
 
     ``known`` are the first blocks, taken as given; the rest are the block
     transforms of ``layers`` (each over its block's w^2 local variables),
     each required invertible.  The composed Tr-IMM is identity-tested
-    against f.
+    against f at ``_BLOCKS_CERTIFY_TRIALS`` points.
     """
     Bs = list(known)
     for X in layers:
@@ -311,7 +309,7 @@ def certify_blocks(f: Blackbox, shape: TrimmShape, known: list[Mat], layers: lis
             return reject("witness-invertible")
         Bs.append(Bk)
     composed = ComposedBlackbox(trimm_blackbox(f.field, shape), assemble_block_diagonal(Bs))
-    if not pit_equal(f, composed, trials, rng):
+    if not pit_equal(f, composed, _BLOCKS_CERTIFY_TRIALS, rng):
         return reject("final-pit")
     passed("final-pit")
     return Bs

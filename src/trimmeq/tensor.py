@@ -23,8 +23,6 @@ from .reduction import certify_blocks
 from .report import passed, reject
 from .trimm import TrimmShape, block_to_layer
 
-_FINAL_TRIALS = 40  # identity-test points of degree_d_to_3's blocks
-
 
 def unit_point(Xp: LinMat, i: int, j: int) -> list[int]:
     """b with Xp(b) equal to the (i, j) matrix unit (i, j zero-based).
@@ -202,4 +200,4 @@ def _degree_reduce_once(f, w, d, mmti, rng):
         layer_mats[d - 1] = Xlast
 
     layers = [layer_mats[k] for k in range(3, d)]
-    return certify_blocks(f, shape, B012, layers, _FINAL_TRIALS, rng)
+    return certify_blocks(f, shape, B012, layers, rng)

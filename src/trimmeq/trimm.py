@@ -183,23 +183,16 @@ def lie_generator(shape: TrimmShape, k: int, M: Mat) -> Mat:
     """The n x n infinitesimal symmetry determined by layer k and M.
 
     The generator scales layer k by M on the right and layer k+1 by -M on
-    the left; its nonzero blocks (explicit parity table, matching the
-    within-block orderings) are:
-
-        block k:    I (x) M^T  if k even,   M^T (x) I  if k odd
-        block k+1:  -M (x) I   if k+1 even, -I (x) M   if k+1 odd
+    the left.  On a layer's entries in row-major order these are I (x) M^T
+    and -M (x) I; ``layout`` places each in its block's variable order.
     """
     field = M.field
-    w, d, n = shape.w, shape.d, shape.n
-    k %= d
-    kn = (k + 1) % d
+    w, d = shape.w, shape.d
     eye = Mat.identity(field, w)
-    upper = kron(eye, M.transpose()) if k % 2 == 0 else kron(M.transpose(), eye)
-    lower = kron(-M, eye) if kn % 2 == 0 else kron(eye, -M)
-    out = Mat.zeros(field, n, n)
-    w2 = w * w
-    out.set_block(k * w2, k * w2, upper)
-    out.set_block(kn * w2, kn * w2, lower)
+    out = Mat.zeros(field, shape.n, shape.n)
+    for kk, op in ((k % d, kron(eye, M.transpose())), ((k + 1) % d, kron(-M, eye))):
+        at = [kk * w * w + t for t in layout(w, kk)]
+        out.rows[np.ix_(at, at)] = op.rows
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 from elimination_reference import _py_det, _py_forward
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from interp_reference import deriv_weights, newton_interp
 
 from trimmeq.errors import InputError, ShapeMismatch, Singular
 from trimmeq.field import Fp, Rng
@@ -16,6 +17,7 @@ from trimmeq.linalg import (
     poly_at_matrix,
     random_invertible,
     same_span,
+    vandermonde,
 )
 from trimmeq.poly import LinMat
 
@@ -158,11 +160,42 @@ def test_charpoly_trivial_cases(field):
     assert d.charpoly() == [2, field.p - 3, 1]
 
 
-def test_charpoly_against_cofactor_oracle():
+def test_charpoly_against_cofactor_oracle(field):
     rng = Rng(12)
     for _ in range(3):
-        M = Mat.random(F, 4, 4, rng)
-        assert M.charpoly() == _charpoly_cofactor(F, M)
+        M = Mat.random(field, 4, 4, rng)
+        assert M.charpoly() == _charpoly_cofactor(field, M)
+
+
+def test_vandermonde_inverse(field):
+    """V^-1 V = I on the nodes 0..D and on random nodes, for D = 0..8; a
+    repeated node is Singular; and the inverse agrees exactly with the
+    divided differences (charpoly) and the Lagrange derivative weights
+    (blackbox gradients) it replaced."""
+    rng = Rng(14)
+    k = field.kernel
+    for D in range(9):
+        drawn = []
+        while len(drawn) <= D:  # distinct random nodes
+            x = rng.scalar(field)
+            drawn += [x] if x not in drawn else []
+        for xs in (list(range(D + 1)), drawn):
+            V = vandermonde(field, xs)
+            assert V.rows.shape == (D + 1, D + 1)
+            assert V.inverse() * V == Mat.identity(field, D + 1)
+            ys = [rng.scalar(field) for _ in range(D + 1)]
+            coeffs = k.gemm(V.inverse().rows, k.asarray(ys)[:, None])[:, 0].tolist()
+            assert coeffs == newton_interp(field.p, xs, ys)
+        if D:
+            assert vandermonde(field, range(D + 1)).inverse().rows[1].tolist() == \
+                deriv_weights(field, D)
+            with pytest.raises(Singular):
+                vandermonde(field, list(range(D)) + [D - 1]).inverse()
+    for n in range(7):
+        M = Mat.random(field, n, n, rng)
+        stack = k.sub(np.arange(n + 1)[:, None, None] * np.eye(n, dtype=np.int64), M.rows)
+        assert M.charpoly() == newton_interp(field.p, list(range(n + 1)),
+                                             k.det_many(stack).tolist())
 
 
 def test_charpoly_conjugation_invariant():

@@ -6,6 +6,7 @@ import pytest
 from trimm_helpers import (
     distinct_diagonal_element,
     lie_generator_basis,
+    lie_generator_by_parity,
     rotation_symmetry,
     var_entry,
 )
@@ -113,6 +114,18 @@ def test_lie_generators_satisfy_identity_all_parities(w, d):
         for _ in range(3):
             M = Mat.random(F, w, w, rng)
             assert _certify_basis(bb, [lie_generator(sh, k, M)], 20, rng), (k, d)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_lie_generator_matches_parity_table(w, d):
+    """The generator placed through ``layout`` equals the explicit parity
+    table at every k, both parities of k and of k + 1 (wrapping at d - 1)."""
+    rng = Rng(10 * w + d)
+    sh = TrimmShape(w, d)
+    for k in range(d):
+        M = Mat.random(F, w, w, rng)
+        assert lie_generator(sh, k, M) == lie_generator_by_parity(sh, k, M), (k, d)
 
 
 def test_generator_span_dimension_matches_exact_nullspace():

@@ -1,10 +1,11 @@
 """Constructions that only the tests use: the inverse of ``var_index``, the
-full basis of Lie generators, a generic diagonal Lie-algebra element, the
-rotation symmetries of Tr-IMM, scaling of univariate coefficient lists, and
-a DET oracle whose answers come transposed."""
+full basis of Lie generators, the Lie generators from an explicit parity
+table, a generic diagonal Lie-algebra element, the rotation symmetries of
+Tr-IMM, scaling of univariate coefficient lists, and a DET oracle whose
+answers come transposed."""
 
 from trimmeq.field import Fp, Rng
-from trimmeq.linalg import Mat
+from trimmeq.linalg import Mat, kron
 from trimmeq.trimm import TrimmShape, entry_offset, lie_generator, var_index
 
 
@@ -28,6 +29,27 @@ def lie_generator_basis(field: Fp, shape: TrimmShape) -> list[Mat]:
                 E = Mat.zeros(field, w, w)
                 E.rows[u][v] = 1
                 out.append(lie_generator(shape, k, E))
+    return out
+
+
+def lie_generator_by_parity(shape: TrimmShape, k: int, M: Mat) -> Mat:
+    """lie_generator(shape, k, M) from an explicit parity table of its two
+    Kronecker blocks, matching the within-block orderings:
+
+        block k:    I (x) M^T  if k even,   M^T (x) I  if k odd
+        block k+1:  -M (x) I   if k+1 even, -I (x) M   if k+1 odd
+    """
+    field = M.field
+    w, d, n = shape.w, shape.d, shape.n
+    k %= d
+    kn = (k + 1) % d
+    eye = Mat.identity(field, w)
+    upper = kron(eye, M.transpose()) if k % 2 == 0 else kron(M.transpose(), eye)
+    lower = kron(-M, eye) if kn % 2 == 0 else kron(eye, -M)
+    out = Mat.zeros(field, n, n)
+    w2 = w * w
+    out.set_block(k * w2, k * w2, upper)
+    out.set_block(kn * w2, kn * w2, lower)
     return out
 
 

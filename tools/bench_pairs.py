@@ -2,18 +2,23 @@
 
     python3 tools/bench_pairs.py --rev HEAD --workload trimm-w3-planted --pairs 10 --seed 501
 
-Exports ``--rev`` with ``git archive`` into a temporary directory, then
-runs ``perfbench/run.py --trace 0`` of each side in its own tree for the
+Exports ``--rev`` with ``git archive`` into a temporary directory, and
+copies the working tree's tracked and unignored files, as they are on disk,
+into another, so that both sides run from fresh directories alike.  It then
+runs ``perfbench/run.py --trace 0`` of each side in its own copy for the
 ``run_seconds`` of BENCHMARK.json, one fresh process per run: pair i uses
 seed ``--seed`` + i, and the side that runs first alternates from pair to
 pair.  For every end-to-end metric of BENCHMARK.json it prints each side's
 median and interquartile range, the number of pairs the working tree won
 (ties count for neither), and the median's relative change against the
-metric's bound.  Under the table it prints the line count of ``src/trimmeq``
-on each side.  The same figures, with every pair's values, go to
-``BENCH_<short hash of --rev>.json`` at the root of the checkout, one entry
-per workload: a later run on another workload adds its entry, and a run on
-the same workload replaces it.
+metric's bound.  A metric is marked "unresolved" when the base's
+interquartile range exceeds the bound times the base's median, unless every
+working-tree run reads better than every base run: its spread is then too
+wide to show a change within the bound.  Under the table it prints the line
+count of ``src/trimmeq`` on each side.  The same figures, with every pair's
+values, go to ``BENCH_<short hash of --rev>.json`` at the root of the
+checkout, one entry per workload: a later run on another workload adds its
+entry, and a run on the same workload replaces it.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,6 +43,18 @@ def export(rev: str, dest: str) -> None:
     git.stdout.close()
     if git.wait():
         raise subprocess.CalledProcessError(git.returncode, "git archive")
+
+
+def copy_worktree(dest: str) -> None:
+    """The working tree's tracked and unignored files, as they are on disk,
+    under ``dest``; a tracked file deleted from the disk is left out."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], check=True, capture_output=True).stdout
+    for name in filter(None, names.decode().split("\0")):
+        src = os.path.join(ROOT, name)
+        if os.path.isfile(src):
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict | None:
@@ -77,8 +95,9 @@ def quartiles(vals: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
     """Per metric: each side's median and quartiles, the pairs the working
-    tree won (ties count for neither), the median's relative change and the
-    metric's bound; printed as a table and returned."""
+    tree won (ties count for neither), the median's relative change, the
+    metric's bound and whether the base's spread leaves it unresolved;
+    printed as a table and returned."""
     print(f"{'metric':<18} {'base p50':>11} {'base IQR':>10} {'tree p50':>11} {'tree IQR':>10} "
           f"{'change':>8} {'bound':>6} {'won':>7}")
     out = {}
@@ -91,11 +110,14 @@ def summarize(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
         bq, tq = quartiles(base), quartiles(tree)
         won = sum((t < b) if lower else (t > b) for b, t in pairs)
         change = (tq[1] - bq[1]) / bq[1] if bq[1] else 0.0
+        all_better = max(tree) < min(base) if lower else min(tree) > max(base)
+        unresolved = bq[2] - bq[0] > spec["bound"] * abs(bq[1]) and not all_better
         print(f"{name:<18} {bq[1]:>11.4g} {bq[2] - bq[0]:>10.3g} {tq[1]:>11.4g} "
-              f"{tq[2] - tq[0]:>10.3g} {change:>+8.1%} {spec['bound']:>6.2f} {won:>3}/{len(pairs)}")
+              f"{tq[2] - tq[0]:>10.3g} {change:>+8.1%} {spec['bound']:>6.2f} {won:>3}/{len(pairs)}"
+              + ("  unresolved" if unresolved else ""))
         out[name] = {
             "better": spec["better"], "bound": spec["bound"], "change": change,
-            "won": won, "pairs": len(pairs),
+            "won": won, "pairs": len(pairs), "unresolved": unresolved,
             "base": {"median": bq[1], "q1": bq[0], "q3": bq[2], "iqr": bq[2] - bq[0], "runs": base},
             "tree": {"median": tq[1], "q1": tq[0], "q3": tq[2], "iqr": tq[2] - tq[0], "runs": tree},
         }
@@ -132,8 +154,9 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     metrics, seconds = bench["end_to_end"], bench["run_seconds"]
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": os.path.join(tmp, "tree"), "tree": ROOT}
+        sides = {"base": os.path.join(tmp, "base"), "tree": os.path.join(tmp, "tree")}
         export(args.rev, sides["base"])
+        copy_worktree(sides["tree"])
         lines = {side: src_lines(tree) for side, tree in sides.items()}
         runs = []
         for i in range(args.pairs):
