@@ -332,8 +332,9 @@ def criterion_10(field: Fp | None = None) -> CriterionResult:
 
     def run():
         w = 2
+        rng = Rng(100)
         Z = LinMat.symbolic(field, w).identity_kron(w)
-        plain = intertwiner_space(Z, Z)
+        plain = intertwiner_space(Z, Z, rng)
         ok = len(plain) == 4
         for (T, S) in plain:
             if T != S:
@@ -345,7 +346,7 @@ def criterion_10(field: Fp | None = None) -> CriterionResult:
                     want = Mat.identity(field, w).scale(m)
                     if blk != want:
                         ok = False
-        mixed = intertwiner_space(Z, Z.transpose())
+        mixed = intertwiner_space(Z, Z.transpose(), rng)
         ok = ok and len(mixed) == 0
         return ok, f"plain dim {len(plain)} with M(x)I structure, mixed dim {len(mixed)}"
 

@@ -13,10 +13,13 @@ comparisons, and ``poly_at_matrix`` runs Horner's rule through the GEMM.
 Values on a line become coefficients one way only: through the inverse of
 ``vandermonde``, on the elimination.  The characteristic polynomial,
 univariate interpolation, blackbox gradients and determinant roots all read
-it.
+it; on the nodes 0..n it is computed once per (p, n)
+(``vandermonde_inverse``).
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -217,8 +220,7 @@ class Mat:
         k = self.field.kernel
         ts = np.arange(n + 1)
         stack = k.sub(ts[:, None, None] * np.eye(n, dtype=np.int64), self.rows)
-        interp = vandermonde(self.field, ts).inverse().rows
-        return k.gemm(interp, k.det_many(stack)[:, None])[:, 0].tolist()
+        return k.gemm(vandermonde_inverse(self.field, n), k.det_many(stack)[:, None])[:, 0].tolist()
 
     # -- block structure ----------------------------------------------------
     def _check_block(self, r0: int, c0: int, h: int, w: int):
@@ -248,6 +250,16 @@ def vandermonde(field: Fp, xs) -> Mat:
     p = field.p
     rows = [[pow(x, j, p) for j in range(len(xs))] for x in xs]
     return Mat(field, field.kernel.asarray(rows).reshape(len(xs), len(xs)))
+
+
+@cache
+def vandermonde_inverse(field: Fp, n: int) -> np.ndarray:
+    """The inverse of ``vandermonde`` on the nodes 0..n, as a read-only
+    residue array: it depends on (p, n) only, so it is computed once per
+    pair and shared by every caller."""
+    inv = vandermonde(field, range(n + 1)).inverse().rows
+    inv.flags.writeable = False
+    return inv
 
 
 def random_invertible(field: Fp, n: int, rng: Rng) -> Mat:

@@ -30,7 +30,7 @@ from .errors import (
     SizeBound,
 )
 from .field import Fp, Rng
-from .linalg import Mat, exact_product, nullspace_rows, vandermonde
+from .linalg import Mat, exact_product, nullspace_rows, vandermonde, vandermonde_inverse
 from .report import add_pit_trials
 
 # ---------------------------------------------------------------------------
@@ -755,7 +755,7 @@ class Blackbox:
         d = max(self.degree, 1)
         B = len(pts)
         k = field.kernel
-        lam = vandermonde(field, range(d + 1)).inverse().rows[1:2].T
+        lam = vandermonde_inverse(field, d)[1:2].T
         big = np.repeat(pts, d + 1, axis=0)  # B*(d+1) base copies per variable
         ts = np.tile(k.asarray(range(d + 1)), B)
         out = k.zeros((B, self.n))
@@ -897,7 +897,7 @@ class RootBlackbox(Blackbox):
         self._scale = field.inv(int(P.eval_many(b[None])[0]))  # the t^D coefficient of every line
         self._offsets = kern.mul(kern.asarray(range(D + 1))[:, None], b)  # t b, t = 0..D
         V = vandermonde(field, range(D + 1))
-        self._interp = V.inverse().rows.T  # line values -> coefficients, low to high
+        self._interp = vandermonde_inverse(field, D).T  # line values -> coefficients, low to high
         self._nodes = V.rows[:, : e + 1].T  # coefficients of degree <= e -> values at t = 0..D
         self._miller = [[((w + 1) * k - n * w) * field.inv(n * w) % p for k in range(1, n + 1)]
                         for n in range(1, e + 1)]

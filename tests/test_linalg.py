@@ -18,6 +18,7 @@ from trimmeq.linalg import (
     random_invertible,
     same_span,
     vandermonde,
+    vandermonde_inverse,
 )
 from trimmeq.poly import LinMat
 
@@ -196,6 +197,22 @@ def test_vandermonde_inverse(field):
         stack = k.sub(np.arange(n + 1)[:, None, None] * np.eye(n, dtype=np.int64), M.rows)
         assert M.charpoly() == newton_interp(field.p, list(range(n + 1)),
                                              k.det_many(stack).tolist())
+
+
+def test_charpoly_reads_one_cached_vandermonde_inverse(field):
+    """The inverse on the nodes 0..n is computed once per (p, n): repeated
+    charpolys read the same read-only array and give the same
+    coefficients, and an equal field shares it."""
+    rng = Rng(15)
+    M = Mat.random(field, 5, 5, rng)
+    first = M.charpoly()
+    inv = vandermonde_inverse(field, 5)
+    assert [M.charpoly() for _ in range(3)] == [first] * 3
+    assert vandermonde_inverse(Fp(field.p), 5) is inv
+    assert inv.tolist() == vandermonde(field, range(6)).inverse().rows.tolist()
+    with pytest.raises(ValueError):
+        inv[0, 0] = 0
+    assert M.charpoly() == first
 
 
 def test_charpoly_conjugation_invariant():

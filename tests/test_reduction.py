@@ -3,13 +3,14 @@ tensor isomorphism, and the end-to-end equivalence test."""
 
 import sys
 
+import numpy as np
 import pytest
 
 from trimmeq import reduction
 from trimmeq.abp import SetMultABP, evaldim
 from trimmeq.errors import StructureViolation
 from trimmeq.field import Fp, Rng
-from trimmeq.linalg import Mat, kron, random_invertible
+from trimmeq.linalg import Mat, kron, random_invertible, same_span
 from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle
 from trimmeq.poly import Blackbox, ComposedBlackbox, DetBlackbox, ExplicitBlackbox, LinMat, MPoly
 from trimmeq.reduction import (
@@ -30,6 +31,7 @@ from trimmeq.trimm import (
     trimm_explicit,
     verify_witness,
 )
+from intertwiner_reference import intertwiner_space_by_coefficients
 from trimm_helpers import transposing
 
 F = Fp()
@@ -142,7 +144,7 @@ def test_order_blocks_reads_a_w2_plus_16_grid_per_pair(w):
 def test_intertwiner_plain_structure():
     X = LinMat.symbolic(F, 2)
     Z = X.identity_kron(2)
-    space = intertwiner_space(Z, Z)
+    space = intertwiner_space(Z, Z, Rng(4))
     assert len(space) == 4
     for (T, S) in space:
         assert T == S
@@ -155,7 +157,120 @@ def test_intertwiner_plain_structure():
 def test_intertwiner_mixed_only_zero():
     X = LinMat.symbolic(F, 2)
     Z = X.identity_kron(2)
-    assert intertwiner_space(Z, Z.transpose()) == []
+    assert intertwiner_space(Z, Z.transpose(), Rng(4)) == []
+
+
+def _planted_layer(w, rng):
+    """(Y, Z): Y = T0.(I (x) X).T1 for a random w x w linear matrix X in
+    w^2 variables, as a reconstructed middle layer, and Z = I (x) C.X.D, as
+    the DET oracle's answer for it, with T0, T1, C and D random invertibles."""
+    W = w * w
+    X = LinMat(F, w, w, W, rng.array(F, (w, w, W)))
+    Y = X.identity_kron(w).left_mul(random_invertible(F, W, rng)).right_mul(
+        random_invertible(F, W, rng))
+    Xp = X.left_mul(random_invertible(F, w, rng)).right_mul(random_invertible(F, w, rng))
+    return Y, Xp.identity_kron(w)
+
+
+def _same_pairs(a, b):
+    """The two lists of pairs (T, S) span one space."""
+    flat = lambda sp: np.array([np.concatenate([T.rows.ravel(), S.rows.ravel()]) for T, S in sp])
+    return len(a) == len(b) and (not a or same_span(F, flat(a), flat(b)))
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_intertwiner_space_equals_coefficient_matching(w):
+    """On random planted layers the sampled space is the space of every
+    pair with T.Y = Z.S: dimension w^2 on the plain branch and 0 on the
+    transposed one, as coefficient matching finds it."""
+    rng = Rng(20 + w)
+    for _ in range(2):
+        Y, Z = _planted_layer(w, rng)
+        for Zb, dim in ((Z, w * w), (Z.transpose(), 0)):
+            space = intertwiner_space(Y, Zb, rng)
+            assert len(space) == dim
+            assert _same_pairs(space, intertwiner_space_by_coefficients(Y, Zb))
+            for T, S in space:
+                assert Y.left_mul(T) == Zb.right_mul(S)
+
+
+def test_intertwiner_space_of_a_layer_singular_everywhere_is_empty():
+    """det Y = 0 identically: Y(a) is singular, so no invertible pair
+    exists and the space is [], on either branch."""
+    rng = Rng(24)
+    _, Z = _planted_layer(3, rng)
+    Y = LinMat(F, 9, 9, 9, _skew_middle(9))
+    assert intertwiner_space(Y, Z, rng) == []
+    assert intertwiner_space(Y, Z.transpose(), rng) == []
+    assert solve_intertwiner(Y, Z, rng) is None
+
+
+def _spy_systems(monkeypatch):
+    """One list per intertwiner_space call, of the (rows, columns) of each
+    system it eliminates."""
+    calls = []
+    space, nullspace = reduction.intertwiner_space, reduction.nullspace_rows
+
+    def spied_space(*args, **kwargs):
+        calls.append([])
+        return space(*args, **kwargs)
+
+    def spied_nullspace(field, rows):
+        calls[-1].append(rows.shape)
+        return nullspace(field, rows)
+
+    monkeypatch.setattr(reduction, "intertwiner_space", spied_space)
+    monkeypatch.setattr(reduction, "nullspace_rows", spied_nullspace)
+    return calls
+
+
+def test_intertwiner_exact_check_doubles_the_points(monkeypatch):
+    """From one sampled point, S.P(b) = Q(b).S is solved by every S in the
+    w^3-dimensional commutant of a point of I (x) X: the check against
+    every variable rejects it on both branches, m doubles to 2, and the
+    result is the coefficient-matching space."""
+    calls = _spy_systems(monkeypatch)
+    monkeypatch.setattr(reduction, "_FIRST_POINTS", 1)
+    rng = Rng(25)
+    Y, Z = _planted_layer(3, rng)
+    for Zb in (Z, Z.transpose()):
+        space = reduction.intertwiner_space(Y, Zb, rng)
+        assert _same_pairs(space, intertwiner_space_by_coefficients(Y, Zb))
+    assert calls == [[(81, 81), (162, 81)]] * 2
+
+
+def test_intertwiner_exact_check_rejects_two_points_at_w2(monkeypatch):
+    """At w = 2 a pair of matrices and its transpose are simultaneously
+    conjugate (tr A, tr B, det A, det B and tr AB decide it), so in each
+    layer of a planted (2,4) solve two points admit a nonzero S on the
+    branch that has no pair: the check rejects it, and at m = 4 = n the
+    exact system leaves only 0.  The solve certifies."""
+    calls = _spy_systems(monkeypatch)
+    sh = TrimmShape(2, 4)
+    rng = Rng(1)
+    inst = plant_instance(F, sh, rng, mode="full")
+    res = trace_equivalence(inst.f, 4, lambda w: QuadraticDetOracle(F) if w == 2 else None, rng)
+    assert res is not None and verify_witness(inst.f, sh, res[1], 100, rng)
+    assert sorted(calls) == [[(32, 16)]] * 2 + [[(32, 16), (64, 16)]] * 2
+
+
+@pytest.mark.parametrize("w,d", [(3, 3), (4, 4)])
+def test_intertwiner_builds_no_coefficient_matching_system(monkeypatch, w, d):
+    """In planted solves every intertwiner system has W^2 = w^4 columns, not
+    2 W^2, and at most m W^2 rows for the final m, not n W^2: here two
+    points suffice in every call."""
+    calls = _spy_systems(monkeypatch)
+    sh = TrimmShape(w, d)
+    rng = Rng(1)
+    inst = plant_instance(F, sh, rng, mode="full")
+    res = trace_equivalence(inst.f, d, lambda ww: PlantedDetOracle(F, sh, inst.A), rng)
+    assert res is not None and verify_witness(inst.f, sh, res[1], 100, rng)
+    W2 = w ** 4
+    assert len(calls) == 2 * (d - 2)
+    for systems in calls:
+        final_m = systems[-1][0] // W2
+        assert all(cols == W2 and rows <= final_m * W2 for rows, cols in systems)
+        assert final_m == 2
 
 
 def test_solve_intertwiner_conjugated_layer():
