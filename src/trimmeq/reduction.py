@@ -14,7 +14,8 @@ Three stages:
   random point a where Y(a) is invertible: T = Z(a).S.Y(a)^-1, and S is a
   homomorphism between the modules of the P_v = Y(a)^-1.Y_v and of the
   Q_v = Z(a)^-1.Z_v, found from a Sylvester system in W^2 unknowns sampled
-  at a few points and checked exactly against every variable.
+  at a few points and checked exactly against every variable (at w = 2,
+  built from every variable at once).
 * ``trace_equivalence`` -- the composition, returning (w, A) with a final
   randomized identity test, or None for "no such w exists".
 
@@ -45,7 +46,7 @@ from .report import passed, reject
 from .trimm import TrimmShape, layer_to_block, trimm_blackbox
 
 _INTERTWINER_ATTEMPTS = 3  # random draws from an intertwiner space
-_FIRST_POINTS = 2  # sampled points of intertwiner_space's first system; doubled until exact
+_FIRST_POINTS = 2  # sampled points of intertwiner_space's first system
 _BLOCKS_CERTIFY_TRIALS = 40  # identity-test points of certify_blocks
 _FINAL_TRIALS = 20  # identity-test points of trace_equivalence's witness
 
@@ -162,25 +163,7 @@ def _read(L: LinMat, a: np.ndarray):
     return at, inv.rows, L.left_mul(inv)
 
 
-def _read_transposed(L: LinMat, read):
-    """``_read`` of L^T from that of L: L^T(a) = L(a)^T has the inverse
-    (L(a)^-1)^T, and L^T(a)^-1.L_v^T = (L_v.L(a)^-1)^T."""
-    at, inv, _ = read
-    return at.T, inv.T, L.right_mul(Mat(L.field, inv)).transpose()
-
-
-def _commutes(S: np.ndarray, P: LinMat, Q: LinMat) -> bool:
-    """S_i.P_v = Q_v.S_i for every S_i of the (k, W, W) stack S and every
-    variable v, from one GEMM per side."""
-    kern = P.field.kernel
-    k, W, n = len(S), P.nrows, P.n
-    SP = kern.gemm(S.reshape(k * W, W), P.coeffs.reshape(W, W * n))  # [(i, r), (c, v)]
-    QS = kern.gemm(Q.coeffs.transpose(2, 0, 1).reshape(n * W, W),
-                   S.transpose(1, 0, 2).reshape(W, k * W))  # [(v, r), (i, c)]
-    return np.array_equal(SP.reshape(k, W, W, n), QS.reshape(n, W, k, W).transpose(2, 1, 3, 0))
-
-
-def intertwiner_space(Y: LinMat, Z: LinMat, rng: Rng, reads=None) -> list[tuple[Mat, Mat]]:
+def intertwiner_space(Y: LinMat, Z: LinMat, rng: Rng) -> list[tuple[Mat, Mat]]:
     """Basis of the space of pairs (T, S) with T.Y(x) = Z(x).S identically,
     for W x W linear matrices Y and Z read at a random point a.  [] when
     (0, 0) is the only pair, and [] when Y(a) or Z(a) is singular: for a
@@ -190,36 +173,31 @@ def intertwiner_space(Y: LinMat, Z: LinMat, rng: Rng, reads=None) -> list[tuple[
     With P = Y(a)^-1.Y and Q = Z(a)^-1.Z, the pairs are T = Z(a).S.Y(a)^-1
     for the S with S.P_v = Q_v.S for every variable v: the homomorphisms
     between the modules of the P_v and of the Q_v.  They solve the
-    Sylvester system S.P(b) = Q(b).S at m random points b (W^2 unknowns,
-    m W^2 rows), whose solutions therefore contain them and equal them once
-    a basis passes the exact check against every P_v and Q_v.  Otherwise m
-    doubles from ``_FIRST_POINTS``; at m >= n the P_v themselves make the
-    system.
-
-    ``reads``, the ``_read`` of Y and of Z at one point, is drawn here when
-    None; ``solve_intertwiner`` passes it, so that its two branches share
-    Y(a)^-1 and Z(a)^-1.
+    Sylvester system S.P(b) = Q(b).S at ``_FIRST_POINTS`` random points b
+    (W^2 unknowns, W^2 rows per point), whose solutions therefore contain
+    them and equal them when a basis passes the exact check against every
+    P_v and Q_v.  When it fails, the P_v themselves make the system
+    (n W^2 rows); so do they from the start when the sampled system would
+    have half as many rows or more, as at w = 2 (n = 4), where two points
+    cannot tell a pair of 2 x 2 matrices from its transpose.
     """
     field, kern = Y.field, Y.field.kernel
-    if reads is None:
-        a = rng.array(field, (1, Y.n))
-        reads = _read(Y, a), _read(Z, a)
-    if None in reads:
+    a = rng.array(field, (1, Y.n))
+    y, z = _read(Y, a), _read(Z, a)
+    if y is None or z is None:
         return []
-    (_, Yinv, P), (Za, _, Q) = reads
+    (_, Yinv, P), (Za, _, Q) = y, z
     W, n = Y.nrows, Y.n
-    m = _FIRST_POINTS
-    while True:
-        if m >= n:
+    for m in (_FIRST_POINTS, n) if 2 * _FIRST_POINTS < n else (n,):
+        if m == n:
             Pb, Qb = P.coeffs.transpose(2, 0, 1), Q.coeffs.transpose(2, 0, 1)
         else:
             b = rng.array(field, (m, n))
             Pb, Qb = P.eval_many(b), Q.eval_many(b)
         rows = sylvester_rows(field, Qb, Pb).reshape(-1, W * W)  # S -> Q(b).S - S.P(b)
         S = nullspace_rows(field, rows).reshape(-1, W, W)
-        if m >= n or not len(S) or _commutes(S, P, Q):
+        if m == n or all(P.left_mul(Mat(field, s)) == Q.right_mul(Mat(field, s)) for s in S):
             break
-        m *= 2
     T = kern.gemm(kern.gemm(Za, S), Yinv)
     return [(Mat(field, Ti), Mat(field, Si)) for Ti, Si in zip(T, S)]
 
@@ -227,14 +205,9 @@ def intertwiner_space(Y: LinMat, Z: LinMat, rng: Rng, reads=None) -> list[tuple[
 def solve_intertwiner(Y: LinMat, Z: LinMat, rng: Rng):
     """(T', S', transposed) with T'.Y = Z.S' or T'.Y = Z^T.S', both
     invertible, sampled from the solution space; None when neither or both
-    branches admit nonzero solutions.  Both branches read Y and Z at one
-    random point a; when Y(a) or Z(a) is singular, None."""
-    a = rng.array(Y.field, (1, Y.n))
-    y, z = _read(Y, a), _read(Z, a)
-    if y is None or z is None:
-        return None
-    plain = intertwiner_space(Y, Z, rng, (y, z))
-    trans = intertwiner_space(Y, Z.transpose(), rng, (y, _read_transposed(Z, z)))
+    branches admit nonzero solutions."""
+    plain = intertwiner_space(Y, Z, rng)
+    trans = intertwiner_space(Y, Z.transpose(), rng)
     if bool(plain) == bool(trans):
         # exactly one branch can admit nonzero solutions for a genuine
         # trace-product layer; both or neither means reject

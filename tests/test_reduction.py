@@ -224,11 +224,12 @@ def _spy_systems(monkeypatch):
     return calls
 
 
-def test_intertwiner_exact_check_doubles_the_points(monkeypatch):
+def test_intertwiner_exact_check_falls_back_to_every_variable(monkeypatch):
     """From one sampled point, S.P(b) = Q(b).S is solved by every S in the
     w^3-dimensional commutant of a point of I (x) X: the check against
-    every variable rejects it on both branches, m doubles to 2, and the
-    result is the coefficient-matching space."""
+    every variable rejects it on both branches, the exact system of all
+    n = 9 variables follows, and the result is the coefficient-matching
+    space."""
     calls = _spy_systems(monkeypatch)
     monkeypatch.setattr(reduction, "_FIRST_POINTS", 1)
     rng = Rng(25)
@@ -236,22 +237,31 @@ def test_intertwiner_exact_check_doubles_the_points(monkeypatch):
     for Zb in (Z, Z.transpose()):
         space = reduction.intertwiner_space(Y, Zb, rng)
         assert _same_pairs(space, intertwiner_space_by_coefficients(Y, Zb))
-    assert calls == [[(81, 81), (162, 81)]] * 2
+    assert calls == [[(81, 81), (729, 81)]] * 2
 
 
-def test_intertwiner_exact_check_rejects_two_points_at_w2(monkeypatch):
+def test_intertwiner_solves_the_exact_system_at_w2(monkeypatch):
     """At w = 2 a pair of matrices and its transpose are simultaneously
-    conjugate (tr A, tr B, det A, det B and tr AB decide it), so in each
-    layer of a planted (2,4) solve two points admit a nonzero S on the
-    branch that has no pair: the check rejects it, and at m = 4 = n the
-    exact system leaves only 0.  The solve certifies."""
+    conjugate (tr A, tr B, det A, det B and tr AB decide it), so two points
+    admit a nonzero S on the branch that has no pair, and the check would
+    always send that branch on to the exact system.  With n = 4 the two
+    points would be half its rows, so every call of a planted (2,4) solve
+    eliminates the exact 64 x 16 system alone.  The solve certifies."""
+    rng = Rng(1)
+    Y, Z = _planted_layer(2, rng)
+    a = rng.array(F, (1, 4))
+    (_, _, P), (_, _, Q) = reduction._read(Y, a), reduction._read(Z.transpose(), a)
+    b = rng.array(F, (2, 4))
+    rows = reduction.sylvester_rows(F, Q.eval_many(b), P.eval_many(b)).reshape(-1, 16)
+    assert len(reduction.nullspace_rows(F, rows)) > 0
+    assert intertwiner_space_by_coefficients(Y, Z.transpose()) == []
+
     calls = _spy_systems(monkeypatch)
     sh = TrimmShape(2, 4)
-    rng = Rng(1)
     inst = plant_instance(F, sh, rng, mode="full")
     res = trace_equivalence(inst.f, 4, lambda w: QuadraticDetOracle(F) if w == 2 else None, rng)
     assert res is not None and verify_witness(inst.f, sh, res[1], 100, rng)
-    assert sorted(calls) == [[(32, 16)]] * 2 + [[(32, 16), (64, 16)]] * 2
+    assert calls == [[(64, 16)]] * 4
 
 
 @pytest.mark.parametrize("w,d", [(3, 3), (4, 4)])
