@@ -259,12 +259,10 @@ def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
         if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
         v = null[0]
-        space = closure(v, L)
         # a kept s is an invariant closure with an independent basis: it
         # contains closure(v) iff it contains v, iff appending v keeps rank s.dim
-        if not any(space.dim == s.dim and rank_rows(field, np.vstack([s.basis, v])) == s.dim
-                   for s in spaces):
-            spaces.append(space)
+        if not any(rank_rows(field, np.vstack([s.basis, v])) == s.dim for s in spaces):
+            spaces.append(closure(v, L))
     if len(spaces) != expected_count:
         return reject("invariant-subspaces:subspace-count")
     dims = {s.dim for s in spaces}

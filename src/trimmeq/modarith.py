@@ -23,14 +23,25 @@ split into 21-bit limbs, the limb products A_s B_t are summed by u = s + t
 in one BLAS product per u (as FFLAS-FFPACK groups them), and the inner
 dimension is cut into chunks of 2048 limb products, each below 2^42, so that
 every sum stays below 2^53, where float64 is exact; each of the 2 limbs - 1
-sums is reduced and multiplied by 2^(21 u) once.  Rank, kernel basis and
-RREF come from one recursive elimination that halves the columns (as
-LAPACK's ``dgetrf2`` does) down to a first-nonzero-pivoting column step,
-whose pivot columns (``pivots``) are the columns outside the span of those
-before them; determinants come from that column step over a stack of
-matrices.  The back-solves of RREF and kernel basis halve the triangular
-factor down to 16 rows, whatever the width of the right-hand side, so that
-their work runs in GEMMs.
+sums is reduced and multiplied by 2^(21 u).  On M61 that multiply is a
+rotation that keeps each sum below 2^61, so the five rotated sums add up
+below 2^64 in uint64 and the product is reduced once.
+
+Rank, kernel basis and RREF come from one recursive elimination that halves
+the columns (as LAPACK's ``dgetrf2`` does), with the pivots of first-nonzero
+pivoting, whose pivot columns (``pivots``) are the columns outside the span
+of those before them.  A system with more than 64 rows below the current one
+halves down to panels of at most 16 columns.  When every leading pivot of a
+panel's top block is nonzero, which is when first-nonzero pivoting takes
+its rows in order without a swap, the block is factored as L U on Python
+ints and the multipliers below it are one GEMM by U^-1 (``_panel_step``);
+otherwise, and on a shorter system, up to 256 columns at once, the
+column step eliminates one pivot at a time.  Determinants come from that
+column step over a stack of matrices.  The triangular solves of the
+elimination, RREF and kernel basis halve the triangle down to 16 rows; a
+base applies its inverse, formed on Python ints, in one GEMM to a
+right-hand side of 16 columns or more, and updates a narrower one row by
+row.
 """
 
 from __future__ import annotations
@@ -47,12 +58,27 @@ _U_MASK30, _U_MASK31, _U_MASK61 = (np.uint64((1 << s) - 1) for s in (30, 31, 61)
 _LIMB = 21
 _K_CHUNK = 2048  # 2048 * (2^21 - 1)^2 < 2^53, where float64 stops being exact
 _BLOCK_CELLS = 1 << 17  # one float64 temporary of gemm: 1 MB
-# The elimination's recursion stops at 16 columns or at 2^14 cells, below which
-# numpy's per-call cost outweighs what GEMM saves; a triangular solve's at 16 rows.
+# A system with more than _TALL_ROWS rows below the current one is eliminated
+# in panels of at most _BASE_WIDTH columns; a shorter one by the column step on
+# up to _SHORT_WIDTH columns at once, where numpy's per-call cost outweighs
+# what GEMM saves.  A triangular solve halves down to _BASE_WIDTH rows.
 _BASE_WIDTH = 16
-_BASE_CELLS = 1 << 14
+_TALL_ROWS = 64
+_SHORT_WIDTH = 256
 # Up to this many products, Python ints beat the ~25 numpy calls of the limb split.
 _SMALL_MUL = 64
+
+
+def _upper_inverse(U: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of a nonsingular upper triangular matrix, on Python ints; the
+    entries below the diagonal are not read."""
+    n = len(U)
+    X = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        d = X[i][i] = pow(U[i][i], -1, p)
+        for j in range(i + 1, n):
+            X[i][j] = -d * sum(U[i][t] * X[t][j] for t in range(i + 1, j + 1)) % p
+    return X
 
 
 class _KernelBase:
@@ -126,21 +152,26 @@ class _KernelBase:
             return np.concatenate([self.gemm(A, B[..., : n // 2]), self.gemm(A, B[..., n // 2 :])],
                                   axis=-1)
         step = _K_CHUNK // limbs
-        shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n)
-        acc = [self.zeros(shape)] * (2 * limbs - 1)
-        for k0 in range(0, k, step):
+        acc = None
+        for k0 in range(0, max(k, 1), step):  # k = 0 is one empty chunk
             kc = min(step, k - k0)
             # A_0 .. A_(L-1) side by side, B_(L-1) .. B_0 stacked
             As = np.concatenate(self._limbs(A[..., k0 : k0 + kc], limbs), axis=-1)
             Bs = np.concatenate(self._limbs(B[..., k0 : k0 + kc, :], limbs)[::-1], axis=-2)
+            sums = []
             for u in range(2 * limbs - 1):
                 lo, hi = max(0, u - limbs + 1), min(u, limbs - 1) + 1  # A_lo .. A_(hi-1)
                 b0 = limbs - 1 - u + lo  # where B_(u-lo) sits in Bs
-                S = As[..., lo * kc : hi * kc] @ Bs[..., b0 * kc : (b0 + hi - lo) * kc, :]
-                acc[u] = self.add(acc[u], self._from_exact(S))
-        C = acc[0]
-        for u in range(1, 2 * limbs - 1):
-            C = self.add(C, self.mul_pow2(acc[u], _LIMB * u))
+                sums.append(self._from_exact(
+                    As[..., lo * kc : hi * kc] @ Bs[..., b0 * kc : (b0 + hi - lo) * kc, :]))
+            acc = sums if acc is None else [self.add(a, S) for a, S in zip(acc, sums)]
+        return self._recombine(acc)
+
+    def _recombine(self, sums: list[np.ndarray]) -> np.ndarray:
+        """sum_u S_u 2^(21 u) mod p, for the reduced limb sums S_u."""
+        C = sums[0]
+        for u in range(1, len(sums)):
+            C = self.add(C, self.mul_pow2(sums[u], _LIMB * u))
         return C
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -169,11 +200,36 @@ class _KernelBase:
                 break
         return r - r_start
 
+    def _panel_step(self, R, r, c0, c1, piv) -> int:
+        """``_column_step`` on a panel of a tall system, with the same pivots and
+        result.  When every leading pivot of its top block R[r : r + b, c0 : c1]
+        is nonzero, first-nonzero pivoting takes rows r .. r + b - 1 without a
+        swap: the block is factored as L U on Python ints and stored in place,
+        and the multipliers of the rows below, their panel entries times U^-1,
+        are one GEMM.  Otherwise the column step runs."""
+        b, p = c1 - c0, self.p
+        A = R[r : r + b, c0:c1].tolist()
+        for j in range(b):
+            if not A[j][j]:
+                return self._column_step(R, r, c0, c1, piv)
+            inv = pow(A[j][j], -1, p)
+            for i in range(j + 1, b):
+                if A[i][j]:
+                    f = A[i][j] = A[i][j] * inv % p
+                    A[i][j + 1 :] = [(x - f * y) % p for x, y in zip(A[i][j + 1 :], A[j][j + 1 :])]
+        R[r : r + b, c0:c1] = self.asarray(A)
+        R[r + b :, c0:c1] = self.gemm(R[r + b :, c0:c1], self.asarray(_upper_inverse(A, p)))
+        piv.extend(range(c0, c1))
+        return b
+
     def _factor_columns(self, R, r, c0, c1, piv) -> int:
         """``_column_step`` by halves, with the same pivots and result: the right
-        half is updated by a triangular solve and one GEMM, then eliminated."""
-        if c1 - c0 <= _BASE_WIDTH or (len(R) - r) * (c1 - c0) <= _BASE_CELLS:
-            return self._column_step(R, r, c0, c1, piv)
+        half is updated by a triangular solve and one GEMM, then eliminated.  A
+        tall system halves down to panels of 16 columns, a short one down to
+        the column step on 256."""
+        tall = len(R) - r > _TALL_ROWS
+        if c1 - c0 <= (_BASE_WIDTH if tall else _SHORT_WIDTH):
+            return (self._panel_step if tall else self._column_step)(R, r, c0, c1, piv)
         mid = (c0 + c1) // 2
         r1 = self._factor_columns(R, r, c0, mid, piv)
         if r1:
@@ -187,13 +243,21 @@ class _KernelBase:
     def _solve_unit_upper(self, T: np.ndarray, B: np.ndarray) -> None:
         """B <- T^-1 B for T upper triangular with unit diagonal (not read):
         halves down to 16 rows, whatever the width of B, so that the work
-        is in GEMMs."""
+        is in GEMMs.  At the base, a B of 16 columns or more takes the
+        triangle's inverse, formed on Python ints, in one GEMM; a narrower
+        one is updated row by row."""
         n = len(T)
         if n > _BASE_WIDTH:
             h = n // 2
             self._solve_unit_upper(T[h:, h:], B[h:])
             B[:h] = self.sub(B[:h], self.gemm(T[:h, h:], B[h:]))
             self._solve_unit_upper(T[:h, :h], B[:h])
+            return
+        if n > 1 and B.shape[1] >= _BASE_WIDTH:
+            U = T.tolist()
+            for i in range(n):
+                U[i][i] = 1
+            B[:] = self.gemm(self.asarray(_upper_inverse(U, self.p)), B)
             return
         for i in range(n - 1, 0, -1):
             if T[:i, i].any():
@@ -265,6 +329,19 @@ class _KernelBase:
         return int(self.det_many([M])[0])
 
 
+def _fold(t: np.ndarray) -> np.ndarray:
+    """The canonical residue mod 2^61 - 1 of a uint64 array t, in place:
+    t >> 61 < 8, so one fold leaves t < 2^61 + 8 and one subtract makes it
+    canonical."""
+    m = t >> _U61
+    t &= _U_MASK61
+    t += m
+    t = t.view(np.int64)
+    t -= M61
+    t += (t >> 63) & M61
+    return t
+
+
 class M61Kernel(_KernelBase):
     """Limb-split multiply mod the Mersenne prime 2^61 - 1."""
 
@@ -291,13 +368,15 @@ class M61Kernel(_KernelBase):
         m <<= _U31
         t += m
         t += a0 * b0
-        m = t >> _U61  # < 8, so one fold leaves t < 2^61 + 8 and one subtract makes it canonical
-        t &= _U_MASK61
-        t += m
-        t = t.view(np.int64)
-        t -= M61
-        t += (t >> 63) & M61
-        return t
+        return _fold(t)
+
+    def _recombine(self, sums):
+        """sum_u S_u 2^(21 u) reduced once: each rotated S_u is below 2^61, so
+        the 2 limbs - 1 = 5 of them sum below 2^64 in uint64."""
+        t = sums[0].astype(np.uint64)
+        for u in range(1, len(sums)):
+            t += self.mul_pow2(sums[u], _LIMB * u).view(np.uint64)
+        return _fold(t)
 
     def mul_pow2(self, a, s: int):
         """a * 2^s as a rotation of the 61 bits, since 2^61 = 1: the high s

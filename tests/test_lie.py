@@ -221,15 +221,19 @@ def _dedup_cases():
 
 @pytest.mark.parametrize("case", range(3))
 def test_dedup_by_membership_matches_span_equality(case):
-    """closure(v) equals a kept closure s iff the dims agree and v lies in s,
-    since s is invariant: the dedup of irreducible_invariant_subspaces
-    against comparing the two spans; a closure's basis is independent, so v
-    lies in s iff appending it keeps the rank at s.dim."""
+    """closure(v) lies in a kept closure s iff v does, since s is invariant,
+    and equals s iff the dims also agree: the dedup of
+    irreducible_invariant_subspaces, which tests v before closing it,
+    against comparing the spans; a closure's basis is independent, so v lies
+    in s iff appending it keeps the rank at s.dim."""
     L, vecs = list(_dedup_cases())[case]
     spaces = [closure(v, L) for v in vecs]
     equal = 0
     for v, a in zip(vecs, spaces):
         for s in spaces:
+            # the test irreducible_invariant_subspaces runs before closing v
+            inside = rank_rows(F, np.vstack([s.basis, np.array(v)])) == s.dim
+            assert inside == (rank_rows(F, np.vstack([s.basis, a.basis])) == s.dim)
             by_span = a.same_as(s)
             assert by_span == (a.dim == s.dim and in_span(F, s.basis, np.array(v)))
             assert by_span == (a.dim == s.dim

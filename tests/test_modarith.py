@@ -8,9 +8,10 @@ from elimination_reference import _py_det, _py_forward, _py_nullspace, _py_rref
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trimmeq import modarith
-from trimmeq.field import Fp
+from trimmeq import lie, modarith
+from trimmeq.field import Fp, Rng
 from trimmeq.modarith import M61, get_kernel
+from trimmeq.trimm import TrimmShape, plant_instance
 
 K61 = get_kernel(M61)
 K_SMALL = get_kernel(10007)
@@ -263,9 +264,11 @@ def test_recursive_elimination_matches_reference(monkeypatch, p, n, layout):
     """Shapes around the 16-column base width, where the recursion splits:
     the same unit echelon form and pivots as one-pivot-at-a-time
     elimination, hence the same rank, RREF, kernel basis and det.  The
-    cell thresholds are lowered so that these small systems take the
-    recursive path and split their products, as large ones do."""
-    monkeypatch.setattr(modarith, "_BASE_CELLS", 0)
+    size thresholds are lowered so that these small systems take the
+    recursive path, tall ones in panels, and split their products, as
+    large ones do."""
+    monkeypatch.setattr(modarith, "_TALL_ROWS", modarith._BASE_WIDTH)
+    monkeypatch.setattr(modarith, "_SHORT_WIDTH", modarith._BASE_WIDTH)
     monkeypatch.setattr(modarith, "_BLOCK_CELLS", 1 << 8)
     kern = get_kernel(p)
     rows = _system(p, n, layout, random.Random(f"{p}-{n}-{layout}"))
@@ -282,6 +285,133 @@ def test_recursive_elimination_matches_reference(monkeypatch, p, n, layout):
     sq = [r[:s] for r in rows[:s]]
     assert kern.det(kern.asarray(sq)) == _py_det(p, sq)
     assert _lists(M) == rows
+
+
+def _first_panel(n):
+    """Width of the first panel that the recursion cuts from n columns."""
+    while n > modarith._BASE_WIDTH:
+        n //= 2
+    return n
+
+
+def _tall_system(p, n, layout, rnd):
+    """Rows of a system with n columns and more than ``_TALL_ROWS`` rows below
+    every panel: generic, rank-deficient, with zero columns, or with a zero
+    leading minor in the first panel's top block (its first pivot, one
+    mid-panel, or its last), which first-nonzero pivoting meets with a swap."""
+    m = modarith._TALL_ROWS + n + 8
+
+    def draw(r, c):
+        return [[rnd.randrange(p) for _ in range(c)] for _ in range(r)]
+
+    if layout == "deficient":
+        return _product(p, draw(m, n // 2), draw(n // 2, n))
+    rows = draw(m, n)
+    if layout == "zero-columns":
+        for r in rows:
+            r[0] = r[n // 2] = r[n - 1] = 0
+    elif layout != "generic":
+        b = _first_panel(n)
+        j = {"minor-first": 0, "minor-mid": b // 2, "minor-last": b - 1}[layout]
+        if j == 0:
+            rows[0][0] = 0
+        else:  # row j agrees with row 0 on the first j + 1 columns
+            rows[j][: j + 1] = rows[0][: j + 1]
+    return rows
+
+
+@pytest.mark.parametrize("layout", ["generic", "deficient", "zero-columns",
+                                    "minor-first", "minor-mid", "minor-last"])
+@pytest.mark.parametrize("n", [15, 16, 17, 33])
+@pytest.mark.parametrize("p", LANES)
+def test_panel_elimination_matches_reference(p, n, layout):
+    """Tall systems, eliminated a panel at a time at the real thresholds:
+    the same unit echelon form and pivots as one-pivot-at-a-time
+    elimination, hence the same RREF and kernel basis, whether the panel's
+    top block factors without pivoting or falls back to the column step."""
+    kern = get_kernel(p)
+    rows = _tall_system(p, n, layout, random.Random(f"{p}-{n}-{layout}"))
+    M = kern.asarray(rows)
+    forward = [list(r) for r in rows]
+    pivots = _py_forward(p, forward)
+    U, piv = kern._factor(M)
+    assert (_lists(U), piv) == (forward[: len(pivots)], pivots)
+    assert kern.pivots(M) == pivots
+    R, piv = kern.rref(M)
+    assert (_lists(R), piv) == _py_rref(p, rows)
+    assert [[int(x) for x in v] for v in kern.nullspace(M)] == _py_nullspace(p, rows)
+    assert _lists(M) == rows
+
+
+def _leading_minors_nonzero(p, block) -> bool:
+    """Every leading principal minor of the square block is nonzero: LU
+    without pivoting on Python ints meets no zero pivot."""
+    A = [list(r) for r in block]
+    for j in range(len(A)):
+        if not A[j][j]:
+            return False
+        inv = pow(A[j][j], -1, p)
+        for i in range(j + 1, len(A)):
+            f = A[i][j] * inv % p
+            A[i] = [(x - f * y) % p for x, y in zip(A[i], A[j])]
+    return True
+
+
+def _spy_column_steps(monkeypatch):
+    """Calls of ``_column_step`` on a tall system whose panel, the first
+    16 columns of the block, has a top block with no zero leading minor:
+    the calls that the panel step should have taken."""
+    bad = []
+    column_step = modarith._KernelBase._column_step
+
+    def spy(self, R, r, c0, c1, piv):
+        b = min(c1 - c0, modarith._BASE_WIDTH)
+        if len(R) - r > modarith._TALL_ROWS and _leading_minors_nonzero(
+                self.p, R[r : r + b, c0 : c0 + b].tolist()):
+            bad.append((R.shape, r, c0, c1))
+        return column_step(self, R, r, c0, c1, piv)
+
+    monkeypatch.setattr(modarith._KernelBase, "_column_step", spy)
+    return bad
+
+
+def test_tall_panels_skip_the_column_step(monkeypatch):
+    """A generic tall M61 system, and the stage-1 Lie systems of a planted
+    Tr-IMM_{3,3} instance, never take the per-pivot column step on a panel
+    whose top block factors without pivoting."""
+    bad = _spy_column_steps(monkeypatch)
+    K61.nullspace(_random_rows(3, 383, 351, M61))
+    assert bad == []
+    systems = []
+    nullspace_rows = lie.nullspace_rows
+
+    def record(field, rows):
+        systems.append(rows.shape)
+        return nullspace_rows(field, rows)
+
+    monkeypatch.setattr(lie, "nullspace_rows", record)
+    rng = Rng(5)
+    lie.lie_algebra_basis(plant_instance(Fp(), TrimmShape(3, 3), rng, mode="full").f, rng)
+    assert systems[:2] == [(383, 351), (410, 378)]  # stage 1, then stage 2
+    assert bad == []
+
+
+@pytest.mark.parametrize("k", [682, 683, 1364, 1365])
+@pytest.mark.parametrize("p", LANES)
+def test_gemm_reduces_once_across_the_chunk_step(p, k):
+    """Around the M61 chunk step of 2048 // 3 = 682 terms, with every entry
+    p - 1, so that every limb sum is as large as it gets, and with random
+    entries: 2-D operands and a stack against a 2-D operand."""
+    kern = get_kernel(p)
+    rnd = random.Random(f"{p}-{k}")
+    full = [[p - 1] * k for _ in range(3)]
+    mixed = [[rnd.choice([p - 1, rnd.randrange(p)]) for _ in range(k)] for _ in range(3)]
+    for A in (full, mixed):
+        B = [list(c) for c in zip(*A[:2])]  # k x 2
+        C = kern.gemm(kern.asarray(A), kern.asarray(B))
+        assert _lists(C) == _product(p, A, B)
+        S = kern.gemm(kern.asarray([A, A[::-1]]), kern.asarray(B))
+        assert [_lists(Sb) for Sb in S] == [_product(p, A, B), _product(p, A[::-1], B)]
 
 
 @pytest.mark.parametrize("p", LANES)
@@ -309,13 +439,14 @@ def test_det_many_matches_reference(p):
     assert kern.det_many(kern.zeros((3, 0, 0))).tolist() == [1, 1, 1]
 
 
-@pytest.mark.parametrize("width", [1, 2, 7, 16, 17, 30])
-@pytest.mark.parametrize("n", [17, 40, 129])
+@pytest.mark.parametrize("width", [1, 2, 7, 15, 16, 17, 30, 33])
+@pytest.mark.parametrize("n", [9, 16, 17, 40, 129])
 @pytest.mark.parametrize("p", LANES)
 def test_tall_thin_back_solve_matches_reference(p, n, width):
-    """T^-1 B for a unit upper triangular T of more than 16 rows and a
-    narrow B, which the solve halves into GEMMs: the right half of the
-    reference RREF of [T | B]."""
+    """T^-1 B for a unit upper triangular T and a B on either side of the
+    width from which the 16-row base applies the triangle's inverse by GEMM,
+    for one base and for triangles that the solve halves into GEMMs: the
+    right half of the reference RREF of [T | B]."""
     kern = get_kernel(p)
     rnd = random.Random(f"{p}-{n}-{width}")
     T = [[1 if i == j else rnd.randrange(p) if j > i else 0 for j in range(n)] for i in range(n)]
