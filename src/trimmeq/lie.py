@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificationFailed
 from .field import Fp, Rng
-from .linalg import (Mat, in_span, nullspace_rows, poly_at_matrix, random_invertible, rank_rows,
+from .linalg import (Mat, in_span, nullspace_rows, poly_at_matrix, random_invertible, rref_rows,
                      same_span)
 from .poly import Blackbox, MPoly, factor_univariate, squarefree_test
 from .report import reject
@@ -252,17 +252,20 @@ def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
     else:
         return reject(f"invariant-subspaces:{gate}")
     factors = factor_univariate(field, q, rng)
+    k = field.kernel
     spaces: list[InvariantSubspace] = []
+    echelons = []  # the RREF and pivot columns of each kept space
     for p_i, _ in factors:
         N = poly_at_matrix(p_i, R)
         null = N.nullspace()
         if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
         v = null[0]
-        # a kept s is an invariant closure with an independent basis: it
-        # contains closure(v) iff it contains v, iff appending v keeps rank s.dim
-        if not any(rank_rows(field, np.vstack([s.basis, v])) == s.dim for s in spaces):
+        # a kept space is an invariant closure: it contains closure(v) iff it
+        # contains v, iff v is v[piv] times its RREF
+        if not any((k.gemm(v[None, piv], E)[0] == v).all() for E, piv in echelons):
             spaces.append(closure(v, L))
+            echelons.append(rref_rows(field, spaces[-1].basis))
     if len(spaces) != expected_count:
         return reject("invariant-subspaces:subspace-count")
     dims = {s.dim for s in spaces}

@@ -30,18 +30,25 @@ below 2^64 in uint64 and the product is reduced once.
 Rank, kernel basis and RREF come from one recursive elimination that halves
 the columns (as LAPACK's ``dgetrf2`` does), with the pivots of first-nonzero
 pivoting, whose pivot columns (``pivots``) are the columns outside the span
-of those before them.  A system with more than 64 rows below the current one
-halves down to panels of at most 16 columns.  When every leading pivot of a
-panel's top block is nonzero, which is when first-nonzero pivoting takes
-its rows in order without a swap, the block is factored as L U on Python
-ints and the multipliers below it are one GEMM by U^-1 (``_panel_step``);
-otherwise, and on a shorter system, up to 256 columns at once, the
-column step eliminates one pivot at a time.  Determinants come from that
-column step over a stack of matrices.  The triangular solves of the
-elimination, RREF and kernel basis halve the triangle down to 16 rows; a
-base applies its inverse, formed on Python ints, in one GEMM to a
-right-hand side of 16 columns or more, and updates a narrower one row by
-row.
+of those before them.  A system of at most 64 cells, the size up to which
+``M61Kernel.mul`` runs on Python ints, is reduced instead by one Gauss-Jordan
+pass on Python ints (``_gauss_jordan``), which gives the same RREF and
+pivots, and the determinants of a stack of at most 64 cells.  A system with
+more than 64 rows below the current one halves down to panels of at most 16
+columns.  When every leading pivot of a panel's top block is nonzero, which
+is when first-nonzero pivoting takes its rows in order without a swap, the
+block is factored as L U on Python ints and the multipliers below it are one
+GEMM by U^-1 (``_panel_step``); otherwise, and on a shorter system, up to 256
+columns at once, the column step eliminates one pivot at a time.  On a tall
+system each level's forward substitution is one GEMM by the inverse of its
+left half's unit lower factor, which a panel forms on Python ints and a
+level merges from its halves'.  Determinants of a larger stack come from
+the column step over the stack.  The forward substitutions of a short
+system and the back-solves of RREF and kernel basis halve the triangle down
+to 16 rows; a base applies its inverse, formed on Python ints, in one GEMM to
+a right-hand side of 16 columns or more, and updates a narrower one row by
+row.  Every batch of inverses (``inv_many``, a triangle's diagonal) costs
+one ``pow``: Montgomery's batch inversion (Math. Comp. 48, 1987).
 """
 
 from __future__ import annotations
@@ -65,8 +72,26 @@ _BLOCK_CELLS = 1 << 17  # one float64 temporary of gemm: 1 MB
 _BASE_WIDTH = 16
 _TALL_ROWS = 64
 _SHORT_WIDTH = 256
-# Up to this many products, Python ints beat the ~25 numpy calls of the limb split.
+# Up to this many products, Python ints beat the ~25 numpy calls of the limb split;
+# up to this many cells, a system or a stack of determinants is reduced on Python ints.
 _SMALL_MUL = 64
+
+
+def _inverses(xs: list[int], p: int) -> list[int]:
+    """Inverses of residues mod p, zeros staying zero, with one ``pow``:
+    Montgomery's batch inversion inverts the product of the nonzero entries
+    and peels it back with three products per entry."""
+    prefix, acc = [], 1
+    for x in xs:
+        prefix.append(acc)
+        if x:
+            acc = acc * x % p
+    inv, out = pow(acc, -1, p), [0] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        if xs[i]:
+            out[i] = inv * prefix[i] % p
+            inv = inv * xs[i] % p
+    return out
 
 
 def _upper_inverse(U: list[list[int]], p: int) -> list[list[int]]:
@@ -74,11 +99,49 @@ def _upper_inverse(U: list[list[int]], p: int) -> list[list[int]]:
     entries below the diagonal are not read."""
     n = len(U)
     X = [[0] * n for _ in range(n)]
+    D = _inverses([U[i][i] for i in range(n)], p)
     for i in range(n - 1, -1, -1):
-        d = X[i][i] = pow(U[i][i], -1, p)
+        d = X[i][i] = D[i]
         for j in range(i + 1, n):
             X[i][j] = -d * sum(U[i][t] * X[t][j] for t in range(i + 1, j + 1)) % p
     return X
+
+
+def _unit_lower_inverse(L: list[list[int]], p: int) -> list[list[int]]:
+    """Inverse of a lower triangular matrix with unit diagonal, on Python
+    ints; the entries on and above the diagonal are not read."""
+    n = len(L)
+    T = [[1 if i == j else L[j][i] for j in range(n)] for i in range(n)]
+    return [list(r) for r in zip(*_upper_inverse(T, p))]
+
+
+def _gauss_jordan(A: list[list[int]], p: int) -> tuple[list[int], int]:
+    """A <- its RREF in place, by first-nonzero pivoting on Python ints.
+    Returns the pivot columns and, for a square A, its determinant (0 for
+    any other shape)."""
+    m, n = len(A), len(A[0]) if A else 0
+    piv: list[int] = []
+    det = 1
+    for c in range(n):
+        r = len(piv)
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if A[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            A[r], A[i] = A[i], A[r]
+            det = -det
+        d = A[r][c]
+        det = det * d % p
+        inv = pow(d, -1, p)
+        row = A[r][c:] = [x * inv % p for x in A[r][c:]]
+        for i in range(m):
+            f = A[i][c]
+            if f and i != r:
+                A[i][c:] = [(x - f * y) % p for x, y in zip(A[i][c:], row)]
+        piv.append(c)
+    return piv, det if len(piv) == m == n else 0
 
 
 class _KernelBase:
@@ -106,7 +169,7 @@ class _KernelBase:
 
     def inv_many(self, a: np.ndarray) -> np.ndarray:
         """Inverses of a vector of residues; zeros stay zero."""
-        return self.asarray([pow(x, -1, self.p) if x else 0 for x in a.tolist()])
+        return self.asarray(_inverses(a.tolist(), self.p))
 
     def asarray(self, rows) -> np.ndarray:
         return np.array(rows, dtype=self.dtype)
@@ -200,18 +263,19 @@ class _KernelBase:
                 break
         return r - r_start
 
-    def _panel_step(self, R, r, c0, c1, piv) -> int:
+    def _panel_step(self, R, r, c0, c1, piv, inverse):
         """``_column_step`` on a panel of a tall system, with the same pivots and
-        result.  When every leading pivot of its top block R[r : r + b, c0 : c1]
-        is nonzero, first-nonzero pivoting takes rows r .. r + b - 1 without a
-        swap: the block is factored as L U on Python ints and stored in place,
-        and the multipliers of the rows below, their panel entries times U^-1,
-        are one GEMM.  Otherwise the column step runs."""
+        result, returned as by ``_factor_columns``.  When every leading pivot
+        of its top block R[r : r + b, c0 : c1] is nonzero, first-nonzero
+        pivoting takes rows r .. r + b - 1 without a swap: the block is
+        factored as L U on Python ints and stored in place, and the
+        multipliers of the rows below, their panel entries times U^-1, are one
+        GEMM.  Otherwise the column step runs."""
         b, p = c1 - c0, self.p
         A = R[r : r + b, c0:c1].tolist()
         for j in range(b):
             if not A[j][j]:
-                return self._column_step(R, r, c0, c1, piv)
+                return self._column_base(R, r, c0, c1, piv, inverse)
             inv = pow(A[j][j], -1, p)
             for i in range(j + 1, b):
                 if A[i][j]:
@@ -220,25 +284,53 @@ class _KernelBase:
         R[r : r + b, c0:c1] = self.asarray(A)
         R[r + b :, c0:c1] = self.gemm(R[r + b :, c0:c1], self.asarray(_upper_inverse(A, p)))
         piv.extend(range(c0, c1))
-        return b
+        return b, self.asarray(_unit_lower_inverse(A, p)) if inverse else None
 
-    def _factor_columns(self, R, r, c0, c1, piv) -> int:
+    def _column_base(self, R, r, c0, c1, piv, inverse):
+        """``_column_step``, returned as by ``_factor_columns``: the inverse of
+        its unit lower factor is formed from its result on Python ints."""
+        k = self._column_step(R, r, c0, c1, piv)
+        if not inverse:
+            return k, None
+        L = R[r : r + k, piv[len(piv) - k :]].tolist()
+        return k, self.asarray(_unit_lower_inverse(L, self.p)).reshape(k, k)
+
+    def _factor_columns(self, R, r, c0, c1, piv, inverse=False):
         """``_column_step`` by halves, with the same pivots and result: the right
-        half is updated by a triangular solve and one GEMM, then eliminated.  A
-        tall system halves down to panels of 16 columns, a short one down to
-        the column step on 256."""
+        half is updated by a forward substitution and one GEMM, then
+        eliminated.  A tall system halves down to panels of 16 columns, a
+        short one down to the column step on 256.
+
+        Returns the number of pivots and, when ``inverse`` is set, the inverse
+        of their unit lower factor L (else None).  A node of a tall system
+        asks its left half for it, so that its forward substitution is one
+        GEMM; a short system's substitution is the triangular solve.  A node
+        asked for it merges its halves' as [[Li^-1, 0], [-Lj^-1 Lji Li^-1,
+        Lj^-1]], Lji the multipliers of the right half's pivot rows in the
+        left half's pivot columns."""
         tall = len(R) - r > _TALL_ROWS
         if c1 - c0 <= (_BASE_WIDTH if tall else _SHORT_WIDTH):
-            return (self._panel_step if tall else self._column_step)(R, r, c0, c1, piv)
+            return (self._panel_step if tall else self._column_base)(R, r, c0, c1, piv, inverse)
         mid = (c0 + c1) // 2
-        r1 = self._factor_columns(R, r, c0, mid, piv)
+        r1, Li = self._factor_columns(R, r, c0, mid, piv, tall or inverse)
+        left = piv[len(piv) - r1 :]
         if r1:
-            left = piv[-r1:]
             top = R[r : r + r1, mid:c1]
-            L = np.tril(R[r : r + r1, left], -1)  # the unit lower factor
-            self._solve_unit_upper(L[::-1, ::-1], top[::-1])  # forward substitution
+            if Li is None:
+                L = np.tril(R[r : r + r1, left], -1)
+                self._solve_unit_upper(L[::-1, ::-1], top[::-1])
+            else:
+                top[:] = self.gemm(Li, top)
             R[r + r1 :, mid:c1] = self.sub(R[r + r1 :, mid:c1], self.gemm(R[r + r1 :, left], top))
-        return r1 + self._factor_columns(R, r + r1, mid, c1, piv)
+        r2, Lj = self._factor_columns(R, r + r1, mid, c1, piv, inverse)
+        if not inverse:
+            return r1 + r2, None
+        if not (r1 and r2):
+            return r1 + r2, Lj if r2 else Li
+        X = self.zeros((r1 + r2, r1 + r2))
+        X[:r1, :r1], X[r1:, r1:] = Li, Lj
+        X[r1:, :r1] = self.neg(self.gemm(Lj, self.gemm(R[r + r1 : r + r1 + r2, left], Li)))
+        return r1 + r2, X
 
     def _solve_unit_upper(self, T: np.ndarray, B: np.ndarray) -> None:
         """B <- T^-1 B for T upper triangular with unit diagonal (not read):
@@ -277,8 +369,16 @@ class _KernelBase:
             U[i : i + rows] = self.mul(U[i : i + rows], inv[i : i + rows, None])
         return U, piv
 
+    def _rref_small(self, M: np.ndarray):
+        """``rref`` of a system of at most 64 cells, on Python ints."""
+        A = M.tolist()
+        piv, _ = _gauss_jordan(A, self.p)
+        return self.asarray(A).reshape(M.shape), piv
+
     def rref(self, M: np.ndarray):
         """Fully reduced row echelon form.  Returns (R, pivot_columns)."""
+        if M.size <= _SMALL_MUL:
+            return self._rref_small(M)
         U, piv = self._factor(M)
         self._solve_unit_upper(U[:, piv], U)
         R = self.zeros(M.shape)
@@ -287,12 +387,16 @@ class _KernelBase:
 
     def nullspace(self, M: np.ndarray) -> np.ndarray:
         """Kernel basis vectors, the rows of a (free, n) array, one per free
-        column of the RREF: the echelon form back-solved on its free columns only."""
-        U, piv = self._factor(M)
-        free = sorted(set(range(U.shape[1])) - set(piv))
-        F = U[:, free]
-        self._solve_unit_upper(U[:, piv], F)
-        basis = self.zeros((len(free), U.shape[1]))
+        column of the RREF: the echelon form back-solved on its free columns
+        only, or the RREF of a system of at most 64 cells."""
+        small = M.size <= _SMALL_MUL
+        U, piv = self._rref_small(M) if small else self._factor(M)
+        n = M.shape[1]
+        free = sorted(set(range(n)) - set(piv))
+        F = U[: len(piv), free]
+        if not small:
+            self._solve_unit_upper(U[:, piv], F)
+        basis = self.zeros((len(free), n))
         basis[np.arange(len(free)), free] = 1
         basis[:, piv] = self.neg(F).T
         return basis
@@ -300,6 +404,8 @@ class _KernelBase:
     def pivots(self, M: np.ndarray) -> list[int]:
         """Pivot columns of M, in order: the columns outside the span of the
         columns before them."""
+        if M.size <= _SMALL_MUL:
+            return _gauss_jordan(M.tolist(), self.p)[0]
         piv: list[int] = []
         self._factor_columns(self.asarray(M), 0, 0, M.shape[1], piv)
         return piv
@@ -308,11 +414,14 @@ class _KernelBase:
         return len(self.pivots(M))
 
     def det_many(self, M) -> np.ndarray:
-        """Determinants of a (B, n, n) stack: the column step over the
-        leading axis, with a first-nonzero pivot search per matrix."""
+        """Determinants of a (B, n, n) stack: on Python ints, matrix by matrix,
+        when the stack has at most 64 cells, otherwise the column step over
+        the leading axis, with a first-nonzero pivot search per matrix."""
         R = self.asarray(M)
         nb, n = R.shape[:2]
         R = R.reshape(nb, n, n)  # a stack of 0 x 0 matrices given as lists arrives as (B, 0)
+        if R.size <= _SMALL_MUL:
+            return self.asarray([_gauss_jordan(A, self.p)[1] for A in R.tolist()])
         at, swaps = np.arange(nb), np.zeros(nb, dtype=np.int64)
         for c in range(n - 1):
             pr = c + (R[:, c:, c] != 0).argmax(axis=1)  # c where the column is zero

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from fmai_reference import build_constrained_tensor_reference
 
+from trimmeq import modarith
 from trimmeq.errors import Degenerate, InputError, NotClosed
 from trimmeq.field import Fp, Rng
 from trimmeq.fmai import (
@@ -318,6 +319,26 @@ def test_fmai_reads_the_tensor_only_through_eval_many(monkeypatch):
         iso = fmai_solve(A, _mmti(F), Rng(16))
     assert iso is not None and rep.failed_gate is None
     assert verify_isomorphism(A, left_mult_matrices(A), iso)
+
+
+def test_small_systems_skip_the_column_step(monkeypatch):
+    """A planted w = 2 algebra, as the positives of the ``fmai-w2``
+    benchmark: every system of at most 64 cells (the 4 x 8 inverses among
+    them) is reduced on Python ints and never reaches the per-pivot column
+    step, and the solve still certifies."""
+    small = []
+    column_step = modarith._KernelBase._column_step
+
+    def spy(self, R, r, c0, c1, piv):
+        if R.size <= modarith._SMALL_MUL:
+            small.append(R.shape)
+        return column_step(self, R, r, c0, c1, piv)
+
+    monkeypatch.setattr(modarith._KernelBase, "_column_step", spy)
+    A, _ = _conjugated_algebra(Rng(15))
+    iso = fmai_solve(A, _mmti(F), Rng(16))
+    assert iso is not None and verify_isomorphism(A, left_mult_matrices(A), iso)
+    assert small == []
 
 
 def test_verify_isomorphism_does_not_use_the_kernel_product(monkeypatch):

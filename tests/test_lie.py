@@ -21,7 +21,7 @@ from trimmeq.lie import (
     lie_algebra_basis_exact,
     random_element,
 )
-from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, same_span
+from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, rref_rows, same_span
 from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, MPoly, squarefree_test
 from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
 
@@ -223,16 +223,20 @@ def _dedup_cases():
 def test_dedup_by_membership_matches_span_equality(case):
     """closure(v) lies in a kept closure s iff v does, since s is invariant,
     and equals s iff the dims also agree: the dedup of
-    irreducible_invariant_subspaces, which tests v before closing it,
-    against comparing the spans; a closure's basis is independent, so v lies
-    in s iff appending it keeps the rank at s.dim."""
+    irreducible_invariant_subspaces, which tests v before closing it by its
+    residual against the RREF of s, against comparing the spans; a
+    closure's basis is independent, so v lies in s iff appending it keeps
+    the rank at s.dim."""
     L, vecs = list(_dedup_cases())[case]
     spaces = [closure(v, L) for v in vecs]
     equal = 0
     for v, a in zip(vecs, spaces):
         for s in spaces:
             # the test irreducible_invariant_subspaces runs before closing v
-            inside = rank_rows(F, np.vstack([s.basis, np.array(v)])) == s.dim
+            E, piv = rref_rows(F, s.basis)
+            u = F.kernel.asarray(v)
+            inside = bool((F.kernel.gemm(u[None, piv], E)[0] == u).all())
+            assert inside == (rank_rows(F, np.vstack([s.basis, u])) == s.dim)
             assert inside == (rank_rows(F, np.vstack([s.basis, a.basis])) == s.dim)
             by_span = a.same_as(s)
             assert by_span == (a.dim == s.dim and in_span(F, s.basis, np.array(v)))

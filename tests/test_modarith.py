@@ -417,12 +417,15 @@ def test_gemm_reduces_once_across_the_chunk_step(p, k):
 @pytest.mark.parametrize("p", LANES)
 def test_det_many_matches_reference(p):
     """A stack that mixes invertible matrices, ones that need row swaps,
-    and singular ones (repeated row, zero column, low rank)."""
+    and singular ones (repeated row, zero column, low rank), with at most
+    and more than 64 cells."""
     kern = get_kernel(p)
     rnd = random.Random(p)
-    for n in (1, 2, 9, 17):
+    # 4 x 4 and 2 x 2 stacks of 64 and 80 cells sit on either side of the
+    # bound up to which the stack is eliminated on Python ints
+    for n, count in ((1, 12), (2, 12), (9, 12), (17, 12), (4, 3), (4, 4), (2, 15), (2, 19)):
         stack = []
-        for i in range(12):
+        for i in range(count):
             M = [[rnd.randrange(p) for _ in range(n)] for _ in range(n)]
             if i % 4 == 1:
                 M[0] = [0] * (n - 1) + [1]  # the first pivot needs a swap
@@ -476,3 +479,93 @@ def test_inv_many_matches_pow(p, raw):
     got = k.inv_many(k.asarray(xs))
     assert got.dtype == k.dtype and got.shape == (len(xs),)
     assert got.tolist() == [pow(x, -1, p) if x else 0 for x in xs]
+
+
+SMALL_SHAPES = [(1, 64), (64, 1), (8, 8), (4, 16), (16, 4), (5, 13)]
+
+
+def _small_system(p, m, n, layout, rnd):
+    """Rows of an m x n system: generic, with zero columns, of rank 1, or
+    with a first pivot that needs a row swap."""
+    rows = [[rnd.randrange(p) for _ in range(n)] for _ in range(m)]
+    if layout == "zero-columns":
+        for r in rows:
+            r[0] = r[n // 2] = 0
+    elif layout == "deficient":
+        rows = _product(p, [[rnd.randrange(p)] for _ in range(m)], rows[:1])
+    elif layout == "swap-first":
+        rows[0][0] = 0
+    return rows
+
+
+def _eliminations(kern, M):
+    R, piv = kern.rref(M)
+    return _lists(R), piv, kern.pivots(M), kern.rank(M), _lists(kern.nullspace(M))
+
+
+@pytest.mark.parametrize("layout", ["generic", "zero-columns", "deficient", "swap-first"])
+@pytest.mark.parametrize("shape", SMALL_SHAPES)
+@pytest.mark.parametrize("p", LANES)
+def test_small_elimination_matches_reference(monkeypatch, p, shape, layout):
+    """Systems of at most 64 cells are reduced on Python ints, without the
+    recursive elimination, and larger ones (5 x 13) by it: the same RREF,
+    pivots, rank and kernel basis as the reference, and as the recursive
+    elimination when the bound is lowered to 0."""
+    kern = get_kernel(p)
+    rows = _small_system(p, *shape, layout, random.Random(f"{p}-{shape}-{layout}"))
+    M = kern.asarray(rows)
+    R, piv = _py_rref(p, rows)
+    want = (R, piv, piv, len(piv), _py_nullspace(p, rows))
+    factored = []
+    factor_columns = modarith._KernelBase._factor_columns
+
+    def spy(self, *args):
+        factored.append(args[0].shape)
+        return factor_columns(self, *args)
+
+    monkeypatch.setattr(modarith._KernelBase, "_factor_columns", spy)
+    assert _eliminations(kern, M) == want
+    assert bool(factored) == (M.size > modarith._SMALL_MUL)
+    monkeypatch.setattr(modarith, "_SMALL_MUL", 0)
+    assert _eliminations(kern, M) == want
+    assert _lists(M) == rows
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("p", LANES)
+def test_small_elimination_of_empty_shapes(monkeypatch, p, shape):
+    """Empty systems: a zero RREF, no pivots, and the unit vectors of every
+    column as the kernel basis, with or without the Python-int path."""
+    kern = get_kernel(p)
+    M = kern.zeros(shape)
+    for bound in (modarith._SMALL_MUL, 0):
+        monkeypatch.setattr(modarith, "_SMALL_MUL", bound)
+        R, piv = kern.rref(M)
+        assert R.shape == shape and piv == [] and kern.rank(M) == 0
+        N = kern.nullspace(M)
+        assert N.shape == (shape[1],) * 2 and _lists(N) == _lists(np.eye(shape[1], dtype=int))
+
+
+@pytest.mark.parametrize("p", LANES)
+def test_inv_many_calls_pow_once(monkeypatch, p):
+    """One ``pow`` per batch, whatever the batch: all zeros, mixed, 1,000
+    entries; and one per triangle inverse."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(modarith, "pow", spy, raising=False)
+    kern = get_kernel(p)
+    rnd = random.Random(p)
+    for xs in ([0] * 5, [0, 3, 0, p - 1, 1, 0], [rnd.randrange(p) for _ in range(1000)]):
+        calls.clear()
+        got = kern.inv_many(kern.asarray(xs))
+        assert got.tolist() == [pow(x, -1, p) if x else 0 for x in xs]
+        assert len(calls) == 1
+    calls.clear()
+    U = [[rnd.randrange(1, p) if j >= i else 0 for j in range(16)] for i in range(16)]
+    X = modarith._upper_inverse(U, p)
+    assert _product(p, U, X) == [[int(i == j) for j in range(16)] for i in range(16)]
+    assert len(calls) == 1
