@@ -18,6 +18,19 @@ elements, vector closures, and the invariant-subspace search that drives
 the reduction to tensor isomorphism.  Closures and invariance checks run on
 the field's kernel: one GEMM maps a set of vectors through the stacked
 basis, and one elimination keeps the images that grow the span.
+
+The search splits F^n by a random element R whose characteristic
+polynomial q is square-free.  Then F^n is the direct sum of the kernels
+ker p_i(R) over the irreducible factors p_i of q, each a simple
+F[R]-module, and an R-invariant subspace S is the sum of the kernels it
+meets, so it holds ker p_i(R) exactly when p_i divides chi(R|S), the
+characteristic polynomial of R on S.  Every kept closure is L-invariant,
+hence R-invariant, so a factor's kernel is tested against it by one
+division, and only a factor that no kept space covers pays for the kernel
+of p_i(R) and a closure.  The test runs against each space's chi rather
+than against a running quotient of q, since two closures may share
+kernels.  A space past the expected count rejects at once: no later
+factor can bring the count back.
 """
 
 from __future__ import annotations
@@ -30,7 +43,7 @@ from .errors import CertificationFailed
 from .field import Fp, Rng
 from .linalg import (Mat, in_span, nullspace_rows, poly_at_matrix, random_invertible, rref_rows,
                      same_span)
-from .poly import Blackbox, MPoly, factor_univariate, squarefree_test
+from .poly import Blackbox, MPoly, factor_univariate, squarefree_test, uni_divmod
 from .report import reject
 
 _CERTIFY_TRIALS = 20  # identity-test points per element of a sampled basis
@@ -223,16 +236,32 @@ def is_invariant(space: InvariantSubspace, L: LieBasis) -> bool:
     return k.rank(np.concatenate([B, _images(k, L.stack(), B)])) == k.rank(B)
 
 
+def _restricted_charpoly(field: Fp, space: InvariantSubspace, R: Mat) -> list[int]:
+    """chi(R|S), the characteristic polynomial of R on an R-invariant S.  With
+    E the RREF of S's basis and piv its pivot columns, row j of E R^T is
+    R e_j = sum_l C[j, l] e_l, and E[:, piv] = I reads C = (E R^T)[:, piv] off;
+    C is the transpose of the matrix of R|S in the basis E."""
+    E, piv = rref_rows(field, space.basis)
+    return Mat(field, field.kernel.gemm(E, R.rows.T)[:, piv]).charpoly()
+
+
 def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
     """The irreducible invariant subspaces of the Lie algebra of f, or None.
 
-    Basis, random element, characteristic polynomial, square-free gate,
-    factor, null spaces of the factors at the element, closures of one
-    vector each, dedup.  Rejects unless exactly expected_count distinct
-    spaces of equal dimension come out.  Up to the square-free gate the
-    procedure retries (``_SUBSPACE_RETRIES`` runs in all) on square-free or
-    certification failures, since its guarantees are only with high
-    probability; the structural checks after it reject at once.
+    Basis, random element R, characteristic polynomial q, square-free gate,
+    factors p_i of q, then one closure per factor whose kernel no kept space
+    holds.  A kept space S, an L-closure and so R-invariant, holds all of the
+    simple F[R]-module ker p_i(R) or none of it, and holds it exactly when
+    p_i divides chi(R|S) (``_restricted_charpoly``); closures may overlap, so
+    p_i is tested against each kept space's chi, not against a running
+    quotient of q.  An uncovered factor's kernel vector v spans a new space,
+    closure(v): when expected_count spaces are already kept, that surplus
+    space rejects at once, since no later factor can lower the count.
+    Rejects unless exactly expected_count distinct spaces of equal
+    dimension come out.  Up to the square-free gate the procedure retries
+    (``_SUBSPACE_RETRIES`` runs in all) on square-free or certification
+    failures, since its guarantees are only with high probability; the
+    structural checks after it reject at once.
     """
     field = f.field
     gate = "square-free"
@@ -251,21 +280,18 @@ def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
         gate = "square-free"
     else:
         return reject(f"invariant-subspaces:{gate}")
-    factors = factor_univariate(field, q, rng)
-    k = field.kernel
     spaces: list[InvariantSubspace] = []
-    echelons = []  # the RREF and pivot columns of each kept space
-    for p_i, _ in factors:
-        N = poly_at_matrix(p_i, R)
-        null = N.nullspace()
+    chis: list[list[int]] = []  # chi(R|S) of each kept space S
+    for p_i, _ in factor_univariate(field, q, rng):
+        if any(not uni_divmod(field, chi, p_i)[1] for chi in chis):
+            continue  # ker p_i(R) lies in a kept space
+        null = poly_at_matrix(p_i, R).nullspace()
         if not len(null):
             return reject("invariant-subspaces:factor-nullspace")
-        v = null[0]
-        # a kept space is an invariant closure: it contains closure(v) iff it
-        # contains v, iff v is v[piv] times its RREF
-        if not any((k.gemm(v[None, piv], E)[0] == v).all() for E, piv in echelons):
-            spaces.append(closure(v, L))
-            echelons.append(rref_rows(field, spaces[-1].basis))
+        if len(spaces) == expected_count:
+            return reject("invariant-subspaces:subspace-count")
+        spaces.append(closure(null[0], L))
+        chis.append(_restricted_charpoly(field, spaces[-1], R))
     if len(spaces) != expected_count:
         return reject("invariant-subspaces:subspace-count")
     dims = {s.dim for s in spaces}

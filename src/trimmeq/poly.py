@@ -767,17 +767,44 @@ class Blackbox:
         return out
 
 
+# Cells (table rows times points) of one pass of ``ExplicitBlackbox.gradient_many``;
+# a larger batch is read in chunks of points.
+_GRADIENT_CELLS = 1 << 20
+
+
+def _exponent_steps(exps: np.ndarray) -> list:
+    """For each variable x_i and each j from 1 to its highest exponent in the
+    rows of exps, the rows whose exponent of x_i is at least j: (i, rows),
+    with a plain slice when that is every row, so that a step reads the
+    table whole, without a fancy-index copy."""
+    top = exps.max(axis=0, initial=0).tolist()
+    has = [(i, exps[:, i] >= j) for i in range(exps.shape[1]) for j in range(1, top[i] + 1)]
+    return [(i, slice(None) if m.all() else np.flatnonzero(m)) for i, m in has]
+
+
+def _apply_steps(k, V: np.ndarray, steps: list, pts: np.ndarray) -> np.ndarray:
+    """V[rows] times x_i at every point, in place, for each step (i, rows)."""
+    for i, rows in steps:
+        V[rows] = k.mul(V[rows], pts[:, i])
+    return V
+
+
 class ExplicitBlackbox(Blackbox):
     """Blackbox view of an explicit sparse polynomial.  ``eval`` stays on
     Python ints (the lane of verification); ``eval_many`` multiplies the
     coefficients, repeated per point, by x_i once per exponent step (i, j) on
-    the terms with exponent of x_i at least j, then sums them by halves."""
+    the terms with exponent of x_i at least j, then sums them by halves.
+    ``gradient_many`` reads every partial in the same pass: its table holds
+    the distinct monomials of all the partials, whose values at the points
+    come from one run of exponent steps, and the partials are one GEMM of
+    those values by the (monomials, n) matrix of their coefficients, on
+    chunks of at most ``_GRADIENT_CELLS`` table cells."""
 
     def __init__(self, poly: MPoly):
         super().__init__(poly.field, poly.n, poly.degree())
         self.poly = poly
         self._table = None
-        self._partials: list[ExplicitBlackbox] | None = None
+        self._grad_table = None
 
     def eval(self, point):
         self._check_arity(point)
@@ -787,15 +814,9 @@ class ExplicitBlackbox(Blackbox):
         k = self.field.kernel
         if self._table is None:
             exps = np.array(list(self.poly.terms), dtype=np.int64).reshape(-1, self.n)
-            top = exps.max(axis=0, initial=0).tolist()
-            has = [(i, exps[:, i] >= j) for i in range(self.n) for j in range(1, top[i] + 1)]
-            # a step on every term reads V whole, without a fancy-index copy
-            steps = [(i, slice(None) if m.all() else np.flatnonzero(m)) for i, m in has]
-            self._table = k.asarray(list(self.poly.terms.values())), steps
+            self._table = k.asarray(list(self.poly.terms.values())), _exponent_steps(exps)
         coeffs, steps = self._table
-        V = np.repeat(coeffs[:, None], len(pts), axis=1)  # V[t, b]: term t at point b
-        for i, rows in steps:
-            V[rows] = k.mul(V[rows], pts[:, i])
+        V = _apply_steps(k, np.repeat(coeffs[:, None], len(pts), axis=1), steps, pts)  # V[t, b]
         while len(V) > 1:
             h = (len(V) + 1) // 2
             V[: len(V) - h] = k.add(V[: len(V) - h], V[h:])
@@ -803,12 +824,28 @@ class ExplicitBlackbox(Blackbox):
         return V[0] if len(V) else k.zeros(len(pts))
 
     def gradient_many(self, pts):
-        if self._partials is None:
-            self._partials = [ExplicitBlackbox(self.poly.deriv(i)) for i in range(self.n)]
-        out = self.field.kernel.zeros((len(pts), self.n))
-        for i, g in enumerate(self._partials):
-            out[:, i] = g.eval_many(pts)
-        return out
+        k = self.field.kernel
+        if self._grad_table is None:
+            p = self.field.p
+            coeffs: dict[tuple, dict[int, int]] = {}  # monomial of a partial -> {i: coefficient}
+            for e, c in self.poly.terms.items():
+                for i, ei in enumerate(e):
+                    if ei:
+                        coeffs.setdefault(e[:i] + (ei - 1,) + e[i + 1 :], {})[i] = c * ei % p
+            C = k.zeros((len(coeffs), self.n))
+            for m, row in enumerate(coeffs.values()):
+                for i, c in row.items():
+                    C[m, i] = c
+            exps = np.array(list(coeffs), dtype=np.int64).reshape(-1, self.n)
+            self._grad_table = C, _exponent_steps(exps)
+        C, steps = self._grad_table
+        chunk = max(1, _GRADIENT_CELLS // max(len(C), 1))
+        out = []
+        for b0 in range(0, max(len(pts), 1), chunk):  # no points is one empty chunk
+            P = pts[b0 : b0 + chunk]
+            V = _apply_steps(k, np.ones((len(C), len(P)), dtype=k.dtype), steps, P)  # V[m, b]
+            out.append(k.gemm(V.T, C))
+        return np.concatenate(out)
 
 
 class ComposedBlackbox(Blackbox):

@@ -5,6 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
+import subspace_reference
 from closure_reference import closure_reference
 
 from trimmeq.errors import CertificationFailed
@@ -14,6 +15,7 @@ from trimmeq.lie import (
     LieBasis,
     _blocks,
     _certify_basis,
+    _restricted_charpoly,
     closure,
     irreducible_invariant_subspaces,
     is_invariant,
@@ -21,8 +23,10 @@ from trimmeq.lie import (
     lie_algebra_basis_exact,
     random_element,
 )
-from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, rref_rows, same_span
-from trimmeq.poly import ComposedBlackbox, ExplicitBlackbox, MPoly, squarefree_test
+from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, same_span
+from trimmeq.poly import (ComposedBlackbox, ExplicitBlackbox, MPoly, factor_univariate,
+                          squarefree_test, uni_divmod)
+from trimmeq.report import RunReport
 from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
 
 F = Fp()
@@ -222,20 +226,17 @@ def _dedup_cases():
 @pytest.mark.parametrize("case", range(3))
 def test_dedup_by_membership_matches_span_equality(case):
     """closure(v) lies in a kept closure s iff v does, since s is invariant,
-    and equals s iff the dims also agree: the dedup of
-    irreducible_invariant_subspaces, which tests v before closing it by its
-    residual against the RREF of s, against comparing the spans; a
-    closure's basis is independent, so v lies in s iff appending it keeps
-    the rank at s.dim."""
+    and equals s iff the dims also agree: the membership test of the
+    reference search (v == v[piv] times the RREF of s), against comparing
+    the spans; a closure's basis is independent, so v lies in s iff
+    appending it keeps the rank at s.dim."""
     L, vecs = list(_dedup_cases())[case]
     spaces = [closure(v, L) for v in vecs]
     equal = 0
     for v, a in zip(vecs, spaces):
         for s in spaces:
-            # the test irreducible_invariant_subspaces runs before closing v
-            E, piv = rref_rows(F, s.basis)
             u = F.kernel.asarray(v)
-            inside = bool((F.kernel.gemm(u[None, piv], E)[0] == u).all())
+            inside = subspace_reference.in_space(F, s, u)
             assert inside == (rank_rows(F, np.vstack([s.basis, u])) == s.dim)
             assert inside == (rank_rows(F, np.vstack([s.basis, a.basis])) == s.dim)
             by_span = a.same_as(s)
@@ -244,6 +245,143 @@ def test_dedup_by_membership_matches_span_equality(case):
                                and rank_rows(F, np.vstack([s.basis, np.array(v)])) == s.dim)
             equal += by_span
     assert equal > len(vecs)  # some distinct vectors share a closure
+
+
+def _zeroed_trimm(shape, rng):
+    """Tr-IMM with one coefficient deleted, drawn from rng as criterion 3 draws it."""
+    terms = dict(trimm_explicit(F, shape).terms)
+    del terms[sorted(terms)[rng.randrange(len(terms))]]
+    return ExplicitBlackbox(MPoly(F, shape.n, terms))
+
+
+_SUBSPACE_CASES = {  # name: (blackbox, expected count)
+    "trimm23": lambda: (trimm_blackbox(F, TrimmShape(2, 3)), 3),
+    "trimm24": lambda: (trimm_blackbox(F, TrimmShape(2, 4)), 4),
+    "trimm33": lambda: (trimm_blackbox(F, TrimmShape(3, 3)), 3),
+    "zeroed23": lambda: (_zeroed_trimm(TrimmShape(2, 3), Rng(51)), 3),
+    "zeroed33": lambda: (_zeroed_trimm(TrimmShape(3, 3), Rng(52)), 3),
+    "planted33": lambda: (plant_instance(F, TrimmShape(3, 3), Rng(53), mode="full").f, 3),
+}
+
+
+def _square_free_element(L, rng, tries=5):
+    """A random element of L with a square-free characteristic polynomial, or None."""
+    for _ in range(tries):
+        R = random_element(L, rng)
+        if squarefree_test(F, R.charpoly()):
+            return R
+    return None
+
+
+@pytest.mark.parametrize("case", list(_SUBSPACE_CASES) + ["algebra0", "algebra1", "algebra2"])
+def test_divisibility_matches_kernel_membership(case):
+    """Once chi(R) is square-free, p_i divides chi(R|S) exactly when the first
+    kernel vector of p_i(R) lies in S, for every factor p_i and every space S
+    that the membership loop keeps: on Tr-IMMs, zeroed Tr-IMMs, a planted
+    Tr-IMM_{3,3} and the reducible algebras of the dedup test.  The nilpotent
+    algebra has no square-free element, so its search stops at the gate."""
+    rng = Rng(54)
+    if case.startswith("algebra"):
+        L = list(_dedup_cases())[int(case[-1])][0]
+    else:
+        L = lie_algebra_basis(_SUBSPACE_CASES[case]()[0], rng)
+    R = _square_free_element(L, rng)
+    if case == "algebra1":
+        assert R is None
+        return
+    factors = factor_univariate(F, R.charpoly(), rng)
+    nulls, spaces = subspace_reference.membership_loop(L, R, factors)
+    chis = [_restricted_charpoly(F, s, R) for s in spaces]
+    covered = 0
+    for (p_i, _), v in zip(factors, nulls):
+        for s, chi in zip(spaces, chis):
+            divides = not uni_divmod(F, chi, p_i)[1]
+            assert divides == subspace_reference.in_space(F, s, v)
+            covered += divides
+    assert covered >= len(factors)
+
+
+def _report(run):
+    with RunReport(0) as report:
+        out = run()
+    return out, {k: v for k, v in report.to_dict().items() if k != "wall_time_s"}
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+@pytest.mark.parametrize("case", list(_SUBSPACE_CASES))
+def test_subspaces_and_report_match_the_membership_reference(case, seed):
+    """The returned bases, in order, and the run report equal the
+    reference's, from the same seed."""
+    f, count = _SUBSPACE_CASES[case]()
+    out, report = _report(lambda: irreducible_invariant_subspaces(f, Rng(seed), count))
+    ref, ref_report = _report(
+        lambda: subspace_reference.irreducible_invariant_subspaces(f, Rng(seed), count))
+    assert report == ref_report
+    assert (out is None) == (ref is None)
+    if out is not None:
+        assert [s.basis.tolist() for s in out] == [s.basis.tolist() for s in ref]
+    assert (out is None) == case.startswith("zeroed")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_planted_33_runs_one_kernel_and_one_closure_per_space(monkeypatch):
+    """Every factor after the first of a block is covered by that block's
+    closure: three kernels of p_i(R) and three closures for three blocks."""
+    import trimmeq.lie as lie
+
+    kernels = _count_calls(monkeypatch, lie, "poly_at_matrix")
+    closures = _count_calls(monkeypatch, lie, "closure")
+    f, count = _SUBSPACE_CASES["planted33"]()
+    assert irreducible_invariant_subspaces(f, Rng(63), count) is not None
+    assert len(kernels) == 3 and len(closures) == 3
+
+
+@pytest.mark.parametrize("seed", [None, 3200, 3201, 3202])
+def test_zeroed_negative_stops_at_the_surplus_space(monkeypatch, seed):
+    """A zeroed Tr-IMM_{3,3} (seed None) and criterion 3's zeroed Tr-IMM_{2,3}
+    reject at the count gate after at most expected_count + 1 closures."""
+    import trimmeq.lie as lie
+
+    closures = _count_calls(monkeypatch, lie, "closure")
+    if seed is None:
+        (f, count), rng = _SUBSPACE_CASES["zeroed33"](), Rng(64)
+    else:  # criterion 3 draws its zeroed coefficient and its solver stream from one rng
+        rng = Rng(seed)
+        f, count = _zeroed_trimm(TrimmShape(2, 3), rng), 3
+    out, report = _report(lambda: irreducible_invariant_subspaces(f, rng, count))
+    assert out is None
+    assert report["failed_gate"] == "invariant-subspaces:subspace-count"
+    assert len(closures) <= count + 1
+
+
+def test_empty_kernel_of_an_uncovered_factor_rejects(monkeypatch):
+    """With the kernel of the second uncovered factor patched empty, the run
+    rejects at the factor-nullspace gate."""
+    import trimmeq.lie as lie
+
+    kernels = _count_calls(monkeypatch, lie, "poly_at_matrix")
+    real = Mat.nullspace
+
+    def nullspace(M):
+        null = real(M)
+        return null[:0] if len(kernels) == 2 else null
+
+    monkeypatch.setattr(Mat, "nullspace", nullspace)
+    f = plant_instance(F, TrimmShape(2, 3), Rng(65), mode="full").f
+    out, report = _report(lambda: irreducible_invariant_subspaces(f, Rng(66), 3))
+    assert out is None and len(kernels) == 2
+    assert report["failed_gate"] == "invariant-subspaces:factor-nullspace"
 
 
 def test_random_cubic_rejected():

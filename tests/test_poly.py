@@ -3,7 +3,9 @@
 import random
 
 import factor_reference
+import numpy as np
 import pytest
+from gradient_reference import gradient_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -380,6 +382,64 @@ def test_explicit_eval_many_matches_scalar_eval(p, kind, n, batch, seed):
         grads = bb.gradient_many(pts)
         assert grads.shape == (batch, n)
         assert grads.tolist() == [[f.deriv(i).eval(q) for i in range(n)] for q in rows]
+
+
+def _sparse_poly(field, n, kind, rnd):
+    """The zero polynomial, a constant, or up to 30 terms with exponents up
+    to 4 over a random subset of the variables, so that some occur in no term."""
+    p = field.p
+    if kind == "zero":
+        return MPoly.zero(field, n)
+    if kind == "constant":
+        return MPoly.constant(field, n, rnd.choice([1, p - 1, rnd.randrange(p)]))
+    used = rnd.sample(range(n), rnd.randint(1, n))
+    f = MPoly(field, n)
+    for _ in range(rnd.randint(1, 30)):
+        e = [0] * n
+        for i in used:
+            e[i] = rnd.choice([0, 0, 1, 2, 3, 4])
+        f.add_term(tuple(e), rnd.choice([1, p - 1, rnd.randrange(p)]))
+    return f
+
+
+@given(
+    st.sampled_from([(1 << 61) - 1, 10007, (1 << 89) - 1]),
+    st.sampled_from(["zero", "constant", "sparse", "sparse"]),
+    st.integers(1, 12),
+    st.sampled_from([0, 1, 50]),
+    st.integers(0, (1 << 64) - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gradient_matches_the_per_partial_reference(p, kind, n, batch, seed):
+    """One pass over every partial against one ``eval_many`` per partial, on
+    the M61, int64 and object lanes."""
+    field = Fp(p)
+    rnd = random.Random(seed)
+    f = _sparse_poly(field, n, kind, rnd)
+    rows = [[rnd.choice([0, 1, p - 1, rnd.randrange(p)]) for _ in range(n)] for _ in range(batch)]
+    pts = field.kernel.asarray(rows).reshape(batch, n)
+    grads = ExplicitBlackbox(f).gradient_many(pts)
+    want = gradient_reference(f, pts)
+    assert grads.shape == (batch, n) and grads.dtype == field.kernel.dtype
+    assert grads.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("cells", [1, 50, 1000])
+def test_gradient_reads_a_large_batch_in_chunks_of_the_table(monkeypatch, cells):
+    """With the table bound patched low, a batch is read in chunks of
+    max(1, cells // monomials) points, and the gradients are unchanged."""
+    f = trimm_explicit(F, TrimmShape(2, 3))
+    monomials = 3 * 8  # each of the 8 terms gives 3 distinct partial monomials
+    pts = Rng(14).array(F, (70, 12))
+    want = gradient_reference(f, pts).tolist()
+    passes = []
+    real = poly._apply_steps
+    monkeypatch.setattr(poly, "_apply_steps", lambda *args: passes.append(args) or real(*args))
+    monkeypatch.setattr(poly, "_GRADIENT_CELLS", cells)
+    assert ExplicitBlackbox(f).gradient_many(pts).tolist() == want
+    chunk = max(1, cells // monomials)
+    assert len(passes) == -(-70 // chunk)
+    assert all(len(V) == monomials for _, V, _, _ in passes)
 
 
 def test_composed_blackbox_matches_explicit_composition():
