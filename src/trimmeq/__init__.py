@@ -18,7 +18,6 @@ from .poly import (
     RestrictionBlackbox,
     det_linear_matrix,
     factor_univariate,
-    interpolate_univariate,
     pit_equal,
     squarefree_test,
     wth_root,
@@ -54,7 +53,7 @@ from .reduction import (
     trace_equivalence,
     trace_to_tensor_iso,
 )
-from .tensor import degree_d_to_3, unit_point
+from .tensor import degree_d_to_3, unit_points
 from .fmai import (
     AlgebraInput,
     AlgebraIso,

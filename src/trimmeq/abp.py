@@ -70,16 +70,21 @@ class SetMultABP(Blackbox):
         return _partial_products(self.layers, pts)[:, 0, 0]
 
 
+def _block_values(f: Blackbox, templates, block: list[int], local) -> np.ndarray:
+    """f at each template with its block set to each row of local, as one
+    (templates, rows) array from one ``eval_many``: local is (rows, |block|),
+    or (templates, rows, |block|) for rows of each template's own."""
+    T = f.field.kernel.asarray(templates)
+    pts = np.repeat(T[:, None, :], local.shape[-2], axis=1)
+    pts[:, :, block] = local
+    return f.eval_many(pts.reshape(-1, f.n)).reshape(len(T), -1)
+
+
 def _linear_forms(f: Blackbox, templates, block: list[int]) -> np.ndarray:
     """Coefficients of the linear form x_block -> f(template with block = x)
     for each template, as the rows of one array: f is linear in each block,
-    so its values at the unit points of the block are the coefficients, all
-    read in one ``eval_many``."""
-    T = f.field.kernel.asarray(templates).reshape(len(templates), 1, f.n)
-    T[:, :, block] = 0
-    pts = np.repeat(T, len(block), axis=1)
-    pts[:, np.arange(len(block)), block] = 1
-    return f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), len(block))
+    so its values at the unit points of the block are the coefficients."""
+    return _block_values(f, templates, block, np.eye(len(block), dtype=f.field.kernel.dtype))
 
 
 def _random_points(field: Fp, n: int, count: int, blocks, rng: Rng) -> np.ndarray:

@@ -34,10 +34,6 @@ class ArityMismatch(TrimmeqError):
     """A blackbox was queried with the wrong number of coordinates."""
 
 
-class DuplicateNode(TrimmeqError):
-    """Univariate interpolation received repeated sample abscissae."""
-
-
 class SizeBound(TrimmeqError):
     """Symbolic determinant requested above the configured size bound."""
 

@@ -12,9 +12,8 @@ vouch for its own output.  Span membership and span equality are rank
 comparisons, and ``poly_at_matrix`` runs Horner's rule through the GEMM.
 Values on a line become coefficients one way only: through the inverse of
 ``vandermonde``, on the elimination.  The characteristic polynomial,
-univariate interpolation, blackbox gradients and determinant roots all read
-it; on the nodes 0..n it is computed once per (p, n)
-(``vandermonde_inverse``).
+blackbox gradients and determinant roots all read it; on the nodes 0..n it
+is computed once per (p, n) (``vandermonde_inverse``).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import numpy as np
 from .errors import InputError, ShapeMismatch, Singular
 from .field import Fp, Rng
 
-Vec = list  # vectors of the scalar lane (points, matvec, solve) are lists of ints
+Vec = list  # vectors of the scalar lane (points, matvec) are lists of ints
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +86,9 @@ class Mat:
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_rows(field: Fp, rows) -> "Mat":
-        """Integer entries, reduced mod p; any other entry raises InputError."""
-        return Mat(field, _reduced_rows(field.p, rows))
+        """Integer entries, reduced mod p; any other entry raises InputError.
+        Rows are reduced once, and the residue array is taken as it is."""
+        return Mat(field, np.asarray(_reduced_rows(field.p, rows), dtype=field.kernel.dtype))
 
     @staticmethod
     def zeros(field: Fp, r: int, c: int) -> "Mat":
@@ -196,19 +196,6 @@ class Mat:
         if piv != list(range(n)):
             raise Singular("matrix is singular")
         return Mat(self.field, R[:, n:])
-
-    def solve(self, b: Vec) -> Vec | None:
-        """A particular solution of self.x = b, or None if inconsistent."""
-        if len(b) != self.nrows:
-            raise ShapeMismatch(f"{self.nrows} equations vs right-hand side of {len(b)}")
-        k, n = self.field.kernel, self.ncols
-        aug = np.concatenate([self.rows, k.asarray(b).reshape(-1, 1)], axis=1)
-        R, piv = rref_rows(self.field, aug)
-        if n in piv:
-            return None
-        x = k.zeros(n)
-        x[piv] = R[: len(piv), n]
-        return x.tolist()
 
     def charpoly(self) -> list[int]:
         """Monic characteristic polynomial det(tI - M), coeffs low-to-high:

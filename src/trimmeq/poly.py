@@ -8,9 +8,9 @@ of a matrix product (defined in :mod:`trimmeq.trimm`), partial
 substitution, the determinant of a linear matrix, or the w-th root of a
 blackbox that is a w-th power.  A blackbox defines one method, batched
 evaluation (``eval_many``; an explicit polynomial's through an exponent
-table), and gets exact gradients from it.  Interpolation, gradients and
-determinant roots turn values on a line into coefficients through one
-route, the inverse of ``linalg.vandermonde``.  Only the verification lane --
+table), and gets exact gradients from it.  Gradients and determinant
+roots turn values on a line into coefficients through one route, the
+inverse of ``linalg.vandermonde``.  Only the verification lane --
 explicit polynomials, compositions and the trace product -- also writes
 out a scalar ``eval`` on Python ints, so a check of a solve's witness does
 not run on the kernels that produced it.  The symbolic
@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ArityMismatch,
-    DuplicateNode,
     NotAPerfectPower,
     ShapeMismatch,
     SizeBound,
@@ -98,17 +97,6 @@ def uni_gcd(field: Fp, a, b):
         _, r = uni_divmod(field, a, b)
         a, b = b, r
     return uni_monic(field, a)
-
-
-def interpolate_univariate(field: Fp, points: list[tuple[int, int]]) -> list[int]:
-    """The unique polynomial of degree < len(points) through the samples:
-    the values times the inverse Vandermonde matrix."""
-    p, k = field.p, field.kernel
-    xs = [t % p for t, _ in points]
-    if len(set(xs)) != len(xs):
-        raise DuplicateNode("repeated interpolation abscissae")
-    vals = k.asarray([v % p for _, v in points])
-    return uni_trim(k.gemm(vandermonde(field, xs).inverse().rows, vals[:, None])[:, 0].tolist())
 
 
 def squarefree_test(field: Fp, q: list[int]) -> bool:

@@ -1,50 +1,61 @@
 """Degree reduction: d-tensor isomorphism via the d = 3 oracle.
 
-A random restriction of the last d-3 blocks turns the input into a
-3-tensor handled by the matrix-multiplication-tensor oracle; the first
-three layer matrices (the oracle's block transforms, read through
-``trimm.block_to_layer``) then let unit points be solved (points at which
-a layer evaluates to a matrix unit), and each remaining layer is read off
-in one ``eval_many``: every entry's linear form with its collinearity
-check.  d = 4 needs only the direct read-off; d >= 5 reconstructs a
-width-w suffix ABP first.  The blocks pass the same final gates as the
-tensor-to-determinant reduction (``reduction.certify_blocks``).
+One read-off for every d >= 4.  A random restriction of blocks 3..d-1
+turns the input into a 3-tensor handled by the matrix-multiplication-tensor
+oracle, which returns B_0, B_1, B_2.  Each block k then gets a table
+``units[k]`` of unit points (``unit_points``: for entry (i, j) of the
+block's layer, a point at which the layer is the matrix unit E_ij):
+
+* blocks 0-2 from the oracle's transforms, read through
+  ``trimm.block_to_layer``;
+* from d = 5 on, blocks 4..d-1 from the layers of a width-w suffix ABP
+  (``abp.reconstruct_abp``, its w x 1 last layer included) of f with
+  blocks 0-2 at E_00, and block 3 from its own layer, read with blocks
+  0-2 at E_00, E_00, E_0i and blocks 4..d-1 at E_jj (E_j0 on the last).
+
+The last layer is then read with block 0 at E_j0, blocks 1..d-3 at E_00
+and block d-2 at E_0i: the other layers multiply to E_ji, so the trace
+is entry (i, j) of the last layer.  Every layer read is one ``eval_many``
+of all w^2 entry forms with their collinearity checks.  The blocks pass
+the same final gates as the tensor-to-determinant reduction
+(``reduction.certify_blocks``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .abp import reconstruct_abp
+from .abp import _block_values, reconstruct_abp
 from .errors import CertificationFailed, Singular
 from .field import Rng
+from .linalg import rref_rows
 from .poly import Blackbox, LinMat, RestrictionBlackbox
 from .reduction import certify_blocks
 from .report import passed, reject
 from .trimm import TrimmShape, block_to_layer
 
 
-def unit_point(Xp: LinMat, i: int, j: int) -> list[int]:
-    """b with Xp(b) equal to the (i, j) matrix unit (i, j zero-based).
+def unit_points(X: LinMat) -> np.ndarray:
+    """(nrows, ncols, n) array whose [i, j] is a point b with X(b) equal to
+    the (i, j) matrix unit (zero-based): C b = e_t for every entry t of the
+    coefficient matrix C, from one elimination of [C | I], with 0 on the
+    variables that carry no pivot.  Singular when the entry forms are
+    dependent (a broken upstream invariant)."""
+    C = X.coefficient_matrix().rows
+    t, n = C.shape
+    R, piv = rref_rows(X.field, np.concatenate([C, np.eye(t, dtype=C.dtype)], axis=1))
+    if piv[-1] >= n:
+        raise Singular("dependent entry forms")
+    b = X.field.kernel.zeros((t, n))
+    b[:, piv] = R[:, n:].T  # pivot row r fixes variable piv[r] of every solution
+    return b.reshape(X.nrows, X.ncols, n)
 
-    Singular when the entry forms are dependent (a broken upstream
-    invariant)."""
-    return _unit_points_all(Xp)[i][j]
 
-
-def _unit_points_all(Xp: LinMat) -> list[list[list[int]]]:
-    """unit[i][j] for all positions, from one matrix inversion (Singular
-    when the entry forms are dependent)."""
-    w = Xp.nrows
-    C = Xp.coefficient_matrix()
-    return C.inverse().rows.T.reshape(w, w, -1).tolist()  # column t of C^-1 solves for unit t
-
-
-def _entry_linear_forms(f: Blackbox, templates: list[list[int]], block: list[int], rng: Rng):
+def _entry_linear_forms(f: Blackbox, templates, block: list[int], rng: Rng):
     """Coefficients of the linear forms x_block -> f(template | block = x),
     one row per template, each with a random two-point collinearity check,
     or None when a check fails.  The r1, r2 of every template are drawn
-    first, in template order, and f is read in one ``eval_many``: per
+    first, in template order, and f is read in one ``_block_values``: per
     template at the base point (block zeroed), the block's unit points, and
     q1, q2, q12 (block set to r1, r2, r1 + r2)."""
     field = f.field
@@ -55,9 +66,7 @@ def _entry_linear_forms(f: Blackbox, templates: list[list[int]], block: list[int
     local = np.zeros((len(templates), m + 4, m), dtype=k.dtype)
     local[:, 1 : m + 1] = np.eye(m, dtype=k.dtype)
     local[:, m + 1], local[:, m + 2], local[:, m + 3] = r1, r2, k.add(r1, r2)
-    pts = np.repeat(k.asarray(templates)[:, None, :], m + 4, axis=1)
-    pts[:, :, block] = local
-    vals = f.eval_many(pts.reshape(-1, f.n)).reshape(len(templates), m + 4)
+    vals = _block_values(f, templates, block, local)
     base, coeffs, (q1, q2, q12) = vals[:, 0], vals[:, 1 : m + 1], vals[:, m + 1 :].T
     read_q1 = k.gemm(coeffs[:, None, :], r1[:, :, None])[:, 0, 0]
     if base.any() or not np.array_equal(k.add(q1, q2), q12) or not np.array_equal(read_q1, q1):
@@ -89,56 +98,37 @@ def _degree_reduce_once(f, w, d, mmti, rng):
     w2 = w * w
     blocks = [shape.block_vars(k) for k in range(d)]
 
-    template = [0] * f.n
-    for k in range(3, d):
-        for v in blocks[k]:
-            template[v] = rng.scalar(field)
-    h = RestrictionBlackbox(f, template, blocks[0] + blocks[1] + blocks[2])
-    h.degree = 3
-    first = mmti(h, w, rng)
-    if first is None:
-        return reject("mmti-oracle")
-    passed("mmti-oracle")
-    B012 = first
-    try:
-        units = {k: _unit_points_all(block_to_layer(B012[k], k)) for k in range(3)}
-    except Singular:
-        return reject("unit-points")
-
-    def put(point, k, local_vals):
-        for v, x in zip(blocks[k], local_vals):
-            point[v] = x % field.p
+    def point(pins):
+        """The point of f with block k at pins[k] and zero elsewhere."""
+        t = field.kernel.zeros(f.n)
+        for k, b in pins.items():
+            t[blocks[k]] = b
+        return t
 
     def read_layer(k, pin):
         """The w x w layer of f-block k: entry (i, j) is the linear form of f
-        in block k at the template that ``pin(t, i, j)`` fills, all in one read."""
-        templates = []
-        for i in range(w):
-            for j in range(w):
-                t = [0] * f.n
-                pin(t, i, j)
-                templates.append(t)
+        in block k at ``point(pin(i, j))``, all in one read."""
+        templates = np.stack([point(pin(i, j)) for i, j in np.ndindex(w, w)])
         forms = _entry_linear_forms(f, templates, blocks[k], rng)
         return None if forms is None else LinMat(field, w, w, w2, forms.reshape(w, w, w2))
 
-    if d == 4:
-        def pin3(t, i, j):
-            put(t, 0, units[0][j][0])
-            put(t, 1, units[1][0][0])
-            put(t, 2, units[2][0][i])
+    template = point({k: rng.vector(field, w2) for k in range(3, d)})
+    h = RestrictionBlackbox(f, template.tolist(), blocks[0] + blocks[1] + blocks[2])
+    h.degree = 3
+    B012 = mmti(h, w, rng)
+    if B012 is None:
+        return reject("mmti-oracle")
+    passed("mmti-oracle")
+    try:
+        units = [unit_points(block_to_layer(B012[k], k)) for k in range(3)]
+    except Singular:
+        return reject("unit-points")
 
-        X3 = read_layer(3, pin3)
-        if X3 is None:
-            return reject("entry-linearity")
-        layer_mats = {3: X3}
-    else:
-        # suffix ABP of the (1,1)-pinned restriction over blocks 3..d-1
-        t = [0] * f.n
-        put(t, 0, units[0][0][0])
-        put(t, 1, units[1][0][0])
-        put(t, 2, units[2][0][0])
+    layers = []
+    if d >= 5:
+        # suffix ABP of the (0, 0)-pinned restriction over blocks 3..d-1
         free = [v for k in range(3, d) for v in blocks[k]]
-        g = RestrictionBlackbox(f, t, free)
+        g = RestrictionBlackbox(f, point({k: units[k][0, 0] for k in range(3)}).tolist(), free)
         g.degree = d - 3
         g_blocks = [list(range(s * w2, (s + 1) * w2)) for s in range(d - 3)]
         try:
@@ -146,58 +136,26 @@ def _degree_reduce_once(f, w, d, mmti, rng):
         except (Singular, CertificationFailed):
             return reject("suffix-abp")
         passed("suffix-abp")
-        layer_mats = {}
-        units_suffix = {}
-        for k in range(4, d - 1):
-            # suffix layer k-3 is the w x w layer in f-block k
-            layer_mats[k] = suffix.layers[k - 3].restrict(g_blocks[k - 3])
-            try:
-                units_suffix[k] = _unit_points_all(layer_mats[k])
-            except Singular:
-                return reject("unit-points")
-        # last suffix layer: w x 1 column; b_j with Y(b_j) = e_j
-        A_last = suffix.layers[d - 4].restrict(g_blocks[d - 4]).coefficient_matrix()
-        b_last = []
-        for j in range(w):
-            rhs = [1 if u == j else 0 for u in range(w)]
-            sol = A_last.solve(rhs)
-            if sol is None:
-                return reject("unit-points")
-            b_last.append(sol)
-
-        def pin3(t, i, j):
-            put(t, 0, units[0][0][0])
-            put(t, 1, units[1][0][0])
-            put(t, 2, units[2][0][i])
-            for k in range(4, d - 1):
-                put(t, k, units_suffix[k][j][j])
-            put(t, d - 1, b_last[j])
-
-        X3 = read_layer(3, pin3)
-        if X3 is None:
-            return reject("entry-linearity")
-        layer_mats[3] = X3
+        # suffix layer s is the layer of f-block s + 3
+        layers = [L.restrict(b) for L, b in zip(suffix.layers[1:], g_blocks[1:])]
         try:
-            units3 = _unit_points_all(X3)
+            units += [None] + [unit_points(L) for L in layers]
         except Singular:
             return reject("unit-points")
-
-        def pin_last(t, i, j):
-            put(t, 0, units[0][j][0])
-            put(t, 1, units[1][0][0])
-            put(t, 2, units[2][0][0])
-            put(t, 3, units3[0][0])
-            for k in range(4, d - 2):
-                put(t, k, units_suffix[k][0][0])
-            if d - 2 >= 4:
-                put(t, d - 2, units_suffix[d - 2][0][i])
-            else:
-                put(t, d - 2, units3[0][i])
-
-        Xlast = read_layer(d - 1, pin_last)
-        if Xlast is None:
+        X3 = read_layer(3, lambda i, j: {0: units[0][0, 0], 1: units[1][0, 0], 2: units[2][0, i],
+                                         **{k: units[k][j, j] for k in range(4, d - 1)},
+                                         d - 1: units[d - 1][j, 0]})
+        if X3 is None:
             return reject("entry-linearity")
-        layer_mats[d - 1] = Xlast
+        try:
+            units[3] = unit_points(X3)
+        except Singular:
+            return reject("unit-points")
+        layers = [X3] + layers[:-1]
 
-    layers = [layer_mats[k] for k in range(3, d)]
-    return certify_blocks(f, shape, B012, layers, rng)
+    last = read_layer(d - 1, lambda i, j: {0: units[0][j, 0],
+                                           **{k: units[k][0, 0] for k in range(1, d - 2)},
+                                           d - 2: units[d - 2][0, i]})
+    if last is None:
+        return reject("entry-linearity")
+    return certify_blocks(f, shape, B012, layers + [last], rng)

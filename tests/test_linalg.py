@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from elimination_reference import _py_det, _py_forward
+from elimination_reference import _py_det
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from interp_reference import deriv_weights, newton_interp
 
+from trimmeq import linalg
 from trimmeq.errors import InputError, ShapeMismatch, Singular
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import (
@@ -51,28 +52,6 @@ def test_nullspace_planted_rank(field):
         assert M.matvec(v) == [0] * 6
 
 
-def test_solve_identity_and_inconsistent(field):
-    eye = Mat.identity(field, 3)
-    assert eye.solve([5, 6, 7]) == [5, 6, 7]
-    zero = Mat.zeros(field, 2, 2)
-    assert zero.solve([1, 0]) is None
-
-
-def test_solve_multiply_back(field):
-    rng = Rng(2)
-    A = random_invertible(field, 5, rng)
-    b = rng.vector(field, 5)
-    x = A.solve(b)
-    assert A.matvec(x) == b
-
-
-def test_solve_rejects_wrong_rhs_length(field):
-    A = Mat.from_rows(field, [[1, 2], [3, 4]])
-    for b in ([1], [1, 2, 3]):
-        with pytest.raises(ShapeMismatch):
-            A.solve(b)
-
-
 @pytest.mark.parametrize("bad", [1.5, 2.0, "3", None, True, np.float64(4)])
 def test_from_rows_rejects_non_integer_entries(field, bad):
     with pytest.raises(InputError):
@@ -83,6 +62,22 @@ def test_from_rows_reduces_integers(field):
     p = field.p
     M = Mat.from_rows(field, [[-1, p], [np.int64(-2), 2 * p - 3]])
     assert M.rows.tolist() == [[p - 1, 0], [p - 2, p - 3]]
+
+
+def test_from_rows_reduces_once(field, monkeypatch):
+    """from_rows checks and reduces its rows in one pass: the constructor
+    takes the residue array as it is."""
+    calls = []
+
+    def spy(p, rows):
+        calls.append(p)
+        return reduced(p, rows)
+
+    reduced = linalg._reduced_rows
+    monkeypatch.setattr(linalg, "_reduced_rows", spy)
+    M = Mat.from_rows(field, [[-1, 2], [3, field.p]])
+    assert calls == [field.p]
+    assert M.rows.tolist() == [[field.p - 1, 2], [3, 0]] and M.rows.dtype == field.kernel.dtype
 
 
 def test_list_rows_are_reduced_like_from_rows(field):
@@ -104,7 +99,6 @@ def test_zero_by_zero_matrix(field):
     E = Mat.zeros(field, 0, 0)
     assert E.det() == 1
     assert E.inverse() == E
-    assert E.solve([]) == []
 
 
 def test_inverse_trivial_and_diag():
@@ -376,7 +370,7 @@ def test_mat_ops_match_python_ints(field, data):
 def test_square_ops_match_python_ints(field, data):
     p = field.p
     n = data.draw(st.integers(1, 4))
-    A, b = data.draw(_matrix(p, n, n)), data.draw(_matrix(p, 1, n))[0]
+    A = data.draw(_matrix(p, n, n))
     M = Mat.from_rows(field, A)
     if _py_det(p, A):
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -384,12 +378,6 @@ def test_square_ops_match_python_ints(field, data):
     else:
         with pytest.raises(Singular):
             M.inverse()
-    x = M.solve(b)
-    if x is None:  # inconsistent: b raises the rank (_py_forward eliminates in place)
-        rank = len(_py_forward(p, [list(r) for r in A]))
-        assert len(_py_forward(p, [r + [bi] for r, bi in zip(A, b)])) > rank
-    else:
-        assert _ref_mul(p, A, [[xi] for xi in x]) == [[bi] for bi in b]
     cp = M.charpoly()
     assert len(cp) == n + 1 and cp[-1] == 1
     for t in range(p - n - 1, p):  # det(tI - A) at n + 1 points fixes the polynomial

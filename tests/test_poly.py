@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimmeq import modarith, poly
-from trimmeq.errors import ArityMismatch, DuplicateNode, NotAPerfectPower, SizeBound
+from trimmeq.errors import ArityMismatch, NotAPerfectPower, SizeBound
 from trimmeq.field import Fp, Rng
 from trimmeq.linalg import Mat, random_invertible
 from trimmeq.poly import (
@@ -22,7 +22,6 @@ from trimmeq.poly import (
     RestrictionBlackbox,
     det_linear_matrix,
     factor_univariate,
-    interpolate_univariate,
     matches_power,
     mp_div_exact,
     pit_equal,
@@ -41,20 +40,6 @@ F = Fp()
 # ---------------------------------------------------------------------------
 # univariate layer
 # ---------------------------------------------------------------------------
-
-def test_interpolation_trivial():
-    assert interpolate_univariate(F, [(0, 1), (1, 1)]) == [1]
-    assert interpolate_univariate(F, [(0, 0), (1, 1), (2, 4)]) == [0, 0, 1]
-    with pytest.raises(DuplicateNode):
-        interpolate_univariate(F, [(1, 0), (1, 1)])
-
-
-def test_interpolation_roundtrip():
-    rng = Rng(1)
-    poly = [rng.scalar(F) for _ in range(6)] + [1]
-    pts = [(t, sum(c * pow(t, i, F.p) for i, c in enumerate(poly)) % F.p) for t in range(7)]
-    assert interpolate_univariate(F, pts) == poly
-
 
 def test_divmod_and_gcd():
     f7 = Fp(7)

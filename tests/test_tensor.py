@@ -5,10 +5,10 @@ import pytest
 from trimmeq import tensor
 from trimmeq.errors import Singular
 from trimmeq.field import Fp, Rng
-from trimmeq.linalg import Mat, random_invertible
-from trimmeq.oracles import QuadraticDetOracle, mmti_oracle
+from trimmeq.linalg import Mat, assemble_block_diagonal, random_invertible
+from trimmeq.oracles import PlantedDetOracle, QuadraticDetOracle, mmti_oracle
 from trimmeq.poly import ExplicitBlackbox, LinMat, MPoly
-from trimmeq.tensor import _entry_linear_forms, degree_d_to_3, unit_point
+from trimmeq.tensor import _entry_linear_forms, degree_d_to_3, unit_points
 from trimmeq.trimm import TrimmShape, plant_instance, verify_witness
 
 F = Fp()
@@ -19,17 +19,17 @@ def _mmti(field):
     return lambda h, w, rng: mmti_oracle(h, w, det, rng)
 
 
-def test_unit_point_symbolic_identity_labeling():
+def test_unit_points_symbolic_identity_labeling():
     X = LinMat.symbolic(F, 2)
+    U = unit_points(X)
     for i in range(2):
         for j in range(2):
-            b = unit_point(X, i, j)
             expect = [0] * 4
             expect[2 * i + j] = 1
-            assert b == expect
+            assert U[i, j].tolist() == expect
 
 
-def test_unit_point_composed_layer():
+def test_unit_points_composed_layer():
     rng = Rng(1)
     X = LinMat.symbolic(F, 2)
     B = random_invertible(F, 4, rng)
@@ -41,21 +41,37 @@ def test_unit_point_composed_layer():
                 sum(Xl[i][j][t] * Bl[t][v] for t in range(4)) % F.p
                 for v in range(4)
             ]
+    U = unit_points(Xc)
     for i in range(2):
         for j in range(2):
-            b = unit_point(Xc, i, j)
-            E = Xc.eval(b)
+            E = Xc.eval(U[i, j].tolist())
             want = Mat.zeros(F, 2, 2)
             want.rows[i][j] = 1
             assert E == want
 
 
-def test_unit_point_rank_deficient_raises():
+def test_unit_points_column_layer():
+    """A w x 1 layer over w^2 variables (the last layer of a suffix ABP):
+    point j evaluates to e_j, with 0 on the variables without a pivot."""
+    rng = Rng(2)
+    X = LinMat(F, 2, 1, 4, F.kernel.asarray(rng.matrix(F, 2, 4)).reshape(2, 1, 4))
+    U = unit_points(X)
+    assert U.shape == (2, 1, 4)
+    for j in range(2):
+        assert X.eval(U[j, 0].tolist()).rows[:, 0].tolist() == [int(j == 0), int(j == 1)]
+    assert not U[:, 0, 2:].any()  # the first two columns are independent, so they pivot
+
+
+def test_unit_points_rank_deficient_raises():
     X = LinMat(F, 2, 2, 4)
     X.coeffs[0][0][0] = 1
     X.coeffs[1][1][0] = 1  # dependent forms
     with pytest.raises(Singular):
-        unit_point(X, 0, 1)
+        unit_points(X)
+    column = LinMat(F, 2, 1, 4)
+    column.coeffs[0][0][1] = column.coeffs[1][0][1] = 1  # both entries read x_1: e_0 is out of reach
+    with pytest.raises(Singular):
+        unit_points(column)
 
 
 def test_degree_reduce_passthrough_d3():
@@ -84,6 +100,20 @@ def test_degree_reduce_planted(monkeypatch, d):
     assert Bs is not None
     assert verify_witness(inst.f, sh, Bs, 100, rng)
     assert reads == [4] * min(d - 3, 2)
+
+
+@pytest.mark.parametrize("w,d", [(3, 4), (3, 5), (3, 6), (2, 7)])
+def test_degree_reduce_planted_oracle(w, d):
+    """Past w = 2 and d = 6: the MMTI oracle runs on a DET oracle planted
+    from the instance's first three blocks, and the blocks it returns
+    certify."""
+    rng = Rng(50 + 10 * w + d)
+    sh = TrimmShape(w, d)
+    inst = plant_instance(F, sh, rng, mode="block")
+    det = PlantedDetOracle(F, TrimmShape(w, 3), assemble_block_diagonal(inst.blocks[:3]))
+    Bs = degree_d_to_3(inst.f, w, d, lambda h, w_, r: mmti_oracle(h, w_, det, r), rng)
+    assert Bs is not None
+    assert verify_witness(inst.f, sh, Bs, 100, rng)
 
 
 def test_degree_reduce_restricted_three_tensor_signature():
