@@ -54,6 +54,10 @@ class InputError(TrimmeqError):
     """Malformed user-supplied input (basis not independent, bad file, ...)."""
 
 
+class CharacteristicTooSmall(InputError):
+    """A prime modulus at or below the (w^2 d)^5 bound that the shape needs."""
+
+
 class NotClosed(TrimmeqError):
     """The given span is not closed under matrix multiplication."""
 

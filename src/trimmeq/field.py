@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from . import modarith
-from .errors import DivisionByZero, ModulusMismatch, NotPrime
+from .errors import CharacteristicTooSmall, DivisionByZero, ModulusMismatch, NotPrime
 
 #: Default modulus: the Mersenne prime 2^61 - 1.  Large enough that the
 #: characteristic bound p > (w^2 d)^5 and the |S| >= n^5 sampling-set
@@ -76,7 +76,7 @@ class Fp:
         """The working assumption p > (w^2 d)^5, checked at instance load."""
         bound = (w * w * d) ** 5
         if self.p <= bound:
-            raise NotPrime(f"modulus {self.p} too small: need > (w^2 d)^5 = {bound}")
+            raise CharacteristicTooSmall(f"modulus {self.p} too small: need > (w^2 d)^5 = {bound}")
 
     # -- scalar arithmetic (canonical residues in, canonical out) --------
     def add(self, a: int, b: int) -> int:

@@ -19,6 +19,29 @@ the reduction to tensor isomorphism.  Closures and invariance checks run on
 the field's kernel: one GEMM maps a set of vectors through the stacked
 basis, and one elimination keeps the images that grow the span.
 
+The Lie algebra of f = Tr-IMM_{w,d}(A x), A invertible, has dimension
+d w^2 - 1 = n - 1.  Every off-block-diagonal entry of an element of
+g_Tr-IMM vanishes (the paper's structural lemma), so g_Tr-IMM is
+{X_k -> B_k X_k - X_k B_{k+1}} over tuples (B_0..B_{d-1}) of w x w
+matrices, indices mod d, and such a tuple gives 0 exactly when every B_k
+is the same scalar: d w^2 - 1 dimensions, and g_f = A^-1 g_Tr-IMM A has
+as many.  The search rejects as soon as a sampled span is smaller
+(``lie_algebra_basis``'s ``min_dim``):
+
+* stage 2 holds every element of g_f for any draw, since each of its rows
+  is a true instance of the identity, so dim Y >= dim g_f always;
+* stage 1 has N_J containing {E U_J : E in g_f}, and E -> E U_J is
+  injective on g_f for |J| >= 2 and generic U.  Take two columns of
+  A U_J, each a cyclic tuple of invertible w x w matrices X_0..X_{d-1}
+  with cyclic products P and P'.  E U_J = 0 reads B_k X_k = X_k B_{k+1}
+  for every k on both tuples, so B_0 commutes with P and with P', whose
+  common commutant is the scalars for generic P, P'; then every B_k is
+  the same scalar and E = 0.  Injectivity fails only where a fixed
+  nonzero (n-1)-minor of the map, of degree n - 1 in the entries of U,
+  vanishes, so by Schwartz-Zippel a false "No" over the b blocks has
+  probability at most b (n-1)/p < b n^-4 under p > n^5.  ``_blocks``
+  gives |J| >= 2 whenever n = d w^2 > d + 1.
+
 The search splits F^n by a random element R whose characteristic
 polynomial q is square-free.  Then F^n is the direct sum of the kernels
 ker p_i(R) over the irreducible factors p_i of q, each a simple
@@ -128,9 +151,10 @@ def _certify_basis(f: Blackbox, basis: list[Mat], trials: int, rng: Rng) -> bool
     return not np.any(k.gemm(grads[:, None, :], Ea[:, :, None]))  # grad(a) . E a
 
 
-def lie_algebra_basis(f: Blackbox, rng: Rng) -> LieBasis:
+def lie_algebra_basis(f: Blackbox, rng: Rng, min_dim: int = 0) -> LieBasis | None:
     """Basis of the Lie algebra of f, sampled in two stages over a random
-    invertible U.
+    invertible U, or None as soon as a sampled span has fewer than
+    ``min_dim`` dimensions.
 
     With X = E U the identity reads grad_f(U c)^T X c == 0 in c.  Stage 1,
     for each block J of ``_blocks(n, f.degree)``: at n |J| + 32 points
@@ -145,6 +169,15 @@ def lie_algebra_basis(f: Blackbox, rng: Rng) -> LieBasis:
     (``_certify_basis``); retry once with a new U and twice the rows in
     every stage, then raise CertificationFailed.  W.h.p. the span is that of
     ``lie_algebra_basis_exact``.
+
+    None when some N_J or the stage-2 nullspace has fewer than ``min_dim``
+    rows.  Y spans a space holding the algebra for any draw, so dim Y <
+    min_dim proves dim g_f < min_dim.  N_J holds the image of E -> E U_J,
+    which for f = Tr-IMM_{w,d}(A x) and |J| >= 2 is injective on the
+    (n - 1)-dimensional g_f except with probability (n-1)/p per block (the
+    module docstring), so min_dim = n - 1 wrongly stops a positive with
+    probability at most b (n-1)/p over the b blocks.  min_dim = 0 never
+    stops, for inputs of unknown algebra dimension.
     """
     n = f.n
     field = f.field
@@ -157,11 +190,15 @@ def lie_algebra_basis(f: Blackbox, rng: Rng) -> LieBasis:
             c = rng.array(field, (scale * (n * len(J) + 32), len(J)))
             g = f.gradient_many(k.gemm(c, U.rows[:, J].T))
             nulls.append(nullspace_rows(field, _kron_rows(k, g, c)))
+            if len(nulls[-1]) < min_dim:
+                return None
         s = sum(len(N) for N in nulls)
         c = rng.array(field, (scale * (s + 32), n))
         g = f.gradient_many(k.gemm(c, U.rows.T))
         Y = nullspace_rows(field, np.concatenate(
             [k.gemm(_kron_rows(k, g, c[:, J]), N.T) for J, N in zip(blocks, nulls)], axis=1))
+        if len(Y) < min_dim:
+            return None
         X = k.zeros((len(Y), n, n))
         cols = np.cumsum([0] + [len(N) for N in nulls])
         for J, N, y0, y1 in zip(blocks, nulls, cols, cols[1:]):
@@ -193,8 +230,17 @@ def lie_algebra_basis_exact(f: MPoly) -> LieBasis:
                 if row is None:
                     row = rows[key] = [0] * (n * n)
                 row[i * n + j] = (row[i * n + j] + dc) % p
-    system = field.kernel.asarray(list(rows.values())).reshape(len(rows), n * n)
-    return LieBasis(field, n, [Mat(field, v.reshape(n, n)) for v in nullspace_rows(field, system)])
+    k = field.kernel
+    system = k.asarray(list(rows.values())).reshape(len(rows), n * n)
+    # a row with one nonzero entry pins its unknown to 0, so the rest is
+    # eliminated over the unpinned unknowns: the same kernel basis
+    nonzero = system != 0
+    pinned = nonzero.sum(axis=1) == 1
+    rest = np.flatnonzero(~nonzero[pinned].any(axis=0))
+    sub = nullspace_rows(field, system[~pinned][:, rest])
+    null = k.zeros((len(sub), n * n))
+    null[:, rest] = sub
+    return LieBasis(field, n, [Mat(field, v.reshape(n, n)) for v in null])
 
 
 def random_element(L: LieBasis, rng: Rng) -> Mat:
@@ -250,7 +296,16 @@ def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
 
     Basis, random element R, characteristic polynomial q, square-free gate,
     factors p_i of q, then one closure per factor whose kernel no kept space
-    holds.  A kept space S, an L-closure and so R-invariant, holds all of the
+    holds.  f is taken for Tr-IMM_{w,d}(A x), whose Lie algebra has
+    dimension d w^2 - 1 = n - 1 (the module docstring: the paper's
+    block-diagonal lemma); the basis is sampled with min_dim = n - 1, and
+    the run rejects at ``lie-dimension`` as soon as a stage-1 or stage-2
+    span is smaller, or when the certified dimension is not n - 1.  Stage 2
+    holds the whole algebra for any draw, and a positive's stage-1 spans
+    read smaller with probability at most b (n-1)/p < b n^-4 over the b
+    blocks, since E -> E U_J is injective on the algebra for |J| >= 2 and
+    generic U.
+    A kept space S, an L-closure and so R-invariant, holds all of the
     simple F[R]-module ker p_i(R) or none of it, and holds it exactly when
     p_i divides chi(R|S) (``_restricted_charpoly``); closures may overlap, so
     p_i is tested against each kept space's chi, not against a running
@@ -261,18 +316,19 @@ def irreducible_invariant_subspaces(f: Blackbox, rng: Rng, expected_count: int):
     dimension come out.  Up to the square-free gate the procedure retries
     (``_SUBSPACE_RETRIES`` runs in all) on square-free or certification
     failures, since its guarantees are only with high probability; the
-    structural checks after it reject at once.
+    dimension gate and the structural checks after the square-free gate
+    reject at once.
     """
     field = f.field
     gate = "square-free"
     for _ in range(_SUBSPACE_RETRIES):
         try:
-            L = lie_algebra_basis(f, rng)
+            L = lie_algebra_basis(f, rng, f.n - 1)
         except CertificationFailed:
             gate = "certification"
             continue
-        if L.dim == 0:
-            return reject("invariant-subspaces:empty-basis")
+        if L is None or L.dim != f.n - 1:
+            return reject("invariant-subspaces:lie-dimension")
         R = random_element(L, rng)
         q = R.charpoly()
         if squarefree_test(field, q):

@@ -48,12 +48,12 @@ def irreducible_invariant_subspaces(f, rng, expected_count: int):
     gate = "square-free"
     for _ in range(_SUBSPACE_RETRIES):
         try:
-            L = lie_algebra_basis(f, rng)
+            L = lie_algebra_basis(f, rng, f.n - 1)
         except CertificationFailed:
             gate = "certification"
             continue
-        if L.dim == 0:
-            return reject("invariant-subspaces:empty-basis")
+        if L is None or L.dim != f.n - 1:
+            return reject("invariant-subspaces:lie-dimension")
         R = random_element(L, rng)
         q = R.charpoly()
         if squarefree_test(field, q):

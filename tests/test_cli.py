@@ -244,6 +244,16 @@ def test_malformed_prime_environment_is_an_input_error(tmp_path, monkeypatch, ca
     assert _exit_code(_prime_command(name, tmp_path), capsys) == 2
 
 
+@pytest.mark.parametrize("prime", [101, 2 ** 61 - 2], ids=["too-small", "composite"])
+def test_unusable_prime_flag_is_an_input_error(tmp_path, capsys, prime):
+    """A prime below (w^2 d)^5 and a composite modulus both exit 2, each
+    with its own message."""
+    capsys.readouterr()
+    assert main([*_prime_command("gen", tmp_path), "--prime", str(prime)]) == 2
+    err = capsys.readouterr().err
+    assert ("too small" in err) == (prime == 101) and ("not prime" in err) == (prime != 101)
+
+
 def _set_residue(value):
     def mutate(data):
         data["payload"]["matrix"][0][0] = value

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trimmeq.errors import DivisionByZero, NotPrime
+from trimmeq.errors import CharacteristicTooSmall, DivisionByZero, InputError, NotPrime
 from trimmeq.field import DEFAULT_PRIME, Fp, Rng, is_probable_prime
 
 
@@ -18,9 +18,15 @@ def test_bad_modulus_rejected():
 
 
 def test_char_bound_check():
+    """A prime too small for the shape is an input error of its own type, not
+    NotPrime, which is kept for a composite modulus."""
     Fp().check_char_bound(3, 3)
-    with pytest.raises(NotPrime):
+    with pytest.raises(CharacteristicTooSmall) as err:
         Fp(101).check_char_bound(2, 3)
+    assert isinstance(err.value, InputError) and not isinstance(err.value, NotPrime)
+    with pytest.raises(CharacteristicTooSmall):
+        Fp(1000003).check_char_bound(2, 4)  # a prime, below 16^5
+    Fp(1000003).check_char_bound(2, 3)  # above 12^5
 
 
 def test_scalar_arith_mod_7():

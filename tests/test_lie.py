@@ -9,7 +9,7 @@ import subspace_reference
 from closure_reference import closure_reference
 
 from trimmeq.errors import CertificationFailed
-from trimmeq.field import Fp, Rng
+from trimmeq.field import Fp, Rng, is_probable_prime
 from trimmeq.lie import (
     InvariantSubspace,
     LieBasis,
@@ -24,10 +24,13 @@ from trimmeq.lie import (
     random_element,
 )
 from trimmeq.linalg import Mat, in_span, random_invertible, rank_rows, same_span
+from trimmeq.oracles import QuadraticDetOracle
 from trimmeq.poly import (ComposedBlackbox, ExplicitBlackbox, MPoly, factor_univariate,
                           squarefree_test, uni_divmod)
+from trimmeq.reduction import trace_equivalence
 from trimmeq.report import RunReport
-from trimmeq.trimm import TrimmShape, plant_instance, trimm_blackbox, trimm_explicit
+from trimmeq.trimm import (TrimmShape, plant_instance, trimm_blackbox, trimm_explicit,
+                           verify_witness)
 
 F = Fp()
 
@@ -348,11 +351,14 @@ def test_planted_33_runs_one_kernel_and_one_closure_per_space(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [None, 3200, 3201, 3202])
-def test_zeroed_negative_stops_at_the_surplus_space(monkeypatch, seed):
-    """A zeroed Tr-IMM_{3,3} (seed None) and criterion 3's zeroed Tr-IMM_{2,3}
-    reject at the count gate after at most expected_count + 1 closures."""
+def test_zeroed_negative_stops_at_the_lie_dimension(monkeypatch, seed):
+    """A zeroed Tr-IMM_{3,3} (seed None) rejects at the dimension gate after
+    its first stage-1 nullspace (14 < n - 1 = 26), and criterion 3's zeroed
+    Tr-IMM_{2,3}, whose stage-1 spans (16) exceed n - 1 = 11, after its
+    stage-2 nullspace (5); neither runs a closure."""
     import trimmeq.lie as lie
 
+    systems = _count_calls(monkeypatch, lie, "nullspace_rows")
     closures = _count_calls(monkeypatch, lie, "closure")
     if seed is None:
         (f, count), rng = _SUBSPACE_CASES["zeroed33"](), Rng(64)
@@ -361,8 +367,100 @@ def test_zeroed_negative_stops_at_the_surplus_space(monkeypatch, seed):
         f, count = _zeroed_trimm(TrimmShape(2, 3), rng), 3
     out, report = _report(lambda: irreducible_invariant_subspaces(f, rng, count))
     assert out is None
+    assert report["failed_gate"] == "invariant-subspaces:lie-dimension"
+    assert len(systems) == (1 if seed is None else len(_blocks(f.n, f.degree)) + 1)
+    assert not closures
+
+
+def _singular_trimm_23(rng):
+    """Tr-IMM_{2,3}(A x) with A of rank n - 1: every E whose columns lie in
+    ker A joins the algebra, which outgrows n - 1."""
+    sh = TrimmShape(2, 3)
+    A = random_invertible(F, sh.n, rng).rows.copy()
+    A[:, -1] = 0
+    return ComposedBlackbox(trimm_blackbox(F, sh), Mat(F, A))
+
+
+def _dense_cubic_12(rng):
+    """A random dense cubic in 12 variables (criterion 3's first family): no algebra."""
+    monomials = {tuple(map(int, np.bincount(m, minlength=12)))
+                 for m in combinations_with_replacement(range(12), 3)}
+    return ExplicitBlackbox(MPoly(F, 12, {e: rng.scalar(F) for e in sorted(monomials)}))
+
+
+@pytest.mark.parametrize("make, dim", [(_dense_cubic_12, 0), (_singular_trimm_23, 13)],
+                         ids=["dense-cubic", "singular-A"])
+def test_certified_dimension_other_than_n_minus_1_rejects(monkeypatch, make, dim):
+    """An algebra of dimension 0 (a dense cubic, stage 2 reads 0) and one
+    larger than n - 1 (certified at 13 > 11) reject at the same dimension
+    gate, before any closure."""
+    import trimmeq.lie as lie
+
+    f = make(Rng(80))
+    L = lie_algebra_basis(f, Rng(81))
+    assert L.dim == dim
+    closures = _count_calls(monkeypatch, lie, "closure")
+    out, report = _report(lambda: irreducible_invariant_subspaces(f, Rng(81), 3))
+    assert out is None and report["failed_gate"] == "invariant-subspaces:lie-dimension"
+    assert not closures
+
+
+def test_planted_33_with_one_space_too_few_stops_at_the_surplus_space(monkeypatch):
+    """A planted Tr-IMM_{3,3} searched for 2 spaces passes the dimension gate
+    and rejects at the count gate at its third space, after at most 3
+    closures."""
+    import trimmeq.lie as lie
+
+    closures = _count_calls(monkeypatch, lie, "closure")
+    f, _ = _SUBSPACE_CASES["planted33"]()
+    out, report = _report(lambda: irreducible_invariant_subspaces(f, Rng(63), 2))
+    assert out is None
     assert report["failed_gate"] == "invariant-subspaces:subspace-count"
-    assert len(closures) <= count + 1
+    assert len(closures) <= 3
+
+
+@pytest.mark.parametrize("w, d", [(2, 4), (3, 3), (4, 3)])
+def test_trimm_lie_algebra_has_dimension_n_minus_1(w, d):
+    """dim g_Tr-IMM = d w^2 - 1 (with (2,3) in ``test_trimm_23_dimension_is_11``)."""
+    assert lie_algebra_basis_exact(trimm_explicit(F, TrimmShape(w, d))).dim == d * w * w - 1
+
+
+@pytest.mark.parametrize("w, d", [(2, 3), (2, 4), (3, 3), (3, 4), (2, 7)])
+def test_stage_one_spans_hold_the_algebra_on_planted_positives(monkeypatch, w, d):
+    """On planted positives every stage-1 nullspace N_J has at least n - 1
+    rows, so the dimension gate passes, and the basis sampled with
+    min_dim = n - 1 is the one sampled with min_dim = 0 from the same seed."""
+    import trimmeq.lie as lie
+
+    sh = TrimmShape(w, d)
+    f = plant_instance(F, sh, Rng(70 + 10 * w + d), mode="full").f
+    ungated = lie_algebra_basis(f, Rng(71))
+    systems = []
+    real = lie.nullspace_rows
+    monkeypatch.setattr(lie, "nullspace_rows",
+                        lambda field, rows: systems.append(real(field, rows)) or systems[-1])
+    L = lie_algebra_basis(f, Rng(71), sh.n - 1)
+    stage_one = systems[:len(_blocks(sh.n, d))]
+    assert min(map(len, stage_one)) >= sh.n - 1
+    assert L.dim == sh.n - 1
+    assert np.array_equal(L.flat(), ungated.flat())
+
+
+def test_gate_passes_at_the_smallest_admissible_prime():
+    """At the first prime above (w^2 d)^5 = 12^5 (the int64 lane), where a
+    false stage-1 "No" is likeliest (b (n-1)/p = 22/248839), 30 planted
+    Tr-IMM_{2,3} pass the dimension gate and certify."""
+    p = next(q for q in range(12 ** 5 + 1, 12 ** 5 + 100) if is_probable_prime(q))
+    small = Fp(p)
+    sh = TrimmShape(2, 3)
+    for seed in range(30):
+        rng = Rng(9000 + seed)
+        inst = plant_instance(small, sh, rng, mode="full")
+        with RunReport(seed) as report:
+            res = trace_equivalence(inst.f, 3, lambda w: QuadraticDetOracle(small), rng)
+        assert res is not None and report.failed_gate is None, report.to_dict()
+        assert "invariant-subspaces" in report.gates_passed
+        assert verify_witness(inst.f, sh, res[1], 30, rng)
 
 
 def test_empty_kernel_of_an_uncovered_factor_rejects(monkeypatch):

@@ -8,9 +8,9 @@ Exports ``--rev`` and copies the working tree into fresh directories as
 ``perfbench/workloads.py``, and solves, under a ``RunReport``, the
 instances of every workload at seeds 1-3 (the ``trace_rounds`` rounds that
 a traced benchmark run solves).  Each instance's result key, gates passed,
-failed gate and identity-test trials are compared in order; the first
-difference is printed and the exit status is 1.  The exit status is 0 when
-every instance matches.
+failed gate and identity-test trials are compared in order; every
+differing instance is printed, one line per differing field, and the exit
+status is 1.  The exit status is 0 when every instance matches.
 """
 
 from __future__ import annotations
@@ -59,21 +59,21 @@ def _short(value, width: int = 120) -> str:
     return text if len(text) <= width else text[: width - 3] + "..."
 
 
-def first_difference(base: list[dict], tree: list[dict]) -> str | None:
-    """The first instance whose outputs differ between the two record lists,
-    described in one line, or None when they all agree."""
+def differences(base: list[dict], tree: list[dict]) -> list[str]:
+    """One line per differing field of every instance, in order, or [] when
+    the two record lists agree.  Past an instance out of place the rest is
+    not compared, since the records no longer pair up."""
+    out = []
     for b, t in zip(base, tree):
         where = f"{b['workload']} seed {b['seed']} instance {b['index']} ({b['family']})"
         if (b["workload"], b["seed"], b["index"]) != (t["workload"], t["seed"], t["index"]):
-            return f"{where}: the working tree has {t['workload']} seed {t['seed']} " \
-                   f"instance {t['index']} in its place"
-        for field in FIELDS:
-            if b[field] != t[field]:
-                return f"{where}: {field} {_short(b[field])} (base) != {_short(t[field])} " \
-                       "(working tree)"
+            return out + [f"{where}: the working tree has {t['workload']} seed {t['seed']} "
+                          f"instance {t['index']} in its place"]
+        out += [f"{where}: {field} {_short(b[field])} (base) != {_short(t[field])} "
+                "(working tree)" for field in FIELDS if b[field] != t[field]]
     if len(base) != len(tree):
-        return f"{len(base)} instances (base) != {len(tree)} (working tree)"
-    return None
+        out.append(f"{len(base)} instances (base) != {len(tree)} (working tree)")
+    return out
 
 
 def records_in_fresh_process(tree: str) -> list[dict]:
@@ -92,9 +92,10 @@ def main(argv=None) -> int:
         copy_worktree(tree)
         records = {side: records_in_fresh_process(path) for side, path in
                    (("base", base), ("tree", tree))}
-    diff = first_difference(records["base"], records["tree"])
-    if diff is not None:
-        print(f"outputs differ: {diff}")
+    diffs = differences(records["base"], records["tree"])
+    if diffs:
+        print(f"outputs differ on {len(diffs)} fields:")
+        print("\n".join(diffs))
         return 1
     counts = {}
     for r in records["tree"]:
